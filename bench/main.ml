@@ -458,8 +458,8 @@ let engine_edit_tests =
 
    Drives lib/server's Service directly (no socket) with the B16 client
    script: N sessions opened from the paper scenario, each cycling
-   offer → evaluate D(G) → rotate → evaluate target → insert → confirm,
-   interleaved round-robin.  The ablation is substrate temperature: the
+   branch → offer → evaluate D(G) → rotate → evaluate target → confirm →
+   checkout main → insert, interleaved round-robin.  The ablation is substrate temperature: the
    cold arm builds a fresh registry (empty shared Eval_cache) per run,
    the warm arm reuses one persistent registry across runs, so every
    session's pre-insert evaluations hit entries left by earlier runs at
@@ -760,7 +760,7 @@ let b18_digests ~warm () =
             Fulldisj.Full_disjunction.to_relation
               (Clio.Mapping_eval.data_associations ctx mapping)
           in
-          (branch, Digest.to_hex (Digest.string (Render.relation rel))))
+          (branch, Render.digest rel))
         (Version.Store.branch_names store))
     stores
 

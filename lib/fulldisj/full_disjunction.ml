@@ -284,8 +284,11 @@ let delta src g ~old ~changed =
       in
       { scheme; node_positions; associations })
 
+(* Every algorithm above emits a set under [Tuple.equal] (categories are
+   deduplicated, and [delta] filters against the old result), so the
+   relation is built without a second dedup pass. *)
 let to_relation ?(name = "D(G)") r =
-  Relation.create ~allow_all_null:true name r.scheme
+  Relation.create ~dedup:false ~allow_all_null:true name r.scheme
     (List.map (fun (a : Assoc.t) -> a.Assoc.tuple) r.associations)
 
 let categories r =

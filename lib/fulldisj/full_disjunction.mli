@@ -53,7 +53,9 @@ val canonical_order : Assoc.t list -> Assoc.t list
     still returns the same relation.  Bench B17 measures this path. *)
 val compute_relation : ?name:string -> Source.t -> Qgraph.t -> Relation.t
 
-(** D(G) as a relation (coverage dropped). *)
+(** D(G) as a relation (coverage dropped), in association order.  The
+    associations must already be a set under [Tuple.equal] — every
+    algorithm here guarantees it — since no dedup pass runs. *)
 val to_relation : ?name:string -> result -> Relation.t
 
 (** Associations partitioned by coverage — the {e categories} of Section 4.2.

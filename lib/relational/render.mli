@@ -1,10 +1,16 @@
 (** Plain-text table rendering — the reproduction's stand-in for Clio's GUI
-    workspaces and target viewer. *)
+    workspaces and target viewer.  All three entry points share one
+    single-pass writer that sizes its output exactly before filling it;
+    column widths are measured in bytes. *)
 
 (** Render a relation as an aligned ASCII table.  [qualified] controls
     whether headers show ["Rel.col"] or just ["col"] (default: qualified
     when the schema spans several nodes). *)
 val relation : ?qualified:bool -> Relation.t -> string
+
+(** [digest r] is the hex MD5 of [relation r] (default header
+    qualification): the digest the server returns for an evaluation. *)
+val digest : Relation.t -> string
 
 (** Render arbitrary rows with a header. *)
 val table : header:string list -> string list list -> string

@@ -61,29 +61,37 @@ let insert_of scenario ~client ~i =
           |]
           (Array.make leaves Value.Null) )
 
+(* Rounds of eight ops.  Each round forks a branch from [main] and walks
+   from the scenario's root mapping there, so every offer has fresh walks
+   to find however long the script runs (offers on one branch keep
+   growing its graph until the walk runs out of new nodes).  The round's
+   insert lands on [main], so later rounds see every earlier insert. *)
 let client_requests spec ~client =
   let start, goal, max_len = walk_params spec.scenario in
   List.init spec.ops (fun i ->
-      match i mod 6 with
-      | 0 -> P.Offer { start; goal; max_len }
-      | 1 -> P.Evaluate { what = P.Dg; limit = spec.limit }
-      | 2 -> P.Rotate
-      | 3 -> P.Evaluate { what = P.Target; limit = spec.limit }
-      | 4 ->
+      match i mod 8 with
+      | 0 -> P.Branch { name = Printf.sprintf "round-%d" (i / 8) }
+      | 1 -> P.Offer { start; goal; max_len }
+      | 2 -> P.Evaluate { what = P.Dg; limit = spec.limit }
+      | 3 -> P.Rotate
+      | 4 -> P.Evaluate { what = P.Target; limit = spec.limit }
+      | 5 -> P.Confirm
+      | 6 -> P.Checkout { name = Version.Store.main }
+      | _ ->
           let relation, row = insert_of spec.scenario ~client ~i in
-          P.Insert { relation; rows = [ row ] }
-      | _ -> P.Confirm)
+          P.Insert { relation; rows = [ row ] })
 
 (* ------------------------------------------------------------------ *)
-(* The verification arm: a plain Workspace replay, no server code path. *)
-
-let digest_of rel = Digest.to_hex (Digest.string (Render.relation rel))
+(* The verification arm: a plain Workspace replay, no server code path.
+   Branches are just named workspaces. *)
 
 let replay_digests spec =
   Array.init spec.clients (fun client ->
       let db, kb, mapping = Scenario.resolve_fresh spec.scenario in
       let ctx = Clio.Eval_ctx.create ~no_cache:true ~jobs:1 ~kb db in
       let ws = ref (Clio.Workspace.create ctx mapping) in
+      let branches = Hashtbl.create 8 in
+      let current = ref Version.Store.main in
       let digests = ref [] in
       let active_mapping () =
         (Clio.Workspace.active !ws).Clio.Workspace.mapping
@@ -91,6 +99,13 @@ let replay_digests spec =
       List.iter
         (fun req ->
           match req with
+          | P.Branch { name } ->
+              Hashtbl.replace branches !current !ws;
+              current := name
+          | P.Checkout { name } ->
+              Hashtbl.replace branches !current !ws;
+              ws := Hashtbl.find branches name;
+              current := name
           | P.Evaluate { what; _ } ->
               let rel =
                 match what with
@@ -103,7 +118,7 @@ let replay_digests spec =
                     Clio.Eval_ctx.full_associations (Clio.Workspace.ctx !ws)
                       (active_mapping ()).Clio.Mapping.graph
               in
-              digests := digest_of rel :: !digests
+              digests := Render.digest rel :: !digests
           | P.Offer { start; goal; max_len } -> (
               try
                 let alts =
@@ -243,13 +258,14 @@ let run_inprocess ?(verify = true) service spec =
         | _ -> None)
   in
   let scripts =
-    Array.init spec.clients (fun client -> client_requests spec ~client)
+    Array.init spec.clients (fun client ->
+        Array.of_list (client_requests spec ~client))
   in
   for i = 0 to spec.ops - 1 do
     for client = 0 to spec.clients - 1 do
       match sids.(client) with
       | None -> ()
-      | Some sid -> ignore (call ~client ~session:sid (List.nth scripts.(client) i))
+      | Some sid -> ignore (call ~client ~session:sid scripts.(client).(i))
     done
   done;
   if not spec.keep_open then

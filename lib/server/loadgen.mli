@@ -3,18 +3,23 @@
     verification arm.
 
     Each client runs the same deterministic script over its own session —
-    open, then [ops] operations cycling offer → evaluate D(G) → rotate →
-    evaluate target → insert (a tuple unique to that client and step) →
-    confirm, then close — so any two runs over equal specs do identical
-    work.  Clients are interleaved round-robin (in-process) or pipelined
-    one-in-flight-each (socket), which is what makes the shared-cache and
-    isolation claims observable: sessions share D(G)/F(J) entries until
-    their first insert forks them onto private database versions.
+    open, then [ops] operations in rounds of eight: branch [round-<k>] off
+    [main] → offer → evaluate D(G) → rotate → evaluate target → confirm →
+    checkout [main] → insert (a tuple unique to that client and step),
+    then close — so any two runs over equal specs do identical work, and
+    every round's offer starts from the root mapping, which keeps the
+    script valid for any [ops].  Clients are interleaved round-robin
+    (in-process) or pipelined one-in-flight-each (socket), which is what
+    makes the shared-cache and isolation claims observable: sessions share
+    D(G)/F(J) entries until their first insert forks them onto private
+    database versions.
 
-    Verification replays every client's script {e sequentially} through a
-    plain {!Clio.Workspace} over {!Scenario.resolve_fresh} state with a
-    fresh cache-less context — a genuinely independent path — and compares
-    the MD5 digests of every evaluation result byte-for-byte. *)
+    Verification replays every client's script {e sequentially} through
+    plain {!Clio.Workspace} values (one per branch) over
+    {!Scenario.resolve_fresh} state with a fresh cache-less context — a
+    genuinely independent path — and compares the MD5 digests
+    ({!Relational.Render.digest}) of every evaluation result
+    byte-for-byte. *)
 
 type spec = {
   scenario : Protocol.scenario;

@@ -24,8 +24,6 @@ let set_telemetry t tel = t.telemetry <- tel
 let telemetry t = t.telemetry
 let draining t = Atomic.get t.draining
 
-let digest_of rel = Digest.to_hex (Digest.string (Render.relation rel))
-
 let scheme_of rel =
   Array.to_list (Array.map Attr.to_string (Schema.attrs (Relation.schema rel)))
 
@@ -70,8 +68,9 @@ let evaluate session what limit =
     match what with
     | P.Target -> Clio.Workspace.target_view ws
     | P.Dg ->
-        Fulldisj.Full_disjunction.to_relation
-          (Clio.Mapping_eval.data_associations ctx mapping)
+        let fd = Clio.Mapping_eval.data_associations ctx mapping in
+        Obs.with_span Obs.Names.sp_to_relation (fun () ->
+            Fulldisj.Full_disjunction.to_relation fd)
     | P.Fj -> Clio.Eval_ctx.full_associations ctx mapping.Clio.Mapping.graph
   in
   P.Evaluated
@@ -79,7 +78,8 @@ let evaluate session what limit =
       what;
       count = Relation.cardinality rel;
       scheme = scheme_of rel;
-      digest = digest_of rel;
+      digest =
+        Obs.with_span Obs.Names.sp_render_digest (fun () -> Render.digest rel);
       rows = rows_of rel limit;
     }
 

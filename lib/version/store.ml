@@ -248,7 +248,10 @@ let log t ~branch =
    database plus the workspace shape (entries, labels, graphs, active id).
    [save] records it per branch; [load] recomputes after replay and
    refuses to resume from a snapshot whose changelog does not reproduce it
-   byte-for-byte. *)
+   byte-for-byte.  The input text (each relation's [Render.relation] text,
+   concatenated, then the workspace lines) is therefore part of the
+   on-disk format: changing it would make every saved store fail to
+   load. *)
 let state_digest t branchname =
   let ws = checkout t branchname in
   let b = Buffer.create 4096 in

@@ -309,6 +309,89 @@ let prop_incremental_equals_scratch =
                   (ctx, check ctx))
               (ctx0, true) ops))
 
+(* --- property: D(G) results are already sets --- *)
+
+(* [to_relation] builds its relation without a dedup pass, which is sound
+   only if no algorithm emits two associations equal under [Value.equal].
+   Adversarial twists make equal values differ in representation: ints
+   turned into floats (Int 1 vs Float 1.0, 0 vs -0.), payload strings
+   turned into NaN or infinity, and every relation carrying a float copy
+   of each of its rows that set semantics must fold away. *)
+let twist st = function
+  | Value.Int 0 when Random.State.bool st -> Value.Float (-0.)
+  | Value.Int i when Random.State.int st 3 = 0 -> Value.Float (float_of_int i)
+  | Value.String _ when Random.State.int st 4 = 0 ->
+      Value.Float (if Random.State.bool st then Float.nan else Float.infinity)
+  | v -> v
+
+let as_floats =
+  Array.map (function Value.Int i -> Value.Float (float_of_int i) | v -> v)
+
+let twisted_db st db =
+  List.fold_left
+    (fun db r ->
+      let tuples = Relation.tuples r in
+      Database.replace db
+        (Relation.create (Relation.name r) (Relation.schema r)
+           (List.map (Array.map (twist st)) tuples @ List.map as_floats tuples)))
+    db (Database.relations db)
+
+let to_relation_is_exact (r : Fulldisj.Full_disjunction.result) =
+  let rel = Fulldisj.Full_disjunction.to_relation r in
+  let deduped =
+    Relation.create ~allow_all_null:true "D(G)" r.Fulldisj.Full_disjunction.scheme
+      (List.map (fun (a : Fulldisj.Assoc.t) -> a.Fulldisj.Assoc.tuple)
+         r.Fulldisj.Full_disjunction.associations)
+  in
+  List.length r.Fulldisj.Full_disjunction.associations
+  = Relation.cardinality deduped
+  && String.equal (Render.relation rel) (Render.relation deduped)
+
+let prop_associations_are_sets =
+  QCheck2.Test.make
+    ~name:"D(G) associations are a set: to_relation = deduplicating build"
+    ~count:40 parity_gen (fun (seed, n, rows, jobs, _) ->
+      let st = Random.State.make [| seed |] in
+      let inst =
+        Synth.Gen_graph.random_tree st ~n ~rows ~null_prob:0.25
+          ~orphan_prob:0.25 ()
+      in
+      let g = inst.Synth.Gen_graph.graph in
+      let db = twisted_db st inst.Synth.Gen_graph.db in
+      let algorithms =
+        [ Eval_ctx.Naive; Eval_ctx.Indexed; Eval_ctx.Outerjoin_if_tree ]
+      in
+      let ctx =
+        Eval_ctx.create ~incremental:true ~jobs ~kb:inst.Synth.Gen_graph.kb db
+      in
+      let all_exact ctx =
+        List.for_all
+          (fun alg ->
+            to_relation_is_exact (Eval_ctx.data_associations ~algorithm:alg ctx g))
+          algorithms
+      in
+      (* Fresh rows into the first base, each with its float twin in the
+         same batch: the cached results above are then repaired through
+         [Full_disjunction.delta]. *)
+      let base = (List.hd (Qgraph.nodes g)).Qgraph.base in
+      let fresh =
+        match Relation.tuples (Database.get db base) with
+        | [] -> []
+        | t :: _ ->
+            let tup = Array.map (twist st) t in
+            tup.(0) <- v_int 900_000;
+            [ tup; as_floats tup ]
+      in
+      with_counters (fun () ->
+          all_exact ctx
+          &&
+          let repaired0 = counter "cache.promote.dg.repaired" in
+          let ctx' =
+            Eval_ctx.with_db ctx (Database.insert_tuples db base fresh)
+          in
+          all_exact ctx'
+          && (fresh = [] || counter "cache.promote.dg.repaired" > repaired0)))
+
 let () =
   Alcotest.run "incremental"
     [
@@ -324,5 +407,9 @@ let () =
           tc "peek neutrality" `Quick test_peek_does_not_touch_recency;
           tc "promoted recency+bytes" `Quick test_promoted_entry_recency_and_bytes;
         ] );
-      ( "properties", [ qtest prop_incremental_equals_scratch ] );
+      ( "properties",
+        [
+          qtest prop_incremental_equals_scratch;
+          qtest prop_associations_are_sets;
+        ] );
     ]

@@ -723,6 +723,176 @@ let test_render_annotated () =
   Alcotest.(check bool) "tag col" true (contains s "tag");
   Alcotest.(check bool) "annot" true (contains s "T1")
 
+(* The list-based renderer the single-pass writer replaced, kept as the
+   oracle whose output [Render] must reproduce byte for byte (the server's
+   digests and persisted store digests hash this text). *)
+let oracle_table ~header rows =
+  let all = header :: rows in
+  let ncols = List.fold_left (fun m r -> max m (List.length r)) 0 all in
+  let cell row i = match List.nth_opt row i with Some c -> c | None -> "" in
+  let widths =
+    List.init ncols (fun i ->
+        List.fold_left (fun m row -> max m (String.length (cell row i))) 0 all)
+  in
+  let line row =
+    List.mapi
+      (fun i w ->
+        let c = cell row i in
+        c ^ String.make (w - String.length c) ' ')
+      widths
+    |> String.concat " | "
+    |> fun s -> "| " ^ s ^ " |"
+  in
+  let sep =
+    List.map (fun w -> String.make (w + 2) '-') widths
+    |> String.concat "+"
+    |> fun s -> "+" ^ s ^ "+"
+  in
+  String.concat "\n" (sep :: line header :: sep :: List.map line rows)
+  ^ "\n" ^ sep
+
+let oracle_headers ?qualified schema =
+  let multi = List.length (Schema.rels schema) > 1 in
+  let qualified = Option.value qualified ~default:multi in
+  Array.to_list (Schema.attrs schema)
+  |> List.map (fun a -> if qualified then Attr.to_string a else a.Attr.name)
+
+let oracle_cells t = Array.to_list (Array.map Value.to_string t)
+
+let oracle_relation ?qualified r =
+  Relation.name r ^ "\n"
+  ^ oracle_table
+      ~header:(oracle_headers ?qualified (Relation.schema r))
+      (List.map oracle_cells (Relation.tuples r))
+
+let oracle_annotated ?qualified ~annot_header rows schema =
+  oracle_table
+    ~header:(annot_header :: oracle_headers ?qualified schema)
+    (List.map (fun (annot, t) -> annot :: oracle_cells t) rows)
+
+(* Cells dense in what a byte-width writer can get wrong: empty cells,
+   multibyte UTF-8 (widths are bytes, not characters), the frame's own
+   characters and newlines inside a cell, and a header wider than any
+   cell. *)
+let render_strings =
+  [ ""; "a"; "xyz"; "héllo"; "日本語"; "|"; "+"; "\n"; "a|b+c\nd"; "a-very-wide-header" ]
+
+let render_value_gen =
+  QCheck2.Gen.(
+    oneof
+      [
+        return Value.Null;
+        map (fun i -> Value.Int i) (oneofl [ 0; 1; -7; 12345; max_int; min_int ]);
+        map
+          (fun f -> Value.Float f)
+          (oneofl
+             [ 1.0; -0.; 0.; 2.5; 1e15; 1e300; Float.nan; Float.infinity; Float.neg_infinity ]);
+        map (fun s -> Value.String s) (oneofl render_strings);
+        map (fun b -> Value.Bool b) bool;
+      ])
+
+let render_cell_gen = QCheck2.Gen.oneofl render_strings
+
+(* A schema over one or two nodes (two makes [relation] qualify headers
+   by default), with 0–4 columns. *)
+let render_schema_gen =
+  QCheck2.Gen.(
+    let* arity = int_range 0 4 in
+    let* two_nodes = bool in
+    let* names = list_repeat arity (oneofl [ "a"; "id"; "név"; "x|y" ]) in
+    return
+      (Schema.of_attrs
+         (List.mapi
+            (fun i n ->
+              let rel = if two_nodes && i mod 2 = 1 then "S" else "R" in
+              Attr.make rel (Printf.sprintf "%s%d" n i))
+            names)))
+
+let render_relation_gen =
+  QCheck2.Gen.(
+    let* schema = render_schema_gen in
+    let* rows =
+      list_size (int_range 0 6)
+        (array_repeat (Schema.arity schema) render_value_gen)
+    in
+    return (Relation.create ~allow_all_null:true "Rel" schema rows))
+
+let check_relation_matches r =
+  List.for_all
+    (fun qualified ->
+      String.equal
+        (Render.relation ?qualified r)
+        (oracle_relation ?qualified r))
+    [ None; Some true; Some false ]
+  && String.equal (Render.digest r)
+       (Digest.to_hex (Digest.string (oracle_relation r)))
+
+let prop_table_matches_oracle =
+  QCheck2.Test.make ~name:"table = list oracle (ragged, empty, multibyte)"
+    ~count:500
+    QCheck2.Gen.(
+      pair
+        (list_size (int_range 0 4) render_cell_gen)
+        (list_size (int_range 0 6) (list_size (int_range 0 6) render_cell_gen)))
+    (fun (header, rows) ->
+      String.equal (Render.table ~header rows) (oracle_table ~header rows))
+
+let prop_relation_matches_oracle =
+  QCheck2.Test.make ~name:"relation/digest = list oracle (qualified or not)"
+    ~count:500 render_relation_gen check_relation_matches
+
+let prop_annotated_matches_oracle =
+  QCheck2.Test.make ~name:"annotated = list oracle" ~count:500
+    QCheck2.Gen.(
+      triple render_schema_gen render_cell_gen
+        (list_size (int_range 0 5)
+           (pair render_cell_gen
+              (list_size (int_range 0 5) render_value_gen))))
+    (fun (schema, annot_header, rows) ->
+      let rows = List.map (fun (a, vs) -> (a, Array.of_list vs)) rows in
+      List.for_all
+        (fun qualified ->
+          String.equal
+            (Render.annotated ?qualified ~annot_header rows schema)
+            (oracle_annotated ?qualified ~annot_header rows schema))
+        [ None; Some true; Some false ])
+
+(* The edge cases named one by one, so each is covered whatever the
+   generator draws. *)
+let test_render_edge_cases () =
+  let same label header rows =
+    Alcotest.(check string) label (oracle_table ~header rows)
+      (Render.table ~header rows)
+  in
+  same "zero rows" [ "a"; "b" ] [];
+  same "zero columns" [] [];
+  same "zero columns, empty rows" [] [ []; [] ];
+  same "ragged rows shorter than the header" [ "a"; "b"; "c" ] [ [ "1" ]; []; [ "1"; "2" ] ];
+  same "row longer than the header" [ "a" ] [ [ "1"; "2"; "3" ] ];
+  same "header wider than every cell" [ "a-very-wide-header" ] [ [ "x" ]; [ "" ] ];
+  same "multibyte cells" [ "név" ] [ [ "日本語" ]; [ "héllo" ] ];
+  same "frame characters and newlines" [ "|"; "+" ] [ [ "\n"; "a|b+c\nd" ] ];
+  let r =
+    Relation.create ~allow_all_null:true "V" (Schema.make "V" [ "i"; "f" ])
+      Value.
+        [
+          [| Int 1; Float 1.0 |];
+          [| Null; Float Float.nan |];
+          [| Float Float.infinity; Float Float.neg_infinity |];
+          [| Float (-0.); String "1" |];
+        ]
+  in
+  Alcotest.(check string) "null, nan, ±inf, -0., Int 1 beside Float 1.0"
+    (oracle_relation r) (Render.relation r);
+  Alcotest.(check bool) "every qualification and the digest" true
+    (check_relation_matches r);
+  List.iter
+    (fun rows ->
+      let r = Relation.create "E" (Schema.of_attrs []) rows in
+      Alcotest.(check string) "zero-column relation" (oracle_relation r)
+        (Render.relation r))
+    [ []; [ [||] ] ]
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "relational"
@@ -824,5 +994,9 @@ let () =
         [
           tc "contains values" `Quick test_render_contains_values;
           tc "annotated" `Quick test_render_annotated;
+          tc "edge cases = oracle" `Quick test_render_edge_cases;
+          QCheck_alcotest.to_alcotest ~long:false prop_table_matches_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_relation_matches_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_annotated_matches_oracle;
         ] );
     ]

@@ -58,7 +58,7 @@ let dg_digest ws =
     Fulldisj.Full_disjunction.to_relation
       (Clio.Mapping_eval.data_associations ctx mapping)
   in
-  Digest.to_hex (Digest.string (Render.relation rel))
+  Render.digest rel
 
 let with_temp_dir f =
   let dir = Filename.temp_file "clio_test_version" "" in
