@@ -22,17 +22,15 @@
       re-evaluation after each edit), the B16 server load generator
       (lib/server's multi-session service under scripted client traffic,
       cold vs warm shared-cache substrate), and the B17 columnar data
-      plane ablation (million-tuple full disjunction + subsumption,
-      columnar kernels vs the boxed tuple path — CI gates a 10x ratio).
+      plane (million-tuple full disjunction + subsumption on the
+      columnar kernels).
 
    3. Operator-counter and allocation tables (lib/obs): the same workloads
       run once with observability enabled, reporting subsumption checks,
       index probes, rows scanned and GC words allocated per algorithm —
       the algorithmic explanation of the timings in part 2.
 
-   Pass --no-figures, --no-bench or --no-stats to skip a part;
-   --no-columnar runs everything on the boxed tuple kernels (the B17
-   pair pins its own switch state either way).
+   Pass --no-figures, --no-bench or --no-stats to skip a part.
 
    Machine-readable output: --label NAME and/or --out FILE additionally
    write a bench JSON document (BENCH_<label>.json by default) combining
@@ -66,10 +64,6 @@ let flag_value name =
 let quick = List.mem "--quick" argv
 let label = flag_value "--label"
 let out_file = flag_value "--out"
-
-(* Force the boxed kernels for the whole run (the B17 arms still pin
-   their own switch state, so the ablation pair stays meaningful). *)
-let () = if List.mem "--no-columnar" argv then Columnar.set_enabled false
 
 let seeded seed = Random.State.make [| seed |]
 
@@ -614,11 +608,10 @@ let pruning_tests =
 
 (* --- B14: parallel evaluation — domain-pool ablation (jobs=1 vs jobs=4) ---
 
-   The same D(G) computed through a sequential context and through one
-   backed by a 4-domain Par pool, on the large synth star: the naive
-   algorithm materializes an F(J) per connected subgraph, which is exactly
-   the Par.map fan-out inside Full_disjunction.  Fresh no-cache contexts
-   so both arms do full work every run.  On a single-core host the two
+   The same D(G) computed sequentially and over a 4-domain Par pool, on
+   the large synth star: the naive algorithm materializes an F(J) per
+   connected subgraph, which is exactly the Par.map fan-out inside
+   Full_disjunction.  No cache, so both arms do full work every run.  On a single-core host the two
    arms time alike (parity, not speedup): CI only arms compare.exe's
    `--require-faster par/jobs4 par/jobs1 1.5` gate when the runner
    reports 2+ cores. *)
@@ -631,10 +624,8 @@ let par_tests =
   let db = inst.Synth.Gen_graph.db in
   let g = inst.Synth.Gen_graph.graph in
   let eval jobs () =
-    let ctx =
-      Clio.Eval_ctx.create ~algorithm:Clio.Eval_ctx.Naive ~no_cache:true ~jobs db
-    in
-    ignore (Clio.Eval_ctx.data_associations ctx g)
+    let src = Fulldisj.Source.with_pool (Par.get_pool ~jobs) (Fulldisj.Source.of_db db) in
+    ignore (Fulldisj.Full_disjunction.naive src g)
   in
   [
     Test.make ~name:"par/jobs1" (Staged.stage (eval 1));
@@ -642,16 +633,12 @@ let par_tests =
   ]
 
 (* --- B17: columnar data plane — million-tuple full disjunction +
-   subsumption, columnar vs boxed ablation ---
+   subsumption ---
 
    A three-relation FK chain built column-natively (interned int keys
    plus a string payload per relation), evaluated end to end through
    [Full_disjunction.compute_relation]: per-category joins, padded
-   union, min-union subsumption sweep, canonical order.  The two arms
-   run the identical pipeline and differ only in
-   [Relational.Columnar.enabled] — batch int kernels against the boxed
-   tuple path (the `--no-columnar` ablation).  CI gates
-   colplane/columnar at 10x over colplane/boxed via compare.exe. *)
+   union, min-union subsumption sweep, canonical order. *)
 
 let b17_rows = if quick then 120_000 else 350_000
 
@@ -674,17 +661,12 @@ let b17_instance =
      in
      (db, graph))
 
-let b17_eval ~columnar () =
+let b17_eval () =
   let db, g = Lazy.force b17_instance in
-  Columnar.with_enabled columnar (fun () ->
-      ignore
-        (Fulldisj.Full_disjunction.compute_relation (Fulldisj.Source.of_db db) g))
+  ignore (Fulldisj.Full_disjunction.compute_relation (Fulldisj.Source.of_db db) g)
 
 let colplane_tests =
-  [
-    Test.make ~name:"colplane/columnar" (Staged.stage (b17_eval ~columnar:true));
-    Test.make ~name:"colplane/boxed" (Staged.stage (b17_eval ~columnar:false));
-  ]
+  [ Test.make ~name:"colplane/columnar" (Staged.stage b17_eval) ]
 
 (* --- B18: branching version store — warm-restart vs cold-restart
    ablation ---
@@ -1118,14 +1100,10 @@ let workloads : (string * (unit -> unit)) list =
       ("server/loadgen/warm", server_loadgen_warm);
       ("server/loadgen/telemetry", server_loadgen_telemetry);
     ]
-  (* B17: columnar data plane ablation — both arms run the identical
-     full-disjunction pipeline, so the counter deltas (hash probes vs
-     index probes, subsumption checks) expose where each representation
-     spends its operations; wall-time lives in part 2. *)
-  @ [
-      ("colplane/columnar", b17_eval ~columnar:true);
-      ("colplane/boxed", b17_eval ~columnar:false);
-    ]
+  (* B17: the columnar data plane — hash probes, subsumption checks and
+     index probes of the million-tuple pipeline; wall-time lives in
+     part 2. *)
+  @ [ ("colplane/columnar", b17_eval) ]
   (* B18: restart-resume over the branching version store — the
      cross-branch promotion counters are the evidence that branches with
      a common ancestor share warm entries after a reboot. *)
@@ -1238,8 +1216,7 @@ let run_counter_tables () =
     (workload_names "server/");
   counter_table
     ~title:
-      "B17 — columnar data plane: same pipeline, same work, different \
-       representation"
+      "B17 — columnar data plane: million-tuple full disjunction"
     ~columns:
       [
         ("join.probes", Obs.Names.join_hash_probes);

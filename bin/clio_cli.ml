@@ -338,21 +338,23 @@ let stats_cmd =
     let db = Paperdata.Figure1.database in
     let m = Paperdata.Running.mapping in
     Obs.enable ();
-    (* Per-algorithm rollup: the same D(G)+examples workload, counted three
-       ways.  The counter deltas — not the timings — are the algorithmic
-       explanation of why the indexed and outer-join plans win. *)
+    (* Per-algorithm rollup: the paper mapping's D(G), counted three ways —
+       the engine's columnar [compute] against the naive oracle and the
+       outer-join cascade.  The counter deltas — not the timings — are the
+       algorithmic explanation of why the engine's path wins. *)
+    let src = Fulldisj.Source.of_db db in
     let algorithms =
       [
-        ("naive", Clio.Mapping_eval.Naive);
-        ("indexed", Clio.Mapping_eval.Indexed);
-        ("outerjoin", Clio.Mapping_eval.Outerjoin_if_tree);
+        ("naive", Fulldisj.Full_disjunction.naive);
+        ("compute", Fulldisj.Full_disjunction.compute);
+        ("outerjoin", Fulldisj.Outerjoin_plan.full_disjunction);
       ]
     in
     let snaps =
       List.map
         (fun (label, algorithm) ->
           Obs.reset ();
-          ignore (Clio.Mapping_eval.examples ~algorithm (Clio.Eval_ctx.transient db) m);
+          ignore (algorithm src m.Clio.Mapping.graph);
           (label, (Obs.Metrics.snapshot ()).Obs.Metrics.counters))
         algorithms
     in
@@ -363,7 +365,7 @@ let stats_cmd =
            []
     in
     print_endline
-      "Mapping_eval.examples (Clio.Eval_ctx.transient on) the paper mapping — operator counters per D(G) algorithm:";
+      "D(G) of the paper mapping — operator counters per algorithm:";
     print_newline ();
     let width = List.fold_left (fun w n -> max w (String.length n)) 7 names in
     Printf.printf "%-*s" width "counter";
@@ -384,7 +386,7 @@ let stats_cmd =
     Obs.reset ();
     ignore (Clio.illustrate (Clio.Eval_ctx.transient db) m);
     print_newline ();
-    print_endline "End-to-end `illustrate` rollup (indexed algorithm):";
+    print_endline "End-to-end `illustrate` rollup:";
     print_newline ();
     print_endline (Obs.report ());
     (* Lineage rollup: provenance + why-null of a real target row, so the

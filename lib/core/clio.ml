@@ -44,8 +44,8 @@ let initial_mapping ~source ~target ~target_cols =
     ~graph:(Querygraph.Qgraph.singleton ~alias:source ~base:source)
     ~target ~target_cols ()
 
-let context ?mine ?algorithm ?no_cache db =
-  Engine.Eval_ctx.create ?algorithm ?no_cache ~kb:(knowledge_base ?mine db) db
+let context ?mine ?no_cache db =
+  Engine.Eval_ctx.create ?no_cache ~kb:(knowledge_base ?mine db) db
 
 let illustrate ctx (m : Mapping.t) =
   Obs.with_span Obs.Names.sp_illustrate (fun () ->

@@ -66,7 +66,6 @@ val initial_mapping :
     [db] with {!knowledge_base}[ ?mine db] attached. *)
 val context :
   ?mine:bool ->
-  ?algorithm:Eval_ctx.algorithm ->
   ?no_cache:bool ->
   Database.t ->
   Eval_ctx.t

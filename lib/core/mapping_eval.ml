@@ -2,18 +2,9 @@ open Relational
 open Fulldisj
 module Eval_ctx = Engine.Eval_ctx
 
-type algorithm = Engine.Eval_ctx.algorithm = Naive | Indexed | Outerjoin_if_tree
-
-let algorithm_name = Engine.Eval_ctx.algorithm_name
-
-let data_associations ?algorithm ctx (m : Mapping.t) =
-  let alg =
-    match algorithm with Some a -> a | None -> Eval_ctx.algorithm ctx
-  in
-  Obs.with_span
-    ~attrs:[ ("algorithm", algorithm_name alg) ]
-    Obs.Names.sp_data_associations
-    (fun () -> Eval_ctx.data_associations ~algorithm:alg ctx m.Mapping.graph)
+let data_associations ctx (m : Mapping.t) =
+  Obs.with_span Obs.Names.sp_data_associations (fun () ->
+      Eval_ctx.data_associations ctx m.Mapping.graph)
 
 let transform (fd : Full_disjunction.result) (m : Mapping.t) =
   let compiled =
@@ -37,9 +28,9 @@ let compile_target_filters (m : Mapping.t) =
   let fs = List.map (Predicate.compile schema) m.Mapping.target_filters in
   fun tuple -> List.for_all (fun f -> f tuple) fs
 
-let examples ?algorithm ctx (m : Mapping.t) =
+let examples ctx (m : Mapping.t) =
   Obs.with_span Obs.Names.sp_examples (fun () ->
-      let fd = data_associations ?algorithm ctx m in
+      let fd = data_associations ctx m in
       let tr = transform fd m in
       let src_ok = compile_source_filters fd m in
       let tgt_ok = compile_target_filters m in
@@ -70,9 +61,9 @@ let apply_one (fd : Full_disjunction.result) (m : Mapping.t) (a : Assoc.t) =
     if tgt_ok t then Some t else None
   else None
 
-let eval ?algorithm ctx (m : Mapping.t) =
+let eval ctx (m : Mapping.t) =
   Obs.with_span Obs.Names.sp_eval (fun () ->
-      let exs = examples ?algorithm ctx m in
+      let exs = examples ctx m in
       Relation.create ~allow_all_null:true m.Mapping.target
         (Mapping.target_schema m)
         (List.filter_map

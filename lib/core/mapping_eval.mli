@@ -14,15 +14,8 @@
 open Relational
 open Fulldisj
 
-(** Choice of D(G) algorithm — re-exported {!Engine.Eval_ctx.algorithm}.
-    [None] at a call site means the context's own algorithm. *)
-type algorithm = Engine.Eval_ctx.algorithm = Naive | Indexed | Outerjoin_if_tree
-
-val algorithm_name : algorithm -> string
-
 (** D(G) for the mapping's query graph. *)
-val data_associations :
-  ?algorithm:algorithm -> Engine.Eval_ctx.t -> Mapping.t -> Full_disjunction.result
+val data_associations : Engine.Eval_ctx.t -> Mapping.t -> Full_disjunction.result
 
 (** Compiled transform Q_{φ(M)}: maps an association tuple (over
     [fd.scheme]) to a target tuple.  Target columns without a
@@ -32,8 +25,7 @@ val transform :
 
 (** All examples of the mapping: one per data association, tagged positive
     or negative (Definition 4.1). *)
-val examples :
-  ?algorithm:algorithm -> Engine.Eval_ctx.t -> Mapping.t -> Example.t list
+val examples : Engine.Eval_ctx.t -> Mapping.t -> Example.t list
 
 (** Q_M(d) for a single association: [Some t] if [d] passes C_S and [t]
     passes C_T, else [None]. *)
@@ -41,9 +33,8 @@ val apply_one :
   Full_disjunction.result -> Mapping.t -> Assoc.t -> Tuple.t option
 
 (** The mapping query result: a subset of the target relation (distinct). *)
-val eval : ?algorithm:algorithm -> Engine.Eval_ctx.t -> Mapping.t -> Relation.t
+val eval : Engine.Eval_ctx.t -> Mapping.t -> Relation.t
 
 (** Positive examples only, as a relation over the target schema — the
     "target viewer" contents for this mapping. *)
-val target_view :
-  ?algorithm:algorithm -> Engine.Eval_ctx.t -> Mapping.t -> Relation.t
+val target_view : Engine.Eval_ctx.t -> Mapping.t -> Relation.t

@@ -67,13 +67,12 @@ let tick t =
   t.clock <- t.clock + 1;
   t.clock
 
-(* Keys carry the database version, the canonical graph key and a tier /
-   algorithm tag, so entries for stale database states are simply never
-   requested again and age out through the LRU. *)
+(* Keys carry a tier tag, the database version and the canonical graph
+   key, so entries for stale database states are simply never requested
+   again and age out through the LRU. *)
 let fj_key ~version key = Printf.sprintf "fj|%d|%s" version (Graph_key.to_string key)
 
-let dg_key ~version ~variant key =
-  Printf.sprintf "dg:%s|%d|%s" variant version (Graph_key.to_string key)
+let dg_key ~version key = Printf.sprintf "dg|%d|%s" version (Graph_key.to_string key)
 
 let eviction_counter = function
   | Fj _ -> Obs.Names.cache_fj_evictions
@@ -136,8 +135,8 @@ let find_fj t ~version key =
 
 let add_fj t ~version key r = insert t (fj_key ~version key) (Fj r) (relation_bytes r)
 
-let find_dg t ~version ~variant key =
-  match find t (dg_key ~version ~variant key) with
+let find_dg t ~version key =
+  match find t (dg_key ~version key) with
   | Some (Dg r) ->
       Obs.Counter.bump Obs.Names.cache_dg_hits;
       Some r
@@ -145,8 +144,8 @@ let find_dg t ~version ~variant key =
       Obs.Counter.bump Obs.Names.cache_dg_misses;
       None
 
-let add_dg t ~version ~variant key r =
-  insert t (dg_key ~version ~variant key) (Dg r) (result_bytes r)
+let add_dg t ~version key r =
+  insert t (dg_key ~version key) (Dg r) (result_bytes r)
 
 (* Promotion probes: no hit/miss counters (the miss at the current version
    was already counted) and no recency touch — the ancestor entry's age is
@@ -157,11 +156,11 @@ let peek t key =
 let peek_fj t ~version key =
   match peek t (fj_key ~version key) with Some (Fj r) -> Some r | _ -> None
 
-let peek_dg t ~version ~variant key =
-  match peek t (dg_key ~version ~variant key) with Some (Dg r) -> Some r | _ -> None
+let peek_dg t ~version key =
+  match peek t (dg_key ~version key) with Some (Dg r) -> Some r | _ -> None
 
 let mem_fj t ~version key =
   locked t (fun () -> Hashtbl.mem t.table (fj_key ~version key))
 
-let mem_dg t ~version ~variant key =
-  locked t (fun () -> Hashtbl.mem t.table (dg_key ~version ~variant key))
+let mem_dg t ~version key =
+  locked t (fun () -> Hashtbl.mem t.table (dg_key ~version key))

@@ -5,7 +5,7 @@
       subgraph.  Shared across different query graphs (walk/chase
       alternatives contain mostly the same subgraphs).
     - {e D(G) tier} — a whole {!Fulldisj.Full_disjunction.result} per
-      (graph, algorithm) pair.
+      graph.
 
     Keys combine the database {e version} ({!Relational.Database.version})
     with the canonical {!Graph_key}, so a mutated database simply stops
@@ -37,11 +37,8 @@ val create : ?byte_budget:int -> unit -> t
 val find_fj : t -> version:int -> Graph_key.t -> Relation.t option
 val add_fj : t -> version:int -> Graph_key.t -> Relation.t -> unit
 
-val find_dg :
-  t -> version:int -> variant:string -> Graph_key.t -> Full_disjunction.result option
-
-val add_dg :
-  t -> version:int -> variant:string -> Graph_key.t -> Full_disjunction.result -> unit
+val find_dg : t -> version:int -> Graph_key.t -> Full_disjunction.result option
+val add_dg : t -> version:int -> Graph_key.t -> Full_disjunction.result -> unit
 
 (** Promotion probes for the incremental path: like [find_*] but counting
     no hit/miss and leaving LRU recency untouched — an ancestor-version
@@ -50,14 +47,13 @@ val add_dg :
 
 val peek_fj : t -> version:int -> Graph_key.t -> Relation.t option
 
-val peek_dg :
-  t -> version:int -> variant:string -> Graph_key.t -> Full_disjunction.result option
+val peek_dg : t -> version:int -> Graph_key.t -> Full_disjunction.result option
 
 (** Introspection (tests, [clio_cli stats]).  [mem_*] do not touch LRU
     recency and count no hit/miss. *)
 
 val mem_fj : t -> version:int -> Graph_key.t -> bool
-val mem_dg : t -> version:int -> variant:string -> Graph_key.t -> bool
+val mem_dg : t -> version:int -> Graph_key.t -> bool
 val entry_count : t -> int
 val bytes_resident : t -> int
 val byte_budget : t -> int

@@ -1,18 +1,10 @@
 open Relational
 open Fulldisj
 
-type algorithm = Naive | Indexed | Outerjoin_if_tree
-
-let algorithm_name = function
-  | Naive -> "naive"
-  | Indexed -> "indexed"
-  | Outerjoin_if_tree -> "outerjoin-if-tree"
-
 type t = {
   db : Database.t;
   kb : Schemakb.Kb.t;
   cache : Eval_cache.t option;
-  algorithm : algorithm;
   incremental : bool;
   jobs : int;
   pool : Par.Pool.t option;
@@ -34,8 +26,7 @@ let set_incremental_default b = incremental_default := b
 (* Same pattern for `--jobs`; [Par.default_jobs] also reads CLIO_JOBS. *)
 let set_jobs_default = Par.set_default_jobs
 
-let create ?(algorithm = Indexed) ?(no_cache = false) ?cache ?incremental ?jobs
-    ?kb db =
+let create ?(no_cache = false) ?cache ?incremental ?jobs ?kb db =
   let kb = match kb with Some kb -> kb | None -> Schemakb.Kb.of_database db in
   let cache =
     if no_cache || not !caching_default then None
@@ -50,22 +41,19 @@ let create ?(algorithm = Indexed) ?(no_cache = false) ?cache ?incremental ?jobs
     db;
     kb;
     cache;
-    algorithm;
     incremental;
     jobs;
     pool = Par.get_pool ~jobs;
     branch_root = None;
   }
 
-(* Single-shot contexts for the deprecated [Database.t]-taking wrappers:
-   no cache, so behaviour (and benchmarks) match the pre-engine code path
-   exactly. *)
-let transient ?(algorithm = Indexed) db =
+(* Single-shot contexts for one-off evaluation over a bare database: no
+   cache, no knowledge base, sequential. *)
+let transient db =
   {
     db;
     kb = Schemakb.Kb.empty;
     cache = None;
-    algorithm;
     incremental = false;
     jobs = 1;
     pool = None;
@@ -74,7 +62,6 @@ let transient ?(algorithm = Indexed) db =
 
 let db t = t.db
 let kb t = t.kb
-let algorithm t = t.algorithm
 let cache t = t.cache
 let cached t = Option.is_some t.cache
 let incremental t = t.incremental
@@ -87,7 +74,6 @@ let with_db ?kb t db =
   { t with db; kb = (match kb with Some kb -> kb | None -> t.kb) }
 
 let with_kb t kb = { t with kb }
-let with_algorithm t algorithm = { t with algorithm }
 let without_cache t = { t with cache = None }
 let with_jobs t jobs = { t with jobs; pool = Par.get_pool ~jobs }
 let branch_root t = t.branch_root
@@ -229,29 +215,20 @@ let source t =
   | None -> base
   | Some _ -> Source.with_fj (full_associations t) base
 
-let run_algorithm t alg g =
-  (* The source carries the F(J) hook, so even a D(G)-tier miss reuses
-     per-subgraph materializations shared with other graphs. *)
-  let src = source t in
-  match alg with
-  | Naive -> Full_disjunction.naive src g
-  | Indexed -> Full_disjunction.compute src g
-  | Outerjoin_if_tree ->
-      if Outerjoin_plan.is_tree g then Outerjoin_plan.full_disjunction src g
-      else Full_disjunction.compute src g
+(* The source carries the F(J) hook, so even a D(G)-tier miss reuses
+   per-subgraph materializations shared with other graphs. *)
+let compute t g = Full_disjunction.compute (source t) g
 
-let data_associations ?algorithm t g =
-  let alg = match algorithm with Some a -> a | None -> t.algorithm in
+let data_associations t g =
   with_engine_span Obs.Names.sp_engine_dg @@ fun () ->
   match t.cache with
   | None ->
       set_cache_attr "off";
-      run_algorithm t alg g
+      compute t g
   | Some cache -> (
       let version = version t in
-      let variant = algorithm_name alg in
       let key = Graph_key.of_graph g in
-      match Eval_cache.find_dg cache ~version ~variant key with
+      match Eval_cache.find_dg cache ~version key with
       | Some r ->
           set_cache_attr "hit";
           r
@@ -261,7 +238,7 @@ let data_associations ?algorithm t g =
             else
               promote_via_chain t ~bases:(graph_bases g)
                 ~cross:Obs.Names.cache_promote_dg_cross_branch
-                ~peek:(fun v -> Eval_cache.peek_dg cache ~version:v ~variant key)
+                ~peek:(fun v -> Eval_cache.peek_dg cache ~version:v key)
                 ~free:(fun r ->
                   Obs.count Obs.Names.cache_promote_dg_free;
                   set_cache_attr "promoted-free";
@@ -277,9 +254,9 @@ let data_associations ?algorithm t g =
             | Some r -> r
             | None ->
                 set_cache_attr "miss";
-                run_algorithm t alg g
+                compute t g
           in
-          Eval_cache.add_dg cache ~version ~variant key r;
+          Eval_cache.add_dg cache ~version key r;
           r)
 
 let possible_associations t g = Full_disjunction.possible_associations (source t) g

@@ -1,9 +1,8 @@
-(** The evaluation context: database + knowledge base + memo cache +
-    algorithm choice, bundled into the one value core operators take.
+(** The evaluation context: database + knowledge base + memo cache,
+    bundled into the one value core operators take.
 
     Before the engine existed every operator took [Database.t] (plus an ad
-    hoc [kb:] here and an [?algorithm] there) and recomputed each F(J) and
-    D(G) from scratch; the interactive loop (offer alternatives → rotate →
+    hoc [kb:] here) and recomputed each F(J) and D(G) from scratch; the interactive loop (offer alternatives → rotate →
     refine) re-evaluates near-identical graphs constantly, so almost all of
     that work is shared.  A context memoizes both tiers in an
     {!Eval_cache}, keyed by {!Relational.Database.version} and
@@ -18,12 +17,6 @@
 open Relational
 open Fulldisj
 
-(** Which D(G) algorithm {!data_associations} runs (see
-    {!Fulldisj.Full_disjunction} and {!Fulldisj.Outerjoin_plan}). *)
-type algorithm = Naive | Indexed | Outerjoin_if_tree
-
-val algorithm_name : algorithm -> string
-
 type t
 
 (** [create db] — a caching context.  [kb] defaults to the database's
@@ -31,7 +24,6 @@ type t
     a fresh {!Eval_cache.create}; [no_cache:true] (or a prior
     {!set_caching_default}[ false]) disables memoization entirely. *)
 val create :
-  ?algorithm:algorithm ->
   ?no_cache:bool ->
   ?cache:Eval_cache.t ->
   ?incremental:bool ->
@@ -40,10 +32,9 @@ val create :
   Database.t ->
   t
 
-(** A cache-less, empty-kb context — what the deprecated [Database.t]
-    wrappers use so single-shot evaluation behaves exactly as before the
-    engine existed. *)
-val transient : ?algorithm:algorithm -> Database.t -> t
+(** A cache-less, empty-kb, sequential context for one-off evaluation
+    over a bare database. *)
+val transient : Database.t -> t
 
 (** Process-wide default for [create]'s caching (true initially).  The CLI
     maps [--no-cache] onto this so every context built downstream complies. *)
@@ -70,7 +61,6 @@ val set_jobs_default : int -> unit
 
 val db : t -> Database.t
 val kb : t -> Schemakb.Kb.t
-val algorithm : t -> algorithm
 val cache : t -> Eval_cache.t option
 val cached : t -> bool
 
@@ -88,13 +78,12 @@ val pool : t -> Par.Pool.t option
 val lookup : t -> string -> Relation.t option
 val version : t -> int
 
-(** Swap the database, keeping cache and algorithm.  [kb] defaults to the
+(** Swap the database, keeping the cache.  [kb] defaults to the
     current one (a replaced relation keeps its constraints); pass a new one
     when the schema changed. *)
 val with_db : ?kb:Schemakb.Kb.t -> t -> Database.t -> t
 
 val with_kb : t -> Schemakb.Kb.t -> t
-val with_algorithm : t -> algorithm -> t
 val without_cache : t -> t
 val with_jobs : t -> int -> t
 
@@ -118,10 +107,10 @@ val source : t -> Source.t
 (** Memoized F(J) for a connected subgraph. *)
 val full_associations : t -> Querygraph.Qgraph.t -> Relation.t
 
-(** Memoized D(G) for a graph under the context's (or the overriding)
-    algorithm. *)
-val data_associations :
-  ?algorithm:algorithm -> t -> Querygraph.Qgraph.t -> Full_disjunction.result
+(** Memoized D(G) for a graph ({!Fulldisj.Full_disjunction.compute} on a
+    miss, {!Fulldisj.Full_disjunction.delta} when an ancestor version's
+    entry can be repaired). *)
+val data_associations : t -> Querygraph.Qgraph.t -> Full_disjunction.result
 
 (** S(G) through the context's source (F(J) tier only — S(G) is a test
     oracle, not worth a tier). *)

@@ -6,13 +6,15 @@ let make tuple coverage = { tuple; coverage }
 
 let equal a b = Tuple.equal a.tuple b.tuple && Coverage.equal a.coverage b.coverage
 
-let coverage_of_tuple node_positions tuple =
+let covered_aliases node_positions tuple =
   List.filter_map
     (fun (alias, positions) ->
       if List.exists (fun i -> not (Value.is_null tuple.(i))) positions then Some alias
       else None)
     node_positions
-  |> Coverage.of_list
+
+let coverage_of_tuple node_positions tuple =
+  Coverage.of_list (covered_aliases node_positions tuple)
 
 let covered_positions node_positions t =
   List.concat_map

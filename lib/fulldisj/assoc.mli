@@ -14,6 +14,10 @@ val equal : t -> t -> bool
     [node_positions] maps each alias to its column positions in [scheme]. *)
 val coverage_of_tuple : (string * int list) list -> Tuple.t -> Coverage.t
 
+(** The aliases {!coverage_of_tuple} would cover, in [node_positions]
+    order — a cheap key for sharing one coverage value per null pattern. *)
+val covered_aliases : (string * int list) list -> Tuple.t -> string list
+
 (** Positions (in the full scheme) covered by the association's coverage. *)
 val covered_positions : (string * int list) list -> t -> int list
 

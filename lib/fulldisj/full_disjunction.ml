@@ -26,8 +26,7 @@ let padded_categories src g =
           (fun aliases ->
             let j = Qgraph.induced g aliases in
             let fj = Join_eval.full_associations src j in
-            let padded = Algebra.pad fj scheme in
-            (Coverage.of_list aliases, Relation.tuples padded))
+            (Coverage.of_list aliases, Algebra.pad fj scheme))
           subsets
       in
       (scheme, per_category))
@@ -36,7 +35,8 @@ let possible_associations src g =
   let scheme, per_category = padded_categories src g in
   let associations =
     List.concat_map
-      (fun (cov, tuples) -> List.map (fun t -> Assoc.make t cov) tuples)
+      (fun (cov, padded) ->
+        List.map (fun t -> Assoc.make t cov) (Relation.tuples padded))
       per_category
   in
   { scheme; node_positions = node_positions_of scheme g; associations }
@@ -112,110 +112,50 @@ let naive src g =
       in
       { scheme; node_positions; associations = canonical_order associations })
 
-(* Indexed subsumption removal: a subsumer of [t] must agree with [t] on
-   every non-null column of [t], so probing the per-column value index at
-   [t]'s most selective non-null column yields a small, complete candidate
-   set.  Strict subsumption is transitive, so checking against all
-   associations (not just kept ones) is equivalent to checking against the
-   maximal ones. *)
-let compute src g =
-  Obs.with_span ~attrs:[ ("algorithm", "indexed") ] Obs.Names.sp_fulldisj
-    (fun () ->
-      let scheme, per_category = padded_categories src g in
-      let node_positions = node_positions_of scheme g in
-      let assocs =
-        List.concat_map
-          (fun (cov, tuples) -> List.map (fun t -> Assoc.make t cov) tuples)
-          per_category
-      in
-      let deduped =
-        Obs.with_span Obs.Names.sp_dedup (fun () -> dedup_assocs assocs)
-      in
-      (* Global indexed removal: correctness does not depend on ordering; the
-         index makes candidate sets small. *)
-      Obs.with_span Obs.Names.sp_min_union (fun () ->
-          let counting = Obs.enabled () in
-          let arr = Array.of_list deduped in
-          let arity = Schema.arity scheme in
-          let index = Array.init arity (fun _ -> Value.Table.create 64) in
-          Array.iteri
-            (fun id (a : Assoc.t) ->
-              for p = 0 to arity - 1 do
-                if not (Value.is_null a.tuple.(p)) then
-                  Value.Table.add index.(p) a.tuple.(p) id
-              done)
-            arr;
-          let subsumed id (a : Assoc.t) =
-            let t = a.tuple in
-            let best = ref (-1) and best_count = ref max_int in
-            for p = 0 to arity - 1 do
-              if not (Value.is_null t.(p)) then begin
-                let c = List.length (Value.Table.find_all index.(p) t.(p)) in
-                if c < !best_count then begin
-                  best := p;
-                  best_count := c
-                end
-              end
-            done;
-            if !best < 0 then Array.length arr > 1
-            else begin
-              if counting then Obs.Counter.bump Obs.Names.index_probes;
-              Value.Table.find_all index.(!best) t.(!best)
-              |> List.exists (fun oid ->
-                     oid <> id
-                     &&
-                     (if counting then
-                        Obs.Counter.bump Obs.Names.subsumption_checks;
-                      Tuple.strictly_subsumes arr.(oid).Assoc.tuple t))
-            end
-          in
-          (* Keep-flag computation is read-only over [arr]/[index], so it
-             chunks across the pool; assembly stays sequential and ordered. *)
-          let keep =
-            Par.init ?pool:(Source.pool src) (Array.length arr) (fun id ->
-                not (subsumed id arr.(id)))
-          in
-          let associations =
-            Array.to_list arr |> List.filteri (fun id _ -> keep.(id))
-          in
-          if counting then begin
-            Obs.add Obs.Names.assoc_considered (Array.length arr);
-            Obs.add Obs.Names.assoc_kept (List.length associations)
-          end;
-          { scheme; node_positions; associations = canonical_order associations }))
-
-(* End-to-end batch evaluation of D(G) as a relation, never leaving the
-   columnar plane when the switch is on: each connected category's F(J)
-   is padded to the full scheme (shared columns + null fills), the
-   categories are vertically concatenated and set-deduplicated in one
-   pass, the subsumption sweep runs on bitmask/class-id kernels, and the
-   survivors come out in canonical [Tuple.compare] order.  Renders
-   byte-identically to [to_relation (compute src g)] — coverage tags are
-   the only thing [compute] adds, and equal tuples carry equal coverage
-   (see [canonical_order]), so dropping them loses nothing at the
-   relation level.  This is the path bench B17 measures. *)
+(* End-to-end batch evaluation of D(G) as a relation on the columnar
+   kernels: each connected category's F(J) is padded to the full scheme
+   (shared columns + null fills), the categories are vertically
+   concatenated and set-deduplicated in one pass, the subsumption sweep
+   runs on bitmask/class-id kernels, and the survivors come out in
+   canonical [Tuple.compare] order. *)
 let compute_relation ?(name = "D(G)") src g =
   Obs.with_span ~attrs:[ ("algorithm", "columnar") ] Obs.Names.sp_fulldisj
     (fun () ->
-      let scheme = Source.scheme src g in
-      let subsets = Subgraphs.connected_node_sets g in
-      Obs.add Obs.Names.categories (List.length subsets);
-      let padded =
-        Par.map ?pool:(Source.pool src)
-          (fun aliases ->
-            let j = Qgraph.induced g aliases in
-            Algebra.pad (Join_eval.full_associations src j) scheme)
-          subsets
-      in
+      let scheme, per_category = padded_categories src g in
       let union_all =
-        if Columnar.enabled () && Schema.arity scheme > 0 && padded <> [] then
-          Relation.of_columns ~allow_all_null:true name scheme
-            (Col_ops.concat (List.map Relation.columns padded))
-        else
-          Relation.create ~allow_all_null:true name scheme
-            (List.concat_map Relation.tuples padded)
+        Obs.with_span Obs.Names.sp_dedup (fun () ->
+            if Schema.arity scheme = 0 then
+              Relation.create name scheme
+                (List.concat_map (fun (_, r) -> Relation.tuples r) per_category)
+            else
+              Relation.of_columns ~allow_all_null:true name scheme
+                (Col_ops.concat
+                   (List.map (fun (_, r) -> Relation.columns r) per_category)))
       in
       Join_eval.canonical (Min_union.minimize ?pool:(Source.pool src) union_all))
+
+(* Coverage tags come back from each association's null pattern: base
+   relations reject all-null tuples, so a padded F(J) tuple is non-null
+   somewhere in exactly the aliases of J (the invariant [canonical_order]
+   relies on too).  Associations with one pattern share one coverage
+   value: a cached D(G) holds one per category, not one per association. *)
+let compute src g =
+  let rel = compute_relation src g in
+  let node_positions = node_positions_of (Relation.schema rel) g in
+  let shared = Hashtbl.create 16 in
+  let tag t =
+    let aliases = Assoc.covered_aliases node_positions t in
+    match Hashtbl.find_opt shared aliases with
+    | Some coverage -> Assoc.make t coverage
+    | None ->
+        let coverage = Coverage.of_list aliases in
+        Hashtbl.add shared aliases coverage;
+        Assoc.make t coverage
+  in
+  let associations =
+    Array.fold_right (fun t acc -> tag t :: acc) (Relation.tuples_array rel) []
+  in
+  { scheme = Relation.schema rel; node_positions; associations }
 
 (* Incremental repair: after an insert-only database update, D(G)'s new
    possible associations all come from categories containing an alias over

@@ -2,13 +2,13 @@
     {e full disjunction} of the query graph.
 
     D(G) = F(J1) ⊕ ... ⊕ F(Jn) over all induced connected subgraphs Ji of G.
-    Three algorithms are provided (bench [B2] compares them):
+    The engine evaluates it one way, {!compute_relation} on the columnar
+    kernels, with {!compute} adding coverage tags and {!delta} repairing a
+    cached result after inserts.  Two independent algorithms serve as
+    oracles and bench baselines:
 
     - {!naive}: materializes every F(Ji), pads, then removes strictly
-      subsumed tuples globally.
-    - {!compute}: processes categories largest-first and keeps an
-      association only if no already-kept association subsumes it, probing a
-      per-column index (sound for arbitrary source nulls).
+      subsumed tuples by pairwise scan.
     - {!Outerjoin_plan} (separate module): a cascade of full outer joins,
       valid for tree-shaped graphs. *)
 
@@ -22,6 +22,10 @@ type result = {
 }
 
 val naive : Source.t -> Qgraph.t -> result
+
+(** [compute src g] — {!compute_relation} with each association's coverage
+    read off its null pattern ({!Assoc.coverage_of_tuple}); sound because
+    base relations reject all-null tuples. *)
 val compute : Source.t -> Qgraph.t -> result
 
 (** [delta src g ~old ~changed] — repair a previously computed D(G) after
@@ -48,9 +52,7 @@ val canonical_order : Assoc.t list -> Assoc.t list
 (** [compute_relation src g] — D(G) directly as a relation, evaluated on
     the columnar batch kernels end to end (concatenated padded
     categories, one-pass set dedup, bitmask subsumption sweep, canonical
-    sort).  Renders byte-identically to [to_relation (compute src g)];
-    with the columnar switch off it falls back to the boxed kernels and
-    still returns the same relation.  Bench B17 measures this path. *)
+    sort).  The tuples of [compute src g], in the same order. *)
 val compute_relation : ?name:string -> Source.t -> Qgraph.t -> Relation.t
 
 (** D(G) as a relation (coverage dropped), in association order.  The

@@ -9,15 +9,15 @@ let reorder r target =
     Array.to_list (Schema.attrs target) |> List.map (Schema.index src)
   in
   (* A column permutation: rows are untouched, so the input set stays a
-     set and dedup is skipped on the columnar path. *)
-  if Columnar.enabled () && Schema.arity target > 0 then
+     set and dedup is skipped.  Zero columns carry no row count, so that
+     shape keeps its (at most one) empty tuple directly. *)
+  if positions = [] then
+    Relation.create ~dedup:false (Relation.name r) target (Relation.tuples r)
+  else
     let cols = Relation.columns r in
     Relation.of_columns ~dedup:false ~allow_all_null:true (Relation.name r)
       target
       (Array.of_list (List.map (fun i -> cols.(i)) positions))
-  else
-    Relation.create ~allow_all_null:true (Relation.name r) target
-      (List.map (fun t -> Tuple.project t positions) (Relation.tuples r))
 
 (* BFS order from the lexicographically first alias; each step joins the next
    node in, with the conjunction of all edges linking it to nodes already
@@ -45,16 +45,11 @@ let join_order g =
    makes equal tuple *sets* structurally identical relations, which the
    incremental/from-scratch parity guarantee is stated in terms of. *)
 let canonical r =
-  if Columnar.enabled () && Schema.arity (Relation.schema r) > 0 then
+  if Schema.arity (Relation.schema r) = 0 then r
+  else
     Relation.of_columns ~dedup:false ~allow_all_null:true (Relation.name r)
       (Relation.schema r)
       (Col_ops.sort_rows_canonical (Relation.columns r))
-  else begin
-    let arr = Array.copy (Relation.tuples_array r) in
-    Array.sort Tuple.compare arr;
-    Relation.create ~dedup:false ~allow_all_null:true (Relation.name r)
-      (Relation.schema r) (Array.to_list arr)
-  end
 
 let join_base_with ~rel_of ~scheme g =
   if Qgraph.node_count g = 0 then invalid_arg "Join_eval.full_associations: empty graph";

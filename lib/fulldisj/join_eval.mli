@@ -32,6 +32,10 @@ val full_associations_delta :
   changed:(string * Tuple.t list) list ->
   Relation.t
 
+(** The order {!full_associations} joins a connected graph's nodes in:
+    breadth-first from the lexicographically first alias. *)
+val join_order : Querygraph.Qgraph.t -> string list
+
 (** Reorder a relation's columns to match a target schema containing
     exactly the same attributes. *)
 val reorder : Relation.t -> Schema.t -> Relation.t

@@ -225,104 +225,102 @@ let remove_subsumed_first_probe tuples = remove_subsumed_indexed ~selective:fals
    wherever [j] is ([mask_j] a subset of [mask_i]) and class-equal there;
    strictness is automatic on a deduplicated relation (a class-equal
    subsumer with the same mask would be the same row).  Returns keep
-   flags in row order, or [None] when the arity exceeds what an int
-   bitmask can carry (the caller falls back to the boxed sweep). *)
+   flags in row order; the arity must be 1 .. [Col_ops.mask_arity_limit]
+   so a row's null pattern fits an int bitmask. *)
 let columnar_keep_flags ?pool rel =
   let arity = Relational.Schema.arity (Relation.schema rel) in
-  if arity = 0 || arity > Col_ops.mask_arity_limit then None
-  else begin
-    let counting = Obs.enabled () in
-    let cls = Col_ops.class_columns (Relation.columns rel) in
-    let n = Relation.cardinality rel in
-    let masks = Col_ops.nonnull_masks cls in
-    let index = Array.map Col_ops.Buckets.make cls in
-    let probe_position j =
-      let best = ref (-1) and best_count = ref max_int in
-      for p = 0 to arity - 1 do
-        let v = cls.(p).(j) in
-        if v <> 0 then begin
-          let c = Col_ops.Buckets.count index.(p) v in
-          if c < !best_count then begin
-            best := p;
-            best_count := c
-          end
+  let counting = Obs.enabled () in
+  let cls = Col_ops.class_columns (Relation.columns rel) in
+  let n = Relation.cardinality rel in
+  let masks = Col_ops.nonnull_masks cls in
+  let index = Array.map Col_ops.Buckets.make cls in
+  let probe_position j =
+    let best = ref (-1) and best_count = ref max_int in
+    for p = 0 to arity - 1 do
+      let v = cls.(p).(j) in
+      if v <> 0 then begin
+        let c = Col_ops.Buckets.count index.(p) v in
+        if c < !best_count then begin
+          best := p;
+          best_count := c
         end
-      done;
-      !best
-    in
-    let subsumes i j =
-      masks.(j) land lnot masks.(i) = 0
-      &&
-      let rec agree p =
-        p = arity
-        || ((masks.(j) land (1 lsl p) = 0 || cls.(p).(i) = cls.(p).(j))
-           && agree (p + 1))
-      in
-      agree 0
-    in
-    (* A row can only be strictly subsumed by a row whose non-null mask is
-       a *strict* superset of its own (equal mask + class-equal cells is
-       the same row on a deduplicated input).  Masks take few distinct
-       patterns — category null-shapes, essentially — so precomputing
-       which patterns have a strict superset lets every maximal-pattern
-       row (the bulk of the survivors) skip probing entirely. *)
-    let patterns = Hashtbl.create 16 in
-    Array.iter (fun m -> Hashtbl.replace patterns m ()) masks;
-    let distinct = Hashtbl.fold (fun m () acc -> m :: acc) patterns [] in
-    let has_strict_superset = Hashtbl.create 16 in
-    List.iter
-      (fun m ->
-        Hashtbl.replace has_strict_superset m
-          (List.exists (fun m' -> m' <> m && m land lnot m' = 0) distinct))
-      distinct;
-    let subsumed j =
-      if not (Hashtbl.find has_strict_superset masks.(j)) then false
-      else
-      match probe_position j with
-      | -1 -> n > 1
-      | p ->
-          if counting then Obs.Counter.bump Obs.Names.index_probes;
-          let rows = Col_ops.Buckets.rows index.(p) in
-          let start, len = Col_ops.Buckets.span index.(p) cls.(p).(j) in
-          let rec scan k =
-            k < start + len
-            &&
-            let i = rows.(k) in
-            (i <> j
-            &&
-            (if counting then Obs.Counter.bump Obs.Names.subsumption_checks;
-             subsumes i j))
-            || scan (k + 1)
-          in
-          scan start
-    in
-    Some (Par.init ?pool n (fun j -> not (subsumed j)))
-  end
-
-let sweep ?pool rel =
-  let columnar =
-    if Columnar.enabled () then columnar_keep_flags ?pool rel else None
+      end
+    done;
+    !best
   in
-  match columnar with
-  | Some keep ->
+  let subsumes i j =
+    masks.(j) land lnot masks.(i) = 0
+    &&
+    let rec agree p =
+      p = arity
+      || ((masks.(j) land (1 lsl p) = 0 || cls.(p).(i) = cls.(p).(j))
+         && agree (p + 1))
+    in
+    agree 0
+  in
+  (* A row can only be strictly subsumed by a row whose non-null mask is
+     a *strict* superset of its own (equal mask + class-equal cells is
+     the same row on a deduplicated input).  Masks take few distinct
+     patterns — category null-shapes, essentially — so precomputing
+     which patterns have a strict superset lets every maximal-pattern
+     row (the bulk of the survivors) skip probing entirely. *)
+  let patterns = Hashtbl.create 16 in
+  Array.iter (fun m -> Hashtbl.replace patterns m ()) masks;
+  let distinct = Hashtbl.fold (fun m () acc -> m :: acc) patterns [] in
+  let has_strict_superset = Hashtbl.create 16 in
+  List.iter
+    (fun m ->
+      Hashtbl.replace has_strict_superset m
+        (List.exists (fun m' -> m' <> m && m land lnot m' = 0) distinct))
+    distinct;
+  let subsumed j =
+    if not (Hashtbl.find has_strict_superset masks.(j)) then false
+    else
+    match probe_position j with
+    | -1 -> n > 1
+    | p ->
+        if counting then Obs.Counter.bump Obs.Names.index_probes;
+        let rows = Col_ops.Buckets.rows index.(p) in
+        let start, len = Col_ops.Buckets.span index.(p) cls.(p).(j) in
+        let rec scan k =
+          k < start + len
+          &&
+          let i = rows.(k) in
+          (i <> j
+          &&
+          (if counting then Obs.Counter.bump Obs.Names.subsumption_checks;
+           subsumes i j))
+          || scan (k + 1)
+        in
+        scan start
+  in
+  Par.init ?pool n (fun j -> not (subsumed j))
+
+(* The bitmask kernel covers every scheme up to [Col_ops.mask_arity_limit]
+   columns; only wider ones take the boxed indexed sweep.  A zero-arity
+   relation holds at most the empty tuple, which nothing subsumes. *)
+let sweep ?pool rel =
+  let arity = Relational.Schema.arity (Relation.schema rel) in
+  let out =
+    if arity = 0 then rel
+    else if arity > Col_ops.mask_arity_limit then
+      Relation.create ~allow_all_null:true (Relation.name rel)
+        (Relation.schema rel)
+        (remove_subsumed ?pool (Relation.tuples rel))
+    else begin
+      let keep = columnar_keep_flags ?pool rel in
       let rows = Col_ops.Ibuf.create 256 in
       Array.iteri (fun j k -> if k then Col_ops.Ibuf.push rows j) keep;
-      let rows = Col_ops.Ibuf.contents rows in
-      if Obs.enabled () then begin
-        Obs.add Obs.Names.assoc_considered (Relation.cardinality rel);
-        Obs.add Obs.Names.assoc_kept (Array.length rows)
-      end;
       Relation.of_columns ~dedup:false ~allow_all_null:true (Relation.name rel)
         (Relation.schema rel)
-        (Col_ops.gather (Relation.columns rel) rows)
-  | None ->
-      let kept = remove_subsumed ?pool (Relation.tuples rel) in
-      if Obs.enabled () then begin
-        Obs.add Obs.Names.assoc_considered (Relation.cardinality rel);
-        Obs.add Obs.Names.assoc_kept (List.length kept)
-      end;
-      Relation.create ~allow_all_null:true (Relation.name rel)
-        (Relation.schema rel) kept
+        (Col_ops.gather (Relation.columns rel) (Col_ops.Ibuf.contents rows))
+    end
+  in
+  if Obs.enabled () then begin
+    Obs.add Obs.Names.assoc_considered (Relation.cardinality rel);
+    Obs.add Obs.Names.assoc_kept (Relation.cardinality out)
+  end;
+  out
 
 let minimize ?pool rel =
   Obs.with_span Obs.Names.sp_min_union (fun () -> sweep ?pool rel)

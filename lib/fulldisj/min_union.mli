@@ -46,10 +46,10 @@ val merge_keep_flags :
 val merge_minimal : ?pool:Par.Pool.t -> Relation.t -> Tuple.t list -> Relation.t
 
 (** [sweep ?pool rel] — [rel] minus its strictly subsumed rows, row order
-    preserved.  Runs on the columnar bitmask/class-id kernel when the
-    {!Relational.Columnar} switch is on (and the arity fits an int
-    bitmask), on {!remove_subsumed} otherwise; the result is identical
-    either way. *)
+    preserved.  Runs on the columnar bitmask/class-id kernel; a scheme
+    wider than {!Relational.Col_ops.mask_arity_limit} columns, whose null
+    pattern no int bitmask holds, takes {!remove_subsumed} instead, with
+    the same result. *)
 val sweep : ?pool:Par.Pool.t -> Relation.t -> Relation.t
 
 (** {!sweep} wrapped in the [min_union] telemetry span, with

@@ -2,10 +2,7 @@ open Relational
 module Qgraph = Querygraph.Qgraph
 module Subgraphs = Querygraph.Subgraphs
 
-type algorithm_choice = Outerjoin_cascade | Indexed_categories
-
 type t = {
-  algorithm : algorithm_choice;
   nodes : int;
   edges : int;
   categories : int;
@@ -13,31 +10,12 @@ type t = {
   estimated_base_rows : (string * int) list;
 }
 
-let bfs_order g =
-  match Qgraph.aliases g with
-  | [] -> []
-  | start :: _ ->
-      let rec bfs visited queue acc =
-        match queue with
-        | [] -> List.rev acc
-        | a :: rest ->
-            if List.mem a visited then bfs visited rest acc
-            else
-              let next =
-                Qgraph.neighbours g a |> List.filter (fun n -> not (List.mem n visited))
-              in
-              bfs (a :: visited) (rest @ next) (a :: acc)
-      in
-      bfs [] [ start ] []
-
 let analyze ~lookup g =
   {
-    algorithm =
-      (if Outerjoin_plan.is_tree g then Outerjoin_cascade else Indexed_categories);
     nodes = Qgraph.node_count g;
     edges = Qgraph.edge_count g;
     categories = Subgraphs.count g;
-    join_order = bfs_order g;
+    join_order = Join_eval.join_order g;
     estimated_base_rows =
       List.map
         (fun n ->
@@ -48,20 +26,10 @@ let analyze ~lookup g =
         (Qgraph.nodes g);
   }
 
-let execute ~lookup g =
-  let src = Source.of_fn lookup in
-  if Outerjoin_plan.is_tree g then Outerjoin_plan.full_disjunction src g
-  else Full_disjunction.compute src g
-
 let render p =
-  let algo =
-    match p.algorithm with
-    | Outerjoin_cascade -> "full-outer-join cascade (tree graph) + subsumption sweep"
-    | Indexed_categories -> "per-category joins + indexed minimum union"
-  in
   String.concat "\n"
     ([
-       Printf.sprintf "D(G) plan: %s" algo;
+       "D(G) plan: per-category joins + columnar minimum union";
        Printf.sprintf "  graph: %d nodes, %d edges; %d coverage categories" p.nodes
          p.edges p.categories;
        Printf.sprintf "  join order: %s" (String.concat " -> " p.join_order);

@@ -1,32 +1,24 @@
 (** Explainable evaluation plans for D(G).
 
-    Clio evaluates full disjunctions behind the scenes; this module exposes
-    the decision: which algorithm would run for a graph, what the category
-    space looks like, and cardinality estimates from the instance — an
-    EXPLAIN facility for the mapping engine (and the machinery bench B2
-    ablations reason about). *)
+    Clio evaluates full disjunctions behind the scenes, always the same
+    way ({!Full_disjunction.compute}); this module describes that plan for
+    one graph: what the category space looks like, the join order, and
+    cardinality estimates from the instance — an EXPLAIN facility for the
+    mapping engine. *)
 
 open Relational
 module Qgraph = Querygraph.Qgraph
 
-type algorithm_choice =
-  | Outerjoin_cascade  (** tree graph: full-outer-join cascade + sweep *)
-  | Indexed_categories  (** general graph: per-category joins + indexed min-union *)
-
 type t = {
-  algorithm : algorithm_choice;
   nodes : int;
   edges : int;
   categories : int;  (** number of induced connected subgraphs *)
-  join_order : string list;  (** BFS order used by the cascade / F(G) joins *)
+  join_order : string list;  (** BFS order of the F(G) joins *)
   estimated_base_rows : (string * int) list;  (** alias → instance cardinality *)
 }
 
 (** Inspect without evaluating. *)
 val analyze : lookup:(string -> Relation.t option) -> Qgraph.t -> t
-
-(** Choose and run the algorithm of {!analyze}. *)
-val execute : lookup:(string -> Relation.t option) -> Qgraph.t -> Full_disjunction.result
 
 (** EXPLAIN-style rendering. *)
 val render : t -> string

@@ -5,24 +5,21 @@ let select p r =
   Obs.add Obs.Names.select_rows_out (Relation.cardinality out);
   out
 
-(* Columnar kernels run whenever the switch is on and the shapes allow
-   (non-zero arity; for joins, a non-empty cross-side equi-conjunction).
-   Each kernel reproduces its boxed twin's row order and set semantics
-   exactly — the qcheck parity suite renders both and compares bytes. *)
-let columnar_on r = Columnar.enabled () && Schema.arity (Relation.schema r) > 0
-
+(* Every operator runs on the columnar kernels.  The one shape a column
+   set cannot express is zero arity (no column carries the row count), so
+   there a relation is {} or {()} and is built directly. *)
 let project attrs r =
   let schema = Relation.schema r in
   let positions = List.map (Schema.index schema) attrs in
   let out_schema = Schema.project schema attrs in
   Obs.add Obs.Names.project_rows (Relation.cardinality r);
-  if columnar_on r && positions <> [] then
+  if positions = [] then
+    Relation.create (Relation.name r) out_schema
+      (if Relation.is_empty r then [] else [ [||] ])
+  else
     let cols = Relation.columns r in
     Relation.of_columns ~allow_all_null:true (Relation.name r) out_schema
       (Array.of_list (List.map (fun i -> cols.(i)) positions))
-  else
-    Relation.create ~allow_all_null:true (Relation.name r) out_schema
-      (List.map (fun t -> Tuple.project t positions) (Relation.tuples r))
 
 let product l r =
   let schema = Schema.append (Relation.schema l) (Relation.schema r) in
@@ -59,11 +56,10 @@ let hashable_atoms l_schema r_schema p =
 
 (* --- columnar equi-join core ------------------------------------------- *)
 
-(* Hash join over class-id key columns.  Match pairs come out in exactly
-   the boxed path's order: left rows ascending, and within one probe the
-   matching right rows in [Hashtbl.find_all] chain order (latest
-   insertion first), which both paths share.  Null keys (class 0) never
-   match — strong predicate semantics. *)
+(* Hash join over class-id key columns.  Match pairs come out with left
+   rows ascending and, within one probe, the matching right rows in
+   [Hashtbl.find_all] chain order (latest insertion first).  Null keys
+   (class 0) never match — strong predicate semantics. *)
 let col_equi_join_flags pairs l r =
   let lc = Relation.columns l and rc = Relation.columns r in
   let ln = Relation.cardinality l and rn = Relation.cardinality r in
@@ -164,77 +160,45 @@ let unmatched flags =
   Array.iteri (fun i m -> if not m then Col_ops.Ibuf.push out i) flags;
   Col_ops.Ibuf.contents out
 
-(* The columnar join kernels apply when both sides have columns and the
-   predicate is a non-empty cross-side equi-conjunction. *)
+(* The columnar join kernels apply whenever the predicate is a non-empty
+   cross-side equi-conjunction; anything else is a theta join. *)
 let col_join_applicable l r p =
-  if
-    Columnar.enabled ()
-    && Schema.arity (Relation.schema l) > 0
-    && Schema.arity (Relation.schema r) > 0
-  then
-    match hashable_atoms (Relation.schema l) (Relation.schema r) p with
-    | Some ((_ :: _) as pairs) -> Some pairs
-    | Some [] | None -> None
-  else None
+  match hashable_atoms (Relation.schema l) (Relation.schema r) p with
+  | Some ((_ :: _) as pairs) -> Some pairs
+  | Some [] | None -> None
 
-(* --- boxed path: inner join returning per-side match flags ------------- *)
+(* --- theta joins: nested loop returning per-side match flags ----------- *)
 
 let join_with_flags p l r =
-  let l_schema = Relation.schema l and r_schema = Relation.schema r in
-  let schema = Schema.append l_schema r_schema in
+  let schema = Schema.append (Relation.schema l) (Relation.schema r) in
   let l_tuples = Relation.tuples_array l in
   let r_tuples = Relation.tuples_array r in
   let l_matched = Array.make (Array.length l_tuples) false in
   let r_matched = Array.make (Array.length r_tuples) false in
   let out = ref [] in
-  let emit li ri tl tr =
-    l_matched.(li) <- true;
-    r_matched.(ri) <- true;
-    out := Tuple.concat tl tr :: !out
-  in
-  (match hashable_atoms l_schema r_schema p with
-  | Some ((_ :: _) as pairs) ->
-      (* Hash join on the conjunction of equality atoms.  Null keys never
-         match (strong predicate semantics). *)
-      let key_of positions t =
-        let vs = List.map (fun i -> t.(i)) positions in
-        if List.exists Value.is_null vs then None else Some vs
-      in
-      let l_pos = List.map fst pairs and r_pos = List.map snd pairs in
-      (* Keyed under Value.equal/Value.hash, so the hash path agrees with
-         the predicate semantics on mixed numerics (Int 1 matches
-         Float 1.0, as sql_eq says it must). *)
-      let table = Value.Key_table.create (Array.length r_tuples) in
+  let keep = Predicate.compile schema p in
+  Obs.add Obs.Names.join_loop_comparisons
+    (Array.length l_tuples * Array.length r_tuples);
+  Array.iteri
+    (fun li tl ->
       Array.iteri
         (fun ri tr ->
-          match key_of r_pos tr with
-          | Some k -> Value.Key_table.add table k ri
-          | None -> ())
-        r_tuples;
-      Array.iteri
-        (fun li tl ->
-          match key_of l_pos tl with
-          | Some k ->
-              Obs.count Obs.Names.join_hash_probes;
-              List.iter
-                (fun ri -> emit li ri tl r_tuples.(ri))
-                (Value.Key_table.find_all table k)
-          | None -> ())
-        l_tuples
-  | Some [] | None ->
-      let keep = Predicate.compile schema p in
-      Obs.add Obs.Names.join_loop_comparisons
-        (Array.length l_tuples * Array.length r_tuples);
-      Array.iteri
-        (fun li tl ->
-          Array.iteri
-            (fun ri tr ->
-              let t = Tuple.concat tl tr in
-              if keep t then emit li ri tl tr)
-            r_tuples)
-        l_tuples);
+          let t = Tuple.concat tl tr in
+          if keep t then begin
+            l_matched.(li) <- true;
+            r_matched.(ri) <- true;
+            out := t :: !out
+          end)
+        r_tuples)
+    l_tuples;
   if Obs.enabled () then Obs.add Obs.Names.join_rows_out (List.length !out);
   (schema, List.rev !out, l_tuples, r_tuples, l_matched, r_matched)
+
+let join_nested_loop p l r =
+  let schema, matched, _, _, _, _ = join_with_flags p l r in
+  Relation.create ~allow_all_null:true
+    (Relation.name l ^ "*" ^ Relation.name r)
+    schema matched
 
 let join p l r =
   match col_join_applicable l r p with
@@ -247,35 +211,12 @@ let join p l r =
           ~r_dangling:[||]
       in
       (* Both inputs are sets, so distinct (li, ri) pairs concatenate to
-         distinct rows: the boxed path's dedup is a no-op and is skipped. *)
+         distinct rows: dedup would be a no-op and is skipped. *)
       Relation.of_columns ~dedup:false ~allow_all_null:true
         (Relation.name l ^ "*" ^ Relation.name r)
         (Schema.append (Relation.schema l) (Relation.schema r))
         cols
-  | None ->
-      let schema, matched, _, _, _, _ = join_with_flags p l r in
-      Relation.create ~allow_all_null:true
-        (Relation.name l ^ "*" ^ Relation.name r)
-        schema matched
-
-let join_nested_loop p l r =
-  let schema = Schema.append (Relation.schema l) (Relation.schema r) in
-  let keep = Predicate.compile schema p in
-  let out = ref [] in
-  Relation.iter
-    (fun tl ->
-      Relation.iter
-        (fun tr ->
-          let t = Tuple.concat tl tr in
-          if keep t then out := t :: !out)
-        r)
-    l;
-  Obs.add Obs.Names.join_loop_comparisons
-    (Relation.cardinality l * Relation.cardinality r);
-  if Obs.enabled () then Obs.add Obs.Names.join_rows_out (List.length !out);
-  Relation.create ~allow_all_null:true
-    (Relation.name l ^ "*" ^ Relation.name r)
-    schema (List.rev !out)
+  | None -> join_nested_loop p l r
 
 let join_sort_merge p l r =
   let l_schema = Relation.schema l and r_schema = Relation.schema r in
@@ -383,7 +324,7 @@ let full_outer_join p l r =
         col_join_output ~l ~r ~match_l ~match_r ~l_dangling ~r_dangling
       in
       (* Dedup stays on: when both inputs carry an all-null row its two
-         dangling images coincide, and the boxed path collapses them. *)
+         dangling images coincide and must collapse to one. *)
       Relation.of_columns ~allow_all_null:true
         (Relation.name l ^ "=*=" ^ Relation.name r)
         (Schema.append (Relation.schema l) (Relation.schema r))
@@ -418,13 +359,12 @@ let require_same_schema op a b =
 
 let union a b =
   require_same_schema "Algebra.union" a b;
-  if columnar_on a then
+  if Schema.arity (Relation.schema a) = 0 then
+    Relation.with_name (Relation.name a) (if Relation.is_empty a then b else a)
+  else
     Relation.of_columns ~allow_all_null:true (Relation.name a)
       (Relation.schema a)
       (Col_ops.concat [ Relation.columns a; Relation.columns b ])
-  else
-    Relation.create ~allow_all_null:true (Relation.name a) (Relation.schema a)
-      (Relation.tuples a @ Relation.tuples b)
 
 let difference a b =
   require_same_schema "Algebra.difference" a b;
@@ -442,7 +382,9 @@ let pad r schema =
       if not (Schema.mem schema a) then
         invalid_arg ("Algebra.pad: target schema lacks " ^ Attr.to_string a))
     (Schema.attrs src);
-  if Columnar.enabled () && Schema.arity schema > 0 then begin
+  if Schema.arity schema = 0 then
+    Relation.create ~dedup:false (Relation.name r) schema (Relation.tuples r)
+  else begin
     let cols = Relation.columns r in
     let n = Relation.cardinality r in
     (* Present columns are shared, missing ones null-filled; every source
@@ -453,13 +395,6 @@ let pad r schema =
       (Array.map
          (function Some i -> cols.(i) | None -> Array.make n 0)
          mapping)
-  end
-  else begin
-    let widen t =
-      Array.map (function Some i -> t.(i) | None -> Value.Null) mapping
-    in
-    Relation.create ~allow_all_null:true (Relation.name r) schema
-      (List.map widen (Relation.tuples r))
   end
 
 let outer_union a b =

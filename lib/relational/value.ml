@@ -131,10 +131,3 @@ module Hashed = struct
 end
 
 module Table = Hashtbl.Make (Hashed)
-
-module Key_table = Hashtbl.Make (struct
-  type nonrec t = t list
-
-  let equal = List.equal equal
-  let hash l = List.fold_left (fun acc v -> (acc * 31) + hash v) 7 l
-end)

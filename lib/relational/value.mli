@@ -77,6 +77,3 @@ val hash : t -> int
     [Hashtbl], which would disagree with {!equal} on mixed numerics and
     NaN. *)
 module Table : Hashtbl.S with type key = t
-
-(** Hashtables keyed by composite value keys (e.g. multi-column join keys). *)
-module Key_table : Hashtbl.S with type key = t list

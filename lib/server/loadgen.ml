@@ -87,7 +87,7 @@ let client_requests spec ~client =
 
 let replay_digests spec =
   Array.init spec.clients (fun client ->
-      let db, kb, mapping = Scenario.resolve_fresh spec.scenario in
+      let db, kb, mapping = Version.Scenario.resolve_fresh spec.scenario in
       let ctx = Clio.Eval_ctx.create ~no_cache:true ~jobs:1 ~kb db in
       let ws = ref (Clio.Workspace.create ctx mapping) in
       let branches = Hashtbl.create 8 in

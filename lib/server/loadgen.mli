@@ -16,7 +16,7 @@
 
     Verification replays every client's script {e sequentially} through
     plain {!Clio.Workspace} values (one per branch) over
-    {!Scenario.resolve_fresh} state with a fresh cache-less context — a
+    {!Version.Scenario.resolve_fresh} state with a fresh cache-less context — a
     genuinely independent path — and compares the MD5 digests
     ({!Relational.Render.digest}) of every evaluation result
     byte-for-byte. *)

@@ -23,7 +23,7 @@ open Relational
     Section 5 starting mapping, or a synthetic chain/star instance
     ({!Synth.Gen_graph}) with an identity mapping rooted at its first
     relation.  Specs are value-comparable: two sessions opened from equal
-    specs share one resolved database (see {!Scenario}).  Re-exported from
+    specs share one resolved database.  Re-exported from
     {!Version.Scenario} (the version store embeds specs in snapshots). *)
 type scenario = Version.Scenario.t =
   | Paper

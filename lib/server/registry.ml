@@ -47,7 +47,6 @@ type session = {
 
 type t = {
   cache : Engine.Eval_cache.t option;
-  algorithm : Clio.Eval_ctx.algorithm;
   jobs : int;
   (* Guards [sessions]: opened/found/closed from any worker shard. *)
   sessions_mutex : Mutex.t;
@@ -61,8 +60,7 @@ type t = {
   started_at : float;
 }
 
-let create ?(algorithm = Clio.Eval_ctx.Indexed) ?jobs ?(no_cache = false)
-    ?cache_bytes () =
+let create ?jobs ?(no_cache = false) ?cache_bytes () =
   let jobs = match jobs with Some j -> j | None -> Par.default_jobs () in
   let cache =
     if no_cache then None
@@ -70,7 +68,6 @@ let create ?(algorithm = Clio.Eval_ctx.Indexed) ?jobs ?(no_cache = false)
   in
   {
     cache;
-    algorithm;
     jobs;
     sessions_mutex = Mutex.create ();
     sessions = Hashtbl.create 16;
@@ -87,19 +84,16 @@ let cache t = t.cache
 let jobs t = t.jobs
 
 (* The workspace factory every session's version store resolves scenarios
-   through: all contexts share the registry's one cache, jobs setting and
-   algorithm, so sessions (and branches, and changelog replays) key their
+   through: all contexts share the registry's one cache and jobs setting,
+   so sessions (and branches, and changelog replays) key their
    memo entries into the same cache.  Deterministic per spec — resolution
-   itself is memoized in [Scenario]. *)
+   itself is memoized in [Version.Scenario]. *)
 let resolver t spec =
-  let db, kb, mapping = Scenario.resolve spec in
+  let db, kb, mapping = Version.Scenario.resolve spec in
   let ctx =
     match t.cache with
-    | Some cache ->
-        Clio.Eval_ctx.create ~algorithm:t.algorithm ~cache ~jobs:t.jobs ~kb db
-    | None ->
-        Clio.Eval_ctx.create ~algorithm:t.algorithm ~no_cache:true ~jobs:t.jobs
-          ~kb db
+    | Some cache -> Clio.Eval_ctx.create ~cache ~jobs:t.jobs ~kb db
+    | None -> Clio.Eval_ctx.create ~no_cache:true ~jobs:t.jobs ~kb db
   in
   Clio.Workspace.create ctx mapping
 

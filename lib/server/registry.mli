@@ -33,13 +33,7 @@ type session = {
 
 type t
 
-val create :
-  ?algorithm:Clio.Eval_ctx.algorithm ->
-  ?jobs:int ->
-  ?no_cache:bool ->
-  ?cache_bytes:int ->
-  unit ->
-  t
+val create : ?jobs:int -> ?no_cache:bool -> ?cache_bytes:int -> unit -> t
 
 val cache : t -> Engine.Eval_cache.t option
 val jobs : t -> int

@@ -228,7 +228,7 @@ let dispatch t (env : P.envelope) =
         Atomic.set t.draining true;
         (P.ok id P.Bye, None)
     | P.Open_session spec -> begin
-        match Scenario.validate spec with
+        match Version.Scenario.validate spec with
         | Error msg -> (P.error (Some id) P.Bad_request msg, None)
         | Ok () ->
             let session = Registry.open_session t.registry spec in

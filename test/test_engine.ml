@@ -143,7 +143,6 @@ let test_version_invalidation () =
   (* Nothing of the new version is cached yet... *)
   Alcotest.(check bool) "new version starts cold" false
     (Eval_cache.mem_dg cache ~version:(Eval_ctx.version ctx')
-       ~variant:(Eval_ctx.algorithm_name (Eval_ctx.algorithm ctx'))
        (Graph_key.of_graph m.Clio.Mapping.graph));
   (* ...and evaluation agrees with an uncached context on the new db. *)
   let after = Clio.Mapping_eval.eval ctx' m in
@@ -277,15 +276,25 @@ let prop_algorithms_agree_cached =
       in
       let m = identity_mapping inst in
       let ctx = Eval_ctx.create ~kb:inst.Synth.Gen_graph.kb inst.Synth.Gen_graph.db in
-      (* All variants through ONE shared cache: distinct dg variants must
-         not contaminate each other, and the shared FJ tier must not skew
-         any of them. *)
-      let a = Clio.Mapping_eval.eval ~algorithm:Clio.Mapping_eval.Naive ctx m in
-      let b = Clio.Mapping_eval.eval ~algorithm:Clio.Mapping_eval.Indexed ctx m in
-      let c =
-        Clio.Mapping_eval.eval ~algorithm:Clio.Mapping_eval.Outerjoin_if_tree ctx m
+      let g = m.Clio.Mapping.graph in
+      let rel = Fulldisj.Full_disjunction.to_relation in
+      (* The served D(G) (a miss, then a hit) against the naive oracle run
+         through the same context's F(J) tier — which must not skew it —
+         and the outer-join cascade over the bare database. *)
+      let served = rel (Clio.Mapping_eval.data_associations ctx m) in
+      let naive = rel (Fulldisj.Full_disjunction.naive (Eval_ctx.source ctx) g) in
+      let outerjoin =
+        rel
+          (Fulldisj.Outerjoin_plan.full_disjunction
+             (Fulldisj.Source.of_db inst.Synth.Gen_graph.db)
+             g)
       in
-      Relation.equal_contents a b && Relation.equal_contents a c)
+      Relation.equal_contents served naive
+      && Relation.equal_contents served outerjoin
+      && Relation.equal_contents served
+           (rel (Clio.Mapping_eval.data_associations ctx m))
+      && Relation.equal_contents (Clio.Mapping_eval.eval ctx m)
+           (Clio.Mapping_eval.eval (Eval_ctx.transient inst.Synth.Gen_graph.db) m))
 
 let () =
   Alcotest.run "engine"

@@ -1,6 +1,7 @@
 (* Tests for subsumption, minimum union and full disjunction, including
-   QCheck properties checking the indexed algorithms against naive oracles
-   and the outer-join plan against the per-subgraph definition. *)
+   QCheck properties checking the indexed and columnar algorithms against
+   naive oracles and the outer-join plan against the per-subgraph
+   definition. *)
 
 open Relational
 open Fulldisj
@@ -278,19 +279,20 @@ let test_outerjoin_plan_small () =
        (Full_disjunction.to_relation a)
        (Full_disjunction.to_relation b))
 
+let triangle =
+  Qgraph.make
+    [ ("A", "A"); ("B", "B"); ("C", "C") ]
+    [
+      ("A", "B", eq "A" "id" "B" "aid");
+      ("B", "C", eq "B" "cid" "C" "id");
+      ("A", "C", eq "A" "id" "C" "id");
+    ]
+
 let test_outerjoin_rejects_cycles () =
-  let tri =
-    Qgraph.make
-      [ ("A", "A"); ("B", "B"); ("C", "C") ]
-      [
-        ("A", "B", eq "A" "id" "B" "aid");
-        ("B", "C", eq "B" "cid" "C" "id");
-        ("A", "C", eq "A" "id" "C" "id");
-      ]
-  in
   Alcotest.check_raises "not a tree"
     (Invalid_argument "Outerjoin_plan.full_disjunction: not a tree") (fun () ->
-      ignore (Outerjoin_plan.full_disjunction (Source.of_fn (Database.find small_db)) tri))
+      ignore
+        (Outerjoin_plan.full_disjunction (Source.of_fn (Database.find small_db)) triangle))
 
 let test_rooted_is_root_covering_subset () =
   let fd = Full_disjunction.compute (Source.of_db small_db) small_graph in
@@ -389,34 +391,118 @@ let contains s sub =
 let test_plan_tree_vs_cyclic () =
   let lookup = Database.find small_db in
   let p = Plan.analyze ~lookup small_graph in
-  Alcotest.(check bool) "tree -> cascade" true
-    (p.Plan.algorithm = Plan.Outerjoin_cascade);
-  Alcotest.(check int) "categories" 6 p.Plan.categories;
-  let tri =
-    Qgraph.make
-      [ ("A", "A"); ("B", "B"); ("C", "C") ]
-      [
-        ("A", "B", eq "A" "id" "B" "aid");
-        ("B", "C", eq "B" "cid" "C" "id");
-        ("A", "C", eq "A" "id" "C" "id");
-      ]
-  in
-  let p2 = Plan.analyze ~lookup tri in
-  Alcotest.(check bool) "cycle -> categories" true
-    (p2.Plan.algorithm = Plan.Indexed_categories)
-
-let test_plan_execute_matches_compute () =
-  let lookup = Database.find small_db in
-  let a = Full_disjunction.to_relation (Plan.execute ~lookup small_graph) in
-  let b = Full_disjunction.to_relation (Full_disjunction.compute (Source.of_fn lookup) small_graph) in
-  Alcotest.(check bool) "same" true (Relation.equal_contents a b)
+  Alcotest.(check int) "tree edges" 2 p.Plan.edges;
+  Alcotest.(check int) "tree categories" 6 p.Plan.categories;
+  let p2 = Plan.analyze ~lookup triangle in
+  Alcotest.(check int) "cycle edges" 3 p2.Plan.edges;
+  (* Every non-empty subset of a triangle is connected. *)
+  Alcotest.(check int) "cycle categories" 7 p2.Plan.categories;
+  Alcotest.(check (list string)) "join order" [ "A"; "B"; "C" ] p2.Plan.join_order
 
 let test_plan_render () =
   let lookup = Database.find small_db in
   let s = Plan.render (Plan.analyze ~lookup small_graph) in
-  Alcotest.(check bool) "mentions cascade" true (contains s "cascade");
+  Alcotest.(check bool) "one plan, no cascade" false (contains s "cascade");
+  Alcotest.(check bool) "names the min-union" true (contains s "minimum union");
   Alcotest.(check bool) "mentions cardinalities" true (contains s "base cardinalities");
   Alcotest.(check bool) "join order" true (contains s "A -> B -> C")
+
+(* --- the served D(G) against the naive oracle, coverage included --- *)
+
+(* Same tuples (byte for byte, so an Int 1 may not stand in for a
+   Float 1.0), same coverage tags, same order. *)
+let same_associations (a : Full_disjunction.result) (b : Full_disjunction.result) =
+  List.length a.Full_disjunction.associations
+  = List.length b.Full_disjunction.associations
+  && List.for_all2
+       (fun (x : Assoc.t) (y : Assoc.t) ->
+         String.equal (Tuple.to_string x.Assoc.tuple) (Tuple.to_string y.Assoc.tuple)
+         && Coverage.equal x.Assoc.coverage y.Assoc.coverage)
+       a.Full_disjunction.associations b.Full_disjunction.associations
+
+(* Null-heavy cells drawn from values that are equal but spelled apart
+   (Int 1 / Float 1.0, 0 / -0.) or that misbehave under IEEE comparison
+   (NaN, ±inf). *)
+let adversarial_value =
+  QCheck2.Gen.(
+    frequency
+      [
+        (4, return Value.Null);
+        (3, map (fun i -> Value.Int i) (int_range 0 2));
+        (2, map (fun i -> Value.Float (float_of_int i)) (int_range 0 2));
+        ( 1,
+          oneofl
+            [
+              Value.Float (-0.);
+              Value.Float Float.nan;
+              Value.Float Float.infinity;
+              Value.Float Float.neg_infinity;
+            ] );
+      ])
+
+let adversarial_rel name cols =
+  QCheck2.Gen.(
+    let* rows =
+      list_size (int_range 0 8) (list_repeat (List.length cols) adversarial_value)
+    in
+    return
+      (mk name cols
+         (List.map Tuple.make rows |> List.filter (fun t -> not (Tuple.all_null t)))))
+
+(* A(id, x) -- B(aid, cid) -- C(id, z) as a chain, or closed into a
+   triangle by A.id = C.id; or a lib/synth random tree. *)
+let dg_instance_gen =
+  QCheck2.Gen.(
+    let adversarial =
+      let* a = adversarial_rel "A" [ "id"; "x" ] in
+      let* b = adversarial_rel "B" [ "aid"; "cid" ] in
+      let* c = adversarial_rel "C" [ "id"; "z" ] in
+      let* cyclic = bool in
+      return
+        ( Database.of_relations [ a; b; c ],
+          if cyclic then triangle else small_graph )
+    in
+    let synth_tree =
+      let* seed = int_range 0 10000 in
+      let* n = int_range 1 5 in
+      let* rows = int_range 0 12 in
+      let inst =
+        Synth.Gen_graph.random_tree (Random.State.make [| seed |]) ~n ~rows
+          ~null_prob:0.5 ~orphan_prob:0.3 ()
+      in
+      return (inst.Synth.Gen_graph.db, inst.Synth.Gen_graph.graph)
+    in
+    frequency [ (3, adversarial); (1, synth_tree) ])
+
+let prop_compute_equals_naive =
+  QCheck2.Test.make ~name:"compute = naive: tuples, coverage tags and order"
+    ~count:300 dg_instance_gen (fun (db, g) ->
+      let src = Source.of_db db in
+      same_associations (Full_disjunction.compute src g) (Full_disjunction.naive src g))
+
+(* A scheme wider than an int bitmask: the one input that takes the boxed
+   subsumption sweep.  W1 rows that join W2 are subsumed by their joined
+   image; dangling rows on either side survive padded. *)
+let test_wide_scheme_matches_naive () =
+  let width1 = 40 and width2 = 30 in
+  let cols prefix n = List.init n (Printf.sprintf "%s%d" prefix) in
+  let row k n = Tuple.make (v_int k :: List.init (n - 1) (fun c -> if c mod 3 = 0 then Value.Null else v_int (k + c))) in
+  let db =
+    Database.of_relations
+      [
+        mk "W1" ("k" :: cols "a" (width1 - 1)) (List.map (fun k -> row k width1) [ 1; 2; 3; 4 ]);
+        mk "W2" ("k" :: cols "b" (width2 - 1)) (List.map (fun k -> row k width2) [ 2; 4; 6 ]);
+      ]
+  in
+  let g = Qgraph.make [ ("W1", "W1"); ("W2", "W2") ] [ ("W1", "W2", eq "W1" "k" "W2" "k") ] in
+  let src = Source.of_db db in
+  let fd = Full_disjunction.compute src g in
+  Alcotest.(check bool) "wider than a bitmask" true
+    (Schema.arity fd.Full_disjunction.scheme > Col_ops.mask_arity_limit);
+  (* W1 1,3 and W2 6 dangle; 2 and 4 join. *)
+  Alcotest.(check int) "associations" 5 (List.length fd.Full_disjunction.associations);
+  Alcotest.(check bool) "= naive" true
+    (same_associations fd (Full_disjunction.naive src g))
 
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
@@ -448,11 +534,11 @@ let () =
           tc "outerjoin rejects cycles" `Quick test_outerjoin_rejects_cycles;
           tc "rooted subset" `Quick test_rooted_is_root_covering_subset;
           tc "possible ⊇ D(G)" `Quick test_possible_associations_superset;
+          tc "wide scheme = naive" `Quick test_wide_scheme_matches_naive;
         ] );
       ( "plan",
         [
           tc "tree vs cyclic" `Quick test_plan_tree_vs_cyclic;
-          tc "execute = compute" `Quick test_plan_execute_matches_compute;
           tc "render" `Quick test_plan_render;
         ] );
       qsuite "properties:min_union"
@@ -465,5 +551,10 @@ let () =
           prop_merge_equals_reminimize_pooled;
         ];
       qsuite "properties:full_disjunction"
-        [ prop_algorithms_agree; prop_fd_is_minimal; prop_coverage_matches_nullness ];
+        [
+          prop_algorithms_agree;
+          prop_fd_is_minimal;
+          prop_coverage_matches_nullness;
+          prop_compute_equals_naive;
+        ];
     ]

@@ -7,8 +7,9 @@
 
    Properties: after random insert/replace sequences, evaluation through
    an incremental caching context is byte-identical to from-scratch
-   evaluation — D(G) association lists under all three algorithms, F(J)
-   tuple arrays, and rendered illustrations — at jobs 1 and 4. *)
+   evaluation — D(G) association lists (also checked against the naive
+   and outer-join oracles), F(J) tuple arrays, and rendered illustrations
+   — at jobs 1 and 4. *)
 
 open Relational
 module Qgraph = Querygraph.Qgraph
@@ -51,6 +52,14 @@ let assocs_equal (x : Fulldisj.Full_disjunction.result)
   && List.equal Fulldisj.Assoc.equal x.Fulldisj.Full_disjunction.associations
        y.Fulldisj.Full_disjunction.associations
 
+(* D(G) by the two independent algorithms the served path is held to. *)
+let oracles db g =
+  let src = Fulldisj.Source.of_db db in
+  [
+    Fulldisj.Full_disjunction.naive src g;
+    Fulldisj.Outerjoin_plan.full_disjunction src g;
+  ]
+
 (* --- free promotion: the graph touches none of the changed relations --- *)
 
 let test_promotion_free () =
@@ -77,7 +86,6 @@ let test_promotion_free () =
       Alcotest.(check bool) "entry resident at new version" true
         (Eval_cache.mem_dg cache
            ~version:(Eval_ctx.version ctx')
-           ~variant:(Eval_ctx.algorithm_name (Eval_ctx.algorithm ctx'))
            (Graph_key.of_graph g23)))
 
 (* --- repaired promotion: insert-only delta into a touched base --- *)
@@ -274,13 +282,11 @@ let prop_incremental_equals_scratch =
       let check ctx =
         let db = Eval_ctx.db ctx in
         let scratch = Eval_ctx.transient db in
-        (* D(G) under every algorithm, through the ONE shared cache. *)
-        List.for_all
-          (fun alg ->
-            assocs_equal
-              (Eval_ctx.data_associations ~algorithm:alg ctx g)
-              (Eval_ctx.data_associations ~algorithm:alg scratch g))
-          [ Eval_ctx.Naive; Eval_ctx.Indexed; Eval_ctx.Outerjoin_if_tree ]
+        (* Served D(G) = from-scratch = the oracles, coverage and order
+           included. *)
+        let served = Eval_ctx.data_associations ctx g in
+        List.for_all (assocs_equal served)
+          (Eval_ctx.data_associations scratch g :: oracles db g)
         (* F(J) of the full graph, tuple-for-tuple. *)
         && Relation.tuples (Eval_ctx.full_associations ctx g)
            = Relation.tuples (Eval_ctx.full_associations scratch g)
@@ -312,7 +318,7 @@ let prop_incremental_equals_scratch =
 (* --- property: D(G) results are already sets --- *)
 
 (* [to_relation] builds its relation without a dedup pass, which is sound
-   only if no algorithm emits two associations equal under [Value.equal].
+   only if no D(G) result emits two associations equal under [Value.equal].
    Adversarial twists make equal values differ in representation: ints
    turned into floats (Int 1 vs Float 1.0, 0 vs -0.), payload strings
    turned into NaN or infinity, and every relation carrying a float copy
@@ -358,20 +364,15 @@ let prop_associations_are_sets =
       in
       let g = inst.Synth.Gen_graph.graph in
       let db = twisted_db st inst.Synth.Gen_graph.db in
-      let algorithms =
-        [ Eval_ctx.Naive; Eval_ctx.Indexed; Eval_ctx.Outerjoin_if_tree ]
-      in
       let ctx =
         Eval_ctx.create ~incremental:true ~jobs ~kb:inst.Synth.Gen_graph.kb db
       in
       let all_exact ctx =
-        List.for_all
-          (fun alg ->
-            to_relation_is_exact (Eval_ctx.data_associations ~algorithm:alg ctx g))
-          algorithms
+        List.for_all to_relation_is_exact
+          (Eval_ctx.data_associations ctx g :: oracles (Eval_ctx.db ctx) g)
       in
       (* Fresh rows into the first base, each with its float twin in the
-         same batch: the cached results above are then repaired through
+         same batch: the cached result above is then repaired through
          [Full_disjunction.delta]. *)
       let base = (List.hd (Qgraph.nodes g)).Qgraph.base in
       let fresh =

@@ -193,12 +193,22 @@ let test_apply_one () =
       | None -> Alcotest.fail "expected Some")
     pos
 
+(* Q_M over a D(G) computed outside the engine. *)
+let eval_over (fd : Fulldisj.Full_disjunction.result) (m : Mapping.t) =
+  Relation.create ~allow_all_null:true m.Mapping.target (Mapping.target_schema m)
+    (List.filter_map (Mapping_eval.apply_one fd m)
+       fd.Fulldisj.Full_disjunction.associations)
+
 let test_algorithms_agree_on_eval () =
-  let a = Mapping_eval.eval ~algorithm:Mapping_eval.Naive (Eval_ctx.transient db) base_mapping in
-  let b = Mapping_eval.eval ~algorithm:Mapping_eval.Indexed (Eval_ctx.transient db) base_mapping in
-  let c = Mapping_eval.eval ~algorithm:Mapping_eval.Outerjoin_if_tree (Eval_ctx.transient db) base_mapping in
-  Alcotest.(check bool) "naive=indexed" true (Relation.equal_contents a b);
-  Alcotest.(check bool) "naive=outerjoin" true (Relation.equal_contents a c)
+  let served = Mapping_eval.eval (Eval_ctx.transient db) base_mapping in
+  let src = Fulldisj.Source.of_db db in
+  let naive = eval_over (Fulldisj.Full_disjunction.naive src graph) base_mapping in
+  let outerjoin =
+    eval_over (Fulldisj.Outerjoin_plan.full_disjunction src graph) base_mapping
+  in
+  Alcotest.(check bool) "served=naive" true (Relation.equal_contents served naive);
+  Alcotest.(check bool) "served=outerjoin" true
+    (Relation.equal_contents served outerjoin)
 
 let test_unmapped_column_is_null () =
   let m = Mapping.remove_correspondence base_mapping "pay" in

@@ -62,10 +62,20 @@ let prop_eval_algorithms_agree =
       let inst = make_instance params in
       let m = identity_mapping inst in
       let db = inst.Synth.Gen_graph.db in
-      let a = Mapping_eval.eval ~algorithm:Mapping_eval.Naive (Eval_ctx.transient db) m in
-      let b = Mapping_eval.eval ~algorithm:Mapping_eval.Indexed (Eval_ctx.transient db) m in
-      let c = Mapping_eval.eval ~algorithm:Mapping_eval.Outerjoin_if_tree (Eval_ctx.transient db) m in
-      Relation.equal_contents a b && Relation.equal_contents a c)
+      let g = inst.Synth.Gen_graph.graph in
+      let src = Fulldisj.Source.of_db db in
+      (* Q_M over a D(G) computed outside the engine. *)
+      let eval_over (fd : Fulldisj.Full_disjunction.result) =
+        Relation.create ~allow_all_null:true m.Mapping.target
+          (Mapping.target_schema m)
+          (List.filter_map (Mapping_eval.apply_one fd m)
+             fd.Fulldisj.Full_disjunction.associations)
+      in
+      let served = Mapping_eval.eval (Eval_ctx.transient db) m in
+      Relation.equal_contents served
+        (eval_over (Fulldisj.Full_disjunction.naive src g))
+      && Relation.equal_contents served
+           (eval_over (Fulldisj.Outerjoin_plan.full_disjunction src g)))
 
 let prop_rooted_sql_equivalence =
   QCheck2.Test.make ~name:"rooted left-join = Q_M when root forced" ~count:50
