@@ -439,12 +439,59 @@ let engine_edit_replay ~incremental () =
       refresh ())
     engine_edit_tuples
 
+(* The served edit: [Workspace.add_tuples] on a session that has walked
+   R1 to R3 over a 2000-row 3-chain and confirmed the walk, as the
+   server's chain-edit sessions do.  One call inserts one fresh R1 row,
+   repairs the cached D(G) and evolves the illustration onto it.  The
+   session is built once, outside the timings; every run inserts a key
+   no earlier run used. *)
+let workspace_edit_session =
+  lazy
+    (let inst =
+       Synth.Gen_graph.chain (seeded 59) ~n:3 ~rows:2000 ~null_prob:0.25
+         ~orphan_prob:0.2 ()
+     in
+     let ctx =
+       Clio.Eval_ctx.create ~incremental:true ~jobs:1 ~kb:inst.Synth.Gen_graph.kb
+         inst.Synth.Gen_graph.db
+     in
+     let m0 =
+       Clio.Mapping.make
+         ~graph:(Qgraph.singleton ~alias:"R1" ~base:"R1")
+         ~target:"T" ~target_cols:[ "c" ]
+         ~correspondences:[ Clio.Correspondence.identity "c" (Attr.make "R1" "id") ]
+         ()
+     in
+     let alts = Clio.Op_walk.data_walk ctx m0 ~start:"R1" ~goal:"R3" ~max_len:3 () in
+     let ws =
+       Clio.Workspace.offer (Clio.Workspace.create ctx m0)
+         (List.map (fun (a : Clio.Op_walk.alternative) -> a.Clio.Op_walk.mapping) alts)
+     in
+     ref (Clio.Workspace.confirm ws))
+
+let workspace_edits = ref 0
+
+let workspace_edit () =
+  let ws = Lazy.force workspace_edit_session in
+  incr workspace_edits;
+  let key = 2_000_000 + !workspace_edits in
+  ws :=
+    Clio.Workspace.add_tuples !ws "R1"
+      [
+        [|
+          Value.Int key;
+          Value.String (Printf.sprintf "edit-%d" key);
+          Value.Int (key mod 2000);
+        |];
+      ]
+
 let engine_edit_tests =
   [
     Test.make ~name:"engine/example-edit/incremental"
       (Staged.stage (engine_edit_replay ~incremental:true));
     Test.make ~name:"engine/example-edit/no-incremental"
       (Staged.stage (engine_edit_replay ~incremental:false));
+    Test.make ~name:"engine/example-edit/workspace" (Staged.stage workspace_edit);
   ]
 
 (* --- B16: server loadgen — the multi-session service under scripted
@@ -1091,6 +1138,11 @@ let workloads : (string * (unit -> unit)) list =
       ("engine/example-edit/incremental", engine_edit_replay ~incremental:true);
       ( "engine/example-edit/no-incremental",
         engine_edit_replay ~incremental:false );
+      ( "engine/example-edit/workspace",
+        fun () ->
+          for _ = 1 to engine_edit_count do
+            workspace_edit ()
+          done );
     ]
   (* B16: the multi-session server under scripted load — the cache.*
      counters here show the warm substrate absorbing the cold arm's
@@ -1116,6 +1168,8 @@ let run_measurements () =
   (* Prime B16's persistent substrate so the measured warm arm really runs
      against a populated shared cache (counters are reset per workload). *)
   server_loadgen_warm ();
+  (* Build the B15 workspace session outside its measured edits. *)
+  ignore (Lazy.force workspace_edit_session);
   List.iter (fun (name, f) -> measure name f) workloads
 
 let counter_table ~title ~columns rows =
@@ -1203,6 +1257,9 @@ let run_counter_tables () =
         ("delta.fallbacks", Obs.Names.delta_fallbacks);
       ]
     (workload_names "engine/example-edit/");
+  Printf.printf "engine/example-edit/workspace: %.0f minor words per edit\n\n"
+    ((measurement_of "engine/example-edit/workspace").alloc.Obs.Span.minor_words
+    /. float_of_int engine_edit_count);
   counter_table
     ~title:"B16 — server loadgen: memo traffic, cold vs warm substrate"
     ~columns:

@@ -31,45 +31,83 @@ let satisfies ~target_cols e = function
       && e.Example.positive
       && Bool.equal (Value.is_null e.Example.target_tuple.(target_position target_cols b)) null
 
-let distinct_coverages universe =
-  let seen = Hashtbl.create 16 in
-  List.filter_map
+(* What the universe offers at one coverage: a positive and a negative
+   example; per target attribute, a positive example with it non-null
+   ([attr.(2k)]) and with it null ([attr.(2k+1)]). *)
+type offer = {
+  coverage : Coverage.t;
+  mutable positive : bool;
+  mutable negative : bool;
+  attr : bool array;
+}
+
+(* Every requirement in one pass over the universe: each example's
+   coverage is keyed once, and its offers are recorded under it.  The
+   order is Def 4.2's, then 4.4's, then 4.5's, each by coverage in order
+   of first appearance. *)
+let requirements ~universe ~target_cols =
+  let cols = Array.of_list target_cols in
+  let at = Array.map (target_position target_cols) cols in
+  let ncols = Array.length cols in
+  let offers = Hashtbl.create 16 and order = ref [] in
+  List.iter
     (fun e ->
       let key = Coverage.to_list (Example.coverage e) in
-      if Hashtbl.mem seen key then None
-      else begin
-        Hashtbl.add seen key ();
-        Some (Example.coverage e)
-      end)
-    universe
+      let o =
+        match Hashtbl.find_opt offers key with
+        | Some o -> o
+        | None ->
+            let o =
+              {
+                coverage = Example.coverage e;
+                positive = false;
+                negative = false;
+                attr = Array.make (2 * ncols) false;
+              }
+            in
+            Hashtbl.add offers key o;
+            order := o :: !order;
+            o
+      in
+      if e.Example.positive then begin
+        o.positive <- true;
+        for k = 0 to ncols - 1 do
+          let null = Value.is_null e.Example.target_tuple.(at.(k)) in
+          o.attr.((2 * k) + Bool.to_int null) <- true
+        done
+      end
+      else o.negative <- true)
+    universe;
+  let offers = List.rev !order in
+  let when_ b r = if b then [ r ] else [] in
+  List.map (fun o -> Cover o.coverage) offers
+  @ List.concat_map
+      (fun o ->
+        when_ o.positive (Polarity (o.coverage, true))
+        @ when_ o.negative (Polarity (o.coverage, false)))
+      offers
+  @ List.concat_map
+      (fun o ->
+        List.concat
+          (List.init ncols (fun k ->
+               when_ o.attr.(2 * k) (Attr_null (o.coverage, cols.(k), false))
+               @ when_ o.attr.((2 * k) + 1) (Attr_null (o.coverage, cols.(k), true)))))
+      offers
 
 let graph_requirements ~universe =
-  List.map (fun c -> Cover c) (distinct_coverages universe)
-
-let satisfiable ~target_cols universe req =
-  List.exists (fun e -> satisfies ~target_cols e req) universe
+  List.filter
+    (function Cover _ -> true | Polarity _ | Attr_null _ -> false)
+    (requirements ~universe ~target_cols:[])
 
 let filter_requirements ~universe =
-  distinct_coverages universe
-  |> List.concat_map (fun c ->
-         List.filter
-           (satisfiable ~target_cols:[] universe)
-           [ Polarity (c, true); Polarity (c, false) ])
+  List.filter
+    (function Polarity _ -> true | Cover _ | Attr_null _ -> false)
+    (requirements ~universe ~target_cols:[])
 
 let correspondence_requirements ~universe ~target_cols =
-  distinct_coverages universe
-  |> List.concat_map (fun c ->
-         List.concat_map
-           (fun b ->
-              List.filter
-                (satisfiable ~target_cols universe)
-                [ Attr_null (c, b, false); Attr_null (c, b, true) ])
-           target_cols)
-
-let requirements ~universe ~target_cols =
-  graph_requirements ~universe
-  @ filter_requirements ~universe
-  @ correspondence_requirements ~universe ~target_cols
+  List.filter
+    (function Attr_null _ -> true | Cover _ | Polarity _ -> false)
+    (requirements ~universe ~target_cols)
 
 let missing ~universe ~target_cols illustration =
   requirements ~universe ~target_cols

@@ -27,9 +27,6 @@ let create ctx ?(label = "initial") m =
   in
   { ctx; entries = [ entry ]; active_id = 0; next_id = 1 }
 
-(* Deprecated shim.  Note it still builds a persistent *caching* context:
-   a workspace is exactly the interactive session the memo cache exists
-   for (offer/rotate/confirm re-evaluate overlapping graphs constantly). *)
 let ctx t = t.ctx
 let db t = Eval_ctx.db t.ctx
 let kb t = Eval_ctx.kb t.ctx

@@ -75,12 +75,11 @@ let dedup_assocs assocs =
    parity.  Equal tuples imply equal coverage (a padded tuple's null
    pattern determines its category because source relations have no
    all-null tuples), so the order is total on deduplicated results. *)
-let canonical_order assocs =
-  List.sort
-    (fun (a : Assoc.t) (b : Assoc.t) ->
-      let c = Tuple.compare a.Assoc.tuple b.Assoc.tuple in
-      if c <> 0 then c else Coverage.compare a.Assoc.coverage b.Assoc.coverage)
-    assocs
+let compare_assoc (a : Assoc.t) (b : Assoc.t) =
+  let c = Tuple.compare a.Assoc.tuple b.Assoc.tuple in
+  if c <> 0 then c else Coverage.compare a.Assoc.coverage b.Assoc.coverage
+
+let canonical_order assocs = List.sort compare_assoc assocs
 
 let naive src g =
   Obs.with_span ~attrs:[ ("algorithm", "naive") ] Obs.Names.sp_fulldisj
@@ -160,10 +159,13 @@ let compute src g =
 (* Incremental repair: after an insert-only database update, D(G)'s new
    possible associations all come from categories containing an alias over
    a touched base.  Each such category contributes its delta join (padded,
-   coverage-tagged); the batch is deduplicated against itself and against
-   the old result (equal tuples carry equal coverage, see
-   [canonical_order]), then min-union-merged into the old associations —
-   old-vs-old subsumption is never re-checked. *)
+   coverage-tagged; categories have distinct null patterns, so the batch
+   is a set), which [Min_union.merge_keep_flags] merges into the old
+   associations in one pass over them: old-vs-old subsumption is never
+   re-checked, and a batch tuple equal to an old one is dropped there
+   (equal tuples carry equal coverage, see [canonical_order]).  The
+   survivors of the old result are still in canonical order, so the
+   sorted survivors of the batch merge into them linearly. *)
 let delta src g ~old ~changed =
   Obs.with_span ~attrs:[ ("algorithm", "delta") ] Obs.Names.sp_fulldisj
     (fun () ->
@@ -186,42 +188,50 @@ let delta src g ~old ~changed =
             (Coverage.of_list aliases, Relation.tuples padded))
           subsets
       in
-      let old_arr = Array.of_list old.associations in
-      let seen = Relation.Tuple_tbl.create (Array.length old_arr) in
-      Array.iter (fun (a : Assoc.t) -> Relation.Tuple_tbl.replace seen a.Assoc.tuple ()) old_arr;
-      let fresh =
+      let batch =
         List.concat_map
-          (fun (cov, tuples) ->
-            List.filter_map
-              (fun t ->
-                if Relation.Tuple_tbl.mem seen t then None
-                else begin
-                  Relation.Tuple_tbl.replace seen t ();
-                  Some (Assoc.make t cov)
-                end)
-              tuples)
+          (fun (cov, tuples) -> List.map (fun t -> Assoc.make t cov) tuples)
           per_category
       in
+      let old_arr = Array.of_list old.associations in
+      let tuples assocs = Array.map (fun (a : Assoc.t) -> a.Assoc.tuple) assocs in
+      let base_keep, batch_keep =
+        Min_union.merge_keep_flags ?pool:(Source.pool src)
+          ~base:(tuples old_arr) (tuples (Array.of_list batch))
+      in
+      let added =
+        Array.of_list (List.filteri (fun j _ -> batch_keep.(j)) batch)
+      in
       let associations =
-        if fresh = [] then old.associations
+        if Array.length added = 0 && Array.for_all Fun.id base_keep then
+          old.associations
         else begin
-          let delta_arr = Array.of_list fresh in
-          let base = Array.map (fun (a : Assoc.t) -> a.Assoc.tuple) old_arr in
-          let dtuples = Array.map (fun (a : Assoc.t) -> a.Assoc.tuple) delta_arr in
-          let base_keep, delta_keep =
-            Min_union.merge_keep_flags ?pool:(Source.pool src) ~base dtuples
-          in
-          let out = ref [] in
-          Array.iteri (fun i a -> if base_keep.(i) then out := a :: !out) old_arr;
-          Array.iteri (fun j a -> if delta_keep.(j) then out := a :: !out) delta_arr;
-          if Obs.enabled () then begin
-            Obs.add Obs.Names.assoc_considered
-              (Array.length old_arr + Array.length delta_arr);
-            Obs.add Obs.Names.assoc_kept (List.length !out)
-          end;
-          canonical_order !out
+          Array.sort compare_assoc added;
+          (* Merge from the back, so the list is built by consing. *)
+          let out = ref [] and i = ref (Array.length old_arr - 1)
+          and j = ref (Array.length added - 1) in
+          while !i >= 0 || !j >= 0 do
+            if !i >= 0 && not base_keep.(!i) then decr i
+            else if
+              !j < 0
+              || (!i >= 0 && compare_assoc old_arr.(!i) added.(!j) > 0)
+            then begin
+              out := old_arr.(!i) :: !out;
+              decr i
+            end
+            else begin
+              out := added.(!j) :: !out;
+              decr j
+            end
+          done;
+          !out
         end
       in
+      if Obs.enabled () && batch <> [] then begin
+        Obs.add Obs.Names.assoc_considered
+          (Array.length old_arr + Array.length batch_keep);
+        Obs.add Obs.Names.assoc_kept (List.length associations)
+      end;
       { scheme; node_positions; associations })
 
 (* Every algorithm above emits a set under [Tuple.equal] (categories are

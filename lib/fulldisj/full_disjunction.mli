@@ -34,9 +34,10 @@ val compute : Source.t -> Qgraph.t -> result
     maps each touched base-relation name to its inserted tuples; [src]
     must resolve to the post-update relations.  Only categories containing
     an alias over a touched base are (delta-)joined; their new tuples are
-    merged into [old] with {!Min_union.merge_keep_flags}.  Equivalent to
-    running {!compute} from scratch at the new instance — byte-identical,
-    thanks to the canonical association order. *)
+    merged into [old] with {!Min_union.merge_keep_flags}, and the sorted
+    survivors of both merge linearly.  Equivalent to running {!compute}
+    from scratch at the new instance — byte-identical, thanks to the
+    canonical association order, which [old] must already be in. *)
 val delta :
   Source.t ->
   Qgraph.t ->

@@ -86,92 +86,195 @@ let remove_subsumed_indexed ?pool ~selective tuples =
       in
       Array.to_list arr |> List.filteri (fun id _ -> keep.(id))
 
-(* Merge a small already-deduplicated batch into a mutually-minimal base
-   without re-minimizing everything.  Because the base is minimal, a base
-   tuple can only be newly subsumed by a *delta* tuple, so base tuples
-   probe an index over the delta side alone (|Δ| buckets); delta tuples
-   must survive both sides, so they probe the base index and the delta
-   index at their most selective non-null column.  Index construction is
-   one hashing pass per side; no base-vs-base subsumption check is ever
-   re-run. *)
+(* Incremental repair: merge a batch [delta] into a mutually minimal
+   [base] in one chunked pass over the base that probes only tables built
+   from the delta side.  Their size is O(|Δ|); nothing is indexed per base
+   row and no base-vs-base check is re-run.
+
+   A row's null pattern is folded into an int, bit [p mod fold_bits] per
+   non-null column, and paired with its exact non-null count.  Row [d] can
+   strictly subsume row [b] only if [mask b ⊆ mask d] and
+   [count d > count b]; [b] can subsume or equal [d] only if
+   [mask d ⊆ mask b] and [count d <= count b].  Up to [fold_bits] columns
+   the fold is the null pattern itself; beyond, it is a sound prefilter.
+   A batch takes few distinct patterns (about one per touched category),
+   so every base row tests them all before it probes anything:
+
+   - A base row is dropped when some delta row strictly subsumes it.  It
+     looks up its non-null cells in the per-column delta index, stops at
+     the first value no delta row carries, and checks the smallest bucket.
+   - In the same pass it marks every delta row it subsumes or equals.
+     Each delta row is filed under one probe column, so a base row finds
+     each such delta row exactly once, by one lookup per probe column.
+     A delta row equal to a base row is found this way, so the batch need
+     not be deduplicated against the base.
+   - A delta row survives the other delta rows when none strictly
+     subsumes it and no earlier one equals it. *)
+let fold_bits = Col_ops.mask_arity_limit
+
+let null_pattern t =
+  let m = ref 0 in
+  for p = 0 to Array.length t - 1 do
+    if not (Value.is_null t.(p)) then m := !m lor (1 lsl (p mod fold_bits))
+  done;
+  !m
+
+let nonnull_count t =
+  let c = ref 0 in
+  for p = 0 to Array.length t - 1 do
+    if not (Value.is_null t.(p)) then incr c
+  done;
+  !c
+
+(* Some pattern [k] with [mask ⊆ masks.(k)] and [counts.(k) > count]. *)
+let rec some_strict_superset masks counts mask count k =
+  k < Array.length masks
+  && ((mask land lnot masks.(k) = 0 && counts.(k) > count)
+     || some_strict_superset masks counts mask count (k + 1))
+
+(* Some pattern [k] with [masks.(k) ⊆ mask] and [counts.(k) <= count]. *)
+let rec some_subset masks counts mask count k =
+  k < Array.length masks
+  && ((masks.(k) land lnot mask = 0 && counts.(k) <= count)
+     || some_subset masks counts mask count (k + 1))
+
+(* One table per column: value -> ids of the rows filed there (under each
+   column [columns_of] lists), in row order. *)
+let bucket_tables arity rows columns_of =
+  let lists = Array.init arity (fun _ -> Value.Table.create 16) in
+  Array.iteri
+    (fun j t ->
+      List.iter
+        (fun p ->
+          let tbl = lists.(p) in
+          Value.Table.replace tbl t.(p)
+            (j :: Option.value (Value.Table.find_opt tbl t.(p)) ~default:[]))
+        (columns_of t))
+    rows;
+  Array.map
+    (fun tbl ->
+      let out = Value.Table.create (Value.Table.length tbl) in
+      Value.Table.iter
+        (fun v ids -> Value.Table.replace out v (Array.of_list (List.rev ids)))
+        tbl;
+      out)
+    lists
+
 let merge_keep_flags ?pool ~base delta =
   let nb = Array.length base and nd = Array.length delta in
   if nd = 0 then (Array.make nb true, [||])
   else begin
     let counting = Obs.enabled () in
-    let arity =
-      Tuple.arity (if nb > 0 then base.(0) else delta.(0))
+    let arity = Tuple.arity delta.(0) in
+    let dmask = Array.map null_pattern delta in
+    let dcount = Array.map nonnull_count delta in
+    let patterns = Hashtbl.create 8 in
+    Array.iteri (fun j m -> Hashtbl.replace patterns (m, dcount.(j)) ()) dmask;
+    let pmask = Array.make (Hashtbl.length patterns) 0 in
+    let pcount = Array.make (Hashtbl.length patterns) 0 in
+    Seq.iteri
+      (fun k (m, c) ->
+        pmask.(k) <- m;
+        pcount.(k) <- c)
+      (Hashtbl.to_seq_keys patterns);
+    let nonnull_columns t =
+      List.filter (fun p -> not (Value.is_null t.(p))) (List.init arity Fun.id)
     in
-    let build arr =
-      let index = Array.init arity (fun _ -> Value.Table.create 64) in
-      let counts = Array.init arity (fun _ -> Value.Table.create 64) in
-      Array.iteri
-        (fun id t ->
-          for p = 0 to arity - 1 do
-            if not (Value.is_null t.(p)) then begin
-              Value.Table.add index.(p) t.(p) id;
-              Value.Table.replace counts.(p) t.(p)
-                (1 + Option.value (Value.Table.find_opt counts.(p) t.(p)) ~default:0)
-            end
-          done)
-        arr;
-      (index, counts)
+    let index = bucket_tables arity delta nonnull_columns in
+    (* Each delta row is filed under its first non-null column.  The rows
+       of a one-relation insert all start with that relation's columns,
+       so they share one probe column. *)
+    let filed =
+      bucket_tables arity delta (fun t ->
+          match nonnull_columns t with [] -> [] | p :: _ -> [ p ])
     in
-    let base_index, base_counts = build base in
-    let delta_index, delta_counts = build delta in
-    let count_at counts p v =
-      Option.value (Value.Table.find_opt counts.(p) v) ~default:0
+    let filed_cols =
+      Array.of_list
+        (List.filter
+           (fun p -> Value.Table.length filed.(p) > 0)
+           (List.init arity Fun.id))
     in
-    (* Most selective non-null column of [t] under the given sizing; -1 for
-       an all-null tuple (subsumed by any other tuple, as in the indexed
-       sweep). *)
-    let probe_position sizes t =
-      let best = ref (-1) and best_count = ref max_int in
-      for p = 0 to arity - 1 do
-        if not (Value.is_null t.(p)) then begin
-          let c = sizes p t.(p) in
-          if c < !best_count then begin
-            best := p;
-            best_count := c
-          end
-        end
+    (* The smallest delta bucket over [t]'s non-null cells; empty as soon
+       as one of them holds a value no delta row has there. *)
+    let candidates t =
+      if counting then Obs.Counter.bump Obs.Names.index_probes;
+      let best = ref [||] and best_len = ref max_int and p = ref 0 in
+      while !p < arity do
+        let v = t.(!p) in
+        (if not (Value.is_null v) then
+           match Value.Table.find_opt index.(!p) v with
+           | None ->
+               best := [||];
+               p := arity
+           | Some bucket ->
+               if Array.length bucket < !best_len then begin
+                 best := bucket;
+                 best_len := Array.length bucket
+               end);
+        incr p
       done;
       !best
     in
-    let subsumer_in index arr ~skip p t =
-      if counting then Obs.Counter.bump Obs.Names.index_probes;
-      Value.Table.find_all index.(p) t.(p)
-      |> List.exists (fun oid ->
-             oid <> skip
-             &&
-             (if counting then Obs.Counter.bump Obs.Names.subsumption_checks;
-              Tuple.strictly_subsumes arr.(oid) t))
+    let checked () =
+      if counting then Obs.Counter.bump Obs.Names.subsumption_checks
     in
+    (* Written by every chunk of the pass below.  Each write stores
+       [true], and the pool's batch join publishes them to the caller. *)
+    let covered = Array.make nd false in
     let base_kept i =
-      let t = base.(i) in
-      match probe_position (fun p v -> count_at delta_counts p v) t with
-      | -1 -> nd = 0
-      | p -> not (subsumer_in delta_index delta ~skip:(-1) p t)
+      let b = base.(i) in
+      let mask = null_pattern b and count = nonnull_count b in
+      if some_subset pmask pcount mask count 0 then
+        for k = 0 to Array.length filed_cols - 1 do
+          let q = filed_cols.(k) in
+          if not (Value.is_null b.(q)) then
+            match Value.Table.find_opt filed.(q) b.(q) with
+            | None -> ()
+            | Some bucket ->
+                for x = 0 to Array.length bucket - 1 do
+                  let j = bucket.(x) in
+                  checked ();
+                  if dmask.(j) land lnot mask = 0
+                     && dcount.(j) <= count
+                     && Tuple.subsumes b delta.(j)
+                  then covered.(j) <- true
+                done
+        done;
+      (* An all-null base row is strictly subsumed by any non-null row. *)
+      not
+        (some_strict_superset pmask pcount mask count 0
+        && (count = 0
+           || Array.exists
+                (fun j ->
+                  checked ();
+                  dcount.(j) > count
+                  && mask land lnot dmask.(j) = 0
+                  && Tuple.subsumes delta.(j) b)
+                (candidates b)))
     in
+    (* Base rows subsume any all-null delta row, and so does any other
+       delta row; a batch of nothing but all-null rows keeps its first. *)
+    let all_empty = Array.for_all (fun c -> c = 0) dcount in
     let delta_kept j =
-      let t = delta.(j) in
-      match
-        probe_position
-          (fun p v -> count_at base_counts p v + count_at delta_counts p v)
-          t
-      with
-      | -1 -> nb + nd <= 1
-      | p ->
-          (not (subsumer_in base_index base ~skip:(-1) p t))
-          && not (subsumer_in delta_index delta ~skip:j p t)
+      let d = delta.(j) and count = dcount.(j) in
+      if count = 0 then nb = 0 && all_empty && j = 0
+      else
+        not
+          (Array.exists
+             (fun k ->
+               k <> j
+               && (checked ();
+                   (dcount.(k) > count || (dcount.(k) = count && k < j))
+                   && dmask.(j) land lnot dmask.(k) = 0
+                   && Tuple.subsumes delta.(k) d))
+             (candidates d))
     in
-    (* One chunked pass over base ++ delta; the checks only read the
-       indexes, so they parallelize exactly like the full sweep. *)
     let keep =
       Par.init ?pool (nb + nd) (fun i ->
           if i < nb then base_kept i else delta_kept (i - nb))
     in
-    (Array.sub keep 0 nb, Array.sub keep nb nd)
+    ( Array.sub keep 0 nb,
+      Array.init nd (fun j -> keep.(nb + j) && not covered.(j)) )
   end
 
 let merge_minimal ?pool rel delta_tuples =
@@ -183,25 +286,11 @@ let merge_minimal ?pool rel delta_tuples =
         invalid_arg "Min_union.merge_minimal: delta tuple arity mismatch")
     delta_tuples;
   let base = Relation.tuples_array rel in
-  (* Set semantics first: drop delta tuples already present in the base or
-     duplicated within the batch.  Equal tuples carry equal information, so
-     this never loses a subsumption witness. *)
-  let seen = Relation.Tuple_tbl.create (Array.length base) in
-  Array.iter (fun t -> Relation.Tuple_tbl.replace seen t ()) base;
-  let fresh =
-    List.filter
-      (fun t ->
-        if Relation.Tuple_tbl.mem seen t then false
-        else begin
-          Relation.Tuple_tbl.replace seen t ();
-          true
-        end)
-      delta_tuples
-  in
-  if fresh = [] then rel
+  let delta = Array.of_list delta_tuples in
+  let base_keep, delta_keep = merge_keep_flags ?pool ~base delta in
+  if Array.for_all Fun.id base_keep && not (Array.exists Fun.id delta_keep)
+  then rel
   else begin
-    let delta = Array.of_list fresh in
-    let base_keep, delta_keep = merge_keep_flags ?pool ~base delta in
     let out = ref [] in
     for j = Array.length delta - 1 downto 0 do
       if delta_keep.(j) then out := delta.(j) :: !out
@@ -213,7 +302,8 @@ let merge_minimal ?pool rel delta_tuples =
       Obs.add Obs.Names.assoc_considered (Array.length base + Array.length delta);
       Obs.add Obs.Names.assoc_kept (List.length !out)
     end;
-    Relation.create ~allow_all_null:true (Relation.name rel) schema !out
+    Relation.create ~dedup:false ~allow_all_null:true (Relation.name rel) schema
+      !out
   end
 
 let remove_subsumed ?pool tuples = remove_subsumed_indexed ?pool ~selective:true tuples

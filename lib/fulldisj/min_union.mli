@@ -24,13 +24,15 @@ val remove_subsumed : ?pool:Par.Pool.t -> Tuple.t list -> Tuple.t list
 val remove_subsumed_first_probe : Tuple.t list -> Tuple.t list
 
 (** [merge_keep_flags ?pool ~base delta] — keep flags for merging a
-    deduplicated batch [delta] (disjoint from [base]) into a mutually
-    minimal [base]: a base tuple survives unless some delta tuple
-    strictly subsumes it; a delta tuple survives unless some base or
-    other delta tuple strictly subsumes it.  Base-vs-base checks are
-    never re-run, which is what makes incremental D(G) repair cheaper
-    than re-minimizing.  [?pool] chunks the checks as in
-    {!remove_subsumed}. *)
+    batch [delta] into a mutually minimal [base]: a base tuple survives
+    unless some delta tuple strictly subsumes it; a delta tuple survives
+    unless a base tuple subsumes or equals it, another delta tuple
+    strictly subsumes it, or an earlier delta tuple equals it.  So the
+    batch may repeat itself and the base.  One chunked pass over [base]
+    probes only tables built from [delta], and base-vs-base checks are
+    never re-run: the cost is one pass over the base plus work in the
+    size of the batch.  [?pool] chunks the pass as in
+    {!remove_subsumed}; the flags are identical either way. *)
 val merge_keep_flags :
   ?pool:Par.Pool.t ->
   base:Tuple.t array ->
@@ -38,11 +40,11 @@ val merge_keep_flags :
   bool array * bool array
 
 (** [merge_minimal ?pool rel batch] — minimum union of an already minimal
-    relation with a batch of candidate tuples, via {!merge_keep_flags}.
-    Batch tuples equal to existing ones (or to each other) are dropped
-    first.  Equivalent to re-minimizing [rel]'s tuples together with the
-    batch, assuming [rel] was minimal.  Raises [Invalid_argument] on an
-    arity mismatch. *)
+    relation with a batch of candidate tuples, via {!merge_keep_flags}:
+    [rel]'s surviving tuples, then the batch's, in their orders.  [rel]
+    itself when the batch changes nothing.  Equivalent to re-minimizing
+    [rel]'s tuples together with the batch, assuming [rel] was minimal.
+    Raises [Invalid_argument] on an arity mismatch. *)
 val merge_minimal : ?pool:Par.Pool.t -> Relation.t -> Tuple.t list -> Relation.t
 
 (** [sweep ?pool rel] — [rel] minus its strictly subsumed rows, row order

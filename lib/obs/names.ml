@@ -122,6 +122,7 @@ let sp_oj_plan = "outerjoin.plan"
 let sp_oj_join = "outerjoin.join"
 let sp_oj_sweep = "outerjoin.sweep"
 let sp_illustration_select = "illustration.select"
+let sp_evolve = "evolution.evolve"
 let sp_chase = "op_chase.chase"
 let sp_walk = "op_walk.data_walk"
 let sp_explain = "explain.of_target_tuple"

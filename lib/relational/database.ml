@@ -144,8 +144,10 @@ let insert_tuples t name tuples =
   in
   if fresh = [] then t
   else begin
+    (* [fresh] is disjoint from the old rows and from itself, so the
+       union is already a set. *)
     let r =
-      Relation.create (Relation.name old_r) (Relation.schema old_r)
+      Relation.create ~dedup:false (Relation.name old_r) (Relation.schema old_r)
         (Relation.tuples old_r @ fresh)
     in
     let by_name = Hashtbl.copy t.by_name in

@@ -1,7 +1,9 @@
-(* Every table goes through [write]: each cell is converted to a string
-   once, column widths (in bytes) are taken as the cells are converted,
-   and the text is written into one buffer of exactly the right size.
-   The layout, with no trailing newline:
+(* Every table goes through [write], which takes column widths (in
+   bytes) from one measuring pass and writes the text into one buffer of
+   exactly the right size.  Cells are written in place: an int's digits
+   and a string's bytes go straight into the buffer, so rendering a
+   relation allocates nothing per cell.  The layout, with no trailing
+   newline:
 
      +-----+-----+
      | h1  | h2  |
@@ -13,25 +15,120 @@
    server's digest is the MD5 of [relation]'s text, so these bytes are a
    wire contract. *)
 
-let measure widths row =
-  Array.iteri
-    (fun i c ->
-      let l = String.length c in
-      if l > widths.(i) then widths.(i) <- l)
-    row
+(* How the rows of one table yield their cells: how many a row has, how
+   wide cell [i] is, and how to write it at a buffer position ([put]
+   returns the bytes written, which is the cell's width). *)
+type 'row cells = {
+  count : 'row -> int;
+  width : 'row -> int -> int;
+  put : Bytes.t -> int -> 'row -> int -> int;
+}
 
-(* Convert every row with [cells] and widen [widths] in the same pass. *)
-let convert widths cells rows =
-  Array.map
-    (fun r ->
-      let row = cells r in
-      measure widths row;
-      row)
-    rows
+let put_string buf pos s =
+  Bytes.blit_string s 0 buf pos (String.length s);
+  String.length s
 
-(* [widths] holds each column's widest cell, header included. *)
-let write ?title ~widths header rows =
+let strings =
+  {
+    count = Array.length;
+    width = (fun r i -> String.length r.(i));
+    put = (fun buf pos r i -> put_string buf pos r.(i));
+  }
+
+(* Decimal digits of [i], sign included: [string_of_int]'s length. *)
+let int_width i =
+  let rec digits n = if n < 10 then 1 else if n < 100 then 2 else 2 + digits (n / 100) in
+  if i >= 0 then digits i
+  else if i = min_int then String.length (string_of_int min_int)
+  else 1 + digits (-i)
+
+let put_int buf pos i =
+  let w = int_width i in
+  (* Digits from the right, on the non-positive side, where [min_int]
+     fits too. *)
+  let n = ref (if i < 0 then i else -i) in
+  for k = pos + w - 1 downto pos + Bool.to_int (i < 0) do
+    Bytes.set buf k (Char.unsafe_chr (48 - (!n mod 10)));
+    n := !n / 10
+  done;
+  if i < 0 then Bytes.set buf pos '-';
+  w
+
+(* [Value.to_string]'s length and bytes; only floats go through it. *)
+let value_width (v : Value.t) =
+  match v with
+  | Null -> 4
+  | Int i -> int_width i
+  | String s -> String.length s
+  | Bool b -> if b then 4 else 5
+  | Float _ -> String.length (Value.to_string v)
+
+let put_value buf pos (v : Value.t) =
+  match v with
+  | Int i -> put_int buf pos i
+  | String s -> put_string buf pos s
+  | Null | Bool _ | Float _ -> put_string buf pos (Value.to_string v)
+
+let values =
+  {
+    count = Array.length;
+    width = (fun t i -> value_width t.(i));
+    put = (fun buf pos t i -> put_value buf pos t.(i));
+  }
+
+(* A leading annotation string, then the tuple's values. *)
+let annotated_cells =
+  {
+    count = (fun (_, t) -> Array.length t + 1);
+    width =
+      (fun (annot, t) i ->
+        if i = 0 then String.length annot else value_width t.(i - 1));
+    put =
+      (fun buf pos (annot, t) i ->
+        if i = 0 then put_string buf pos annot else put_value buf pos t.(i - 1));
+  }
+
+let pad buf pos n c =
+  for k = pos to pos + n - 1 do
+    Bytes.set buf k c
+  done;
+  pos + n
+
+(* One framed line at [pos], starting with its newline; returns the
+   position after it. *)
+let put_line cells widths buf pos row =
   let ncols = Array.length widths in
+  let n = cells.count row in
+  Bytes.set buf pos '\n';
+  Bytes.set buf (pos + 1) '|';
+  let pos = ref (pos + 2) in
+  for i = 0 to ncols - 1 do
+    Bytes.set buf !pos ' ';
+    let w = if i < n then cells.put buf (!pos + 1) row i else 0 in
+    pos := pad buf (!pos + 1 + w) (widths.(i) - w + 1) ' ';
+    Bytes.set buf !pos '|';
+    incr pos
+  done;
+  if ncols = 0 then begin
+    let p = pad buf !pos 2 ' ' in
+    Bytes.set buf p '|';
+    p + 1
+  end
+  else !pos
+
+let write ?title cells header rows =
+  let ncols =
+    Array.fold_left (fun m r -> max m (cells.count r)) (Array.length header) rows
+  in
+  let widths = Array.make ncols 0 in
+  Array.iteri (fun i h -> widths.(i) <- String.length h) header;
+  Array.iter
+    (fun r ->
+      for i = 0 to cells.count r - 1 do
+        let w = cells.width r i in
+        if w > widths.(i) then widths.(i) <- w
+      done)
+    rows;
   let inner = Array.fold_left ( + ) 0 widths + (3 * ncols) + 1 in
   let line_len = if ncols = 0 then 4 else inner in
   let sep_len = if ncols = 0 then 2 else inner in
@@ -43,71 +140,48 @@ let write ?title ~widths header rows =
     Bytes.create
       (title_len + (3 * sep_len) + ((nrows + 1) * line_len) + nrows + 3)
   in
-  let pos = ref 0 in
-  let char c =
-    Bytes.set buf !pos c;
-    incr pos
+  let pos =
+    match title with
+    | None -> 0
+    | Some s ->
+        let p = put_string buf 0 s in
+        Bytes.set buf p '\n';
+        p + 1
   in
-  let string s =
-    Bytes.blit_string s 0 buf !pos (String.length s);
-    pos := !pos + String.length s
+  let sep_at = pos in
+  Bytes.set buf pos '+';
+  let pos =
+    Array.fold_left
+      (fun pos w ->
+        let pos = pad buf pos (w + 2) '-' in
+        Bytes.set buf pos '+';
+        pos + 1)
+      (pos + 1) widths
   in
-  let fill n c =
-    Bytes.fill buf !pos n c;
-    pos := !pos + n
+  let pos =
+    if ncols = 0 then begin
+      Bytes.set buf pos '+';
+      pos + 1
+    end
+    else pos
   in
-  Option.iter
-    (fun s ->
-      string s;
-      char '\n')
-    title;
-  let sep_at = !pos in
-  char '+';
-  Array.iter
-    (fun w ->
-      fill (w + 2) '-';
-      char '+')
-    widths;
-  if ncols = 0 then char '+';
-  let sep () =
-    Bytes.blit buf sep_at buf !pos sep_len;
-    pos := !pos + sep_len
+  let sep pos =
+    Bytes.set buf pos '\n';
+    Bytes.blit buf sep_at buf (pos + 1) sep_len;
+    pos + 1 + sep_len
   in
-  let line row =
-    char '\n';
-    char '|';
-    let n = Array.length row in
-    Array.iteri
-      (fun i w ->
-        char ' ';
-        let c = if i < n then row.(i) else "" in
-        string c;
-        fill (w - String.length c + 1) ' ';
-        char '|')
-      widths;
-    if ncols = 0 then string "  |"
-  in
-  line header;
-  char '\n';
-  sep ();
-  Array.iter line rows;
-  char '\n';
-  sep ();
-  assert (!pos = Bytes.length buf);
+  let pos = sep (put_line strings widths buf pos header) in
+  let pos = ref pos in
+  for r = 0 to nrows - 1 do
+    pos := put_line cells widths buf !pos rows.(r)
+  done;
+  let pos = sep !pos in
+  assert (pos = Bytes.length buf);
   Bytes.unsafe_to_string buf
 
 let table ~header rows =
-  let header = Array.of_list header in
-  let rows = Array.of_list (List.map Array.of_list rows) in
-  let ncols =
-    Array.fold_left
-      (fun m r -> max m (Array.length r))
-      (Array.length header) rows
-  in
-  let widths = Array.make ncols 0 in
-  measure widths header;
-  Array.iter (measure widths) rows;
-  write ~widths header rows
+  write strings (Array.of_list header)
+    (Array.of_list (List.map Array.of_list rows))
 
 let headers_of ?qualified schema =
   let multi = List.length (Schema.rels schema) > 1 in
@@ -117,28 +191,13 @@ let headers_of ?qualified schema =
     (Schema.attrs schema)
 
 let relation ?qualified r =
-  let header = headers_of ?qualified (Relation.schema r) in
-  let widths = Array.map String.length header in
-  let rows =
-    convert widths (Array.map Value.to_string) (Relation.tuples_array r)
-  in
-  write ~title:(Relation.name r) ~widths header rows
+  write ~title:(Relation.name r) values
+    (headers_of ?qualified (Relation.schema r))
+    (Relation.tuples_array r)
 
 let digest r = Digest.to_hex (Digest.string (relation r))
 
 let annotated ?qualified ~annot_header rows schema =
-  let header = Array.append [| annot_header |] (headers_of ?qualified schema) in
-  let rows = Array.of_list rows in
-  let ncols =
-    Array.fold_left
-      (fun m (_, t) -> max m (Array.length t + 1))
-      (Array.length header) rows
-  in
-  let widths = Array.make ncols 0 in
-  measure widths header;
-  let cells (annot, t) =
-    Array.init
-      (Array.length t + 1)
-      (fun i -> if i = 0 then annot else Value.to_string t.(i - 1))
-  in
-  write ~widths header (convert widths cells rows)
+  write annotated_cells
+    (Array.append [| annot_header |] (headers_of ?qualified schema))
+    (Array.of_list rows)

@@ -1,7 +1,8 @@
 (** Plain-text table rendering — the reproduction's stand-in for Clio's GUI
     workspaces and target viewer.  All three entry points share one
-    single-pass writer that sizes its output exactly before filling it;
-    column widths are measured in bytes. *)
+    writer that measures column widths (in bytes) in one pass and fills
+    an exactly sized buffer in a second; values are written in place, so
+    rendering allocates nothing per cell. *)
 
 (** Render a relation as an aligned ASCII table.  [qualified] controls
     whether headers show ["Rel.col"] or just ["col"] (default: qualified

@@ -167,19 +167,45 @@ let test_merge_minimal_noop () =
   let same = Min_union.merge_minimal base [ Tuple.make [ v_int 1 ] ] in
   Alcotest.(check bool) "all-duplicate batch returns the base" true (base == same)
 
+(* Base and batch share one arity (merge_minimal validates it).  Batch
+   rows are drawn to hit every repair case: fresh rows; copies of base
+   rows; base rows with nulls filled in (they subsume a base row) or with
+   cells nulled out (a base row subsumes them); and repeats within the
+   batch.  Batches run up to twice the largest base. *)
 let merge_gen =
-  (* Base and batch must share one arity (merge_minimal validates it). *)
   QCheck2.Gen.(
-    let* arity = int_range 1 4 in
+    (* Sometimes wider than an int bitmask, where null patterns fold. *)
+    let* arity = frequency [ (9, int_range 1 4); (1, int_range 60 70) ] in
     let value_gen =
       frequency [ (1, return Value.Null); (3, map (fun i -> Value.Int i) (int_range 0 3)) ]
     in
-    let tuples_gen =
-      let* rows = int_range 0 40 in
-      list_repeat rows (map Array.of_list (list_repeat arity value_gen))
+    let tuple_gen = map Array.of_list (list_repeat arity value_gen) in
+    let* base = list_size (int_range 0 40) tuple_gen in
+    let from_base f =
+      match base with [] -> tuple_gen | _ -> oneofl base >>= f
     in
-    let* base = tuples_gen in
-    let* batch = tuples_gen in
+    let extend t =
+      map
+        (fun fills ->
+          Array.mapi (fun i v -> if Value.is_null v then fills.(i) else v) t)
+        (array_repeat arity value_gen)
+    in
+    let cut t =
+      map
+        (fun drops -> Array.mapi (fun i v -> if drops.(i) then Value.Null else v) t)
+        (array_repeat arity bool)
+    in
+    let row_gen =
+      frequency
+        [ (3, tuple_gen); (2, from_base return); (2, from_base extend); (2, from_base cut) ]
+    in
+    let* rows = list_size (int_range 0 80) row_gen in
+    let* repeats =
+      match rows with
+      | [] -> return []
+      | _ -> list_size (int_range 0 10) (oneofl rows)
+    in
+    let* batch = shuffle_l (rows @ repeats) in
     return (arity, base, batch))
 
 let sorted_tuples ts = List.sort Tuple.compare ts
@@ -474,6 +500,66 @@ let dg_instance_gen =
     in
     frequency [ (3, adversarial); (1, synth_tree) ])
 
+(* Inserts into some of the instance's relations, several rows each:
+   fresh rows, and copies of rows already there (re-inserts, which the
+   repair must absorb).  Each relation's rows in insertion order. *)
+let inserts_gen db =
+  QCheck2.Gen.(
+    let batch r =
+      let arity = Schema.arity (Relation.schema r) in
+      let fresh = map Tuple.make (list_repeat arity adversarial_value) in
+      let row =
+        match Relation.tuples r with
+        | [] -> fresh
+        | ts -> frequency [ (2, fresh); (1, oneofl ts) ]
+      in
+      let* touched = bool in
+      let* rows = list_size (int_range 1 4) row in
+      return
+        (if touched then
+           Some (Relation.name r, List.filter (fun t -> not (Tuple.all_null t)) rows)
+         else None)
+    in
+    map (List.filter_map Fun.id) (flatten_l (List.map batch (Database.relations db))))
+
+let prop_delta_equals_compute =
+  QCheck2.Test.make
+    ~name:"delta after inserts = compute from scratch: tuples, coverage and order"
+    ~count:300
+    ~print:(fun (db, g, changed) ->
+      String.concat "\n"
+        (Qgraph.to_string g
+         :: List.map (fun r -> Render.relation r) (Database.relations db)
+        @ List.map
+            (fun (n, rows) ->
+              n ^ " += " ^ String.concat "; " (List.map Tuple.to_string rows))
+            changed))
+    QCheck2.Gen.(
+      let* db, g = dg_instance_gen in
+      let* changed = inserts_gen db in
+      return (db, g, changed))
+    (fun (db, g, changed) ->
+      let old = Full_disjunction.compute (Source.of_db db) g in
+      let db' =
+        List.fold_left
+          (fun db (name, rows) -> Database.insert_tuples db name rows)
+          db changed
+      in
+      (* Each row as the database spells it: a row equal to one already
+         there (say Int 0 beside Float -0.) inserts nothing, so only an
+         exact re-insert may name it. *)
+      let changed =
+        List.map
+          (fun (name, rows) ->
+            let held = Relation.tuples (Database.get db' name) in
+            (name, List.map (fun t -> List.find (Tuple.equal t) held) rows))
+          changed
+      in
+      let src' = Source.of_db db' in
+      same_associations
+        (Full_disjunction.delta src' g ~old ~changed)
+        (Full_disjunction.compute src' g))
+
 let prop_compute_equals_naive =
   QCheck2.Test.make ~name:"compute = naive: tuples, coverage tags and order"
     ~count:300 dg_instance_gen (fun (db, g) ->
@@ -556,5 +642,6 @@ let () =
           prop_fd_is_minimal;
           prop_coverage_matches_nullness;
           prop_compute_equals_naive;
+          prop_delta_equals_compute;
         ];
     ]

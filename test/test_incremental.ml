@@ -8,8 +8,9 @@
    Properties: after random insert/replace sequences, evaluation through
    an incremental caching context is byte-identical to from-scratch
    evaluation — D(G) association lists (also checked against the naive
-   and outer-join oracles), F(J) tuple arrays, and rendered illustrations
-   — at jobs 1 and 4. *)
+   and outer-join oracles), F(J) tuple arrays, rendered illustrations,
+   and the illustrations [Workspace.add_tuples] evolves, against a
+   cache-less replay — at jobs 1 and 4. *)
 
 open Relational
 module Qgraph = Querygraph.Qgraph
@@ -230,11 +231,20 @@ let identity_mapping (inst : Synth.Gen_graph.instance) =
          aliases)
     ()
 
+(* A one-node mapping over the graph's first alias. *)
+let first_node (inst : Synth.Gen_graph.instance) =
+  let a = List.hd (Qgraph.aliases inst.Synth.Gen_graph.graph) in
+  Clio.Mapping.make
+    ~graph:(Qgraph.singleton ~alias:a ~base:(Qgraph.base_of inst.Synth.Gen_graph.graph a))
+    ~target:"T" ~target_cols:[ "c_" ^ a ]
+    ~correspondences:[ Clio.Correspondence.identity ("c_" ^ a) (Attr.make a "id") ]
+    ()
+
 (* Mutations: mostly insert-only steps (the repairable case), sometimes a
    duplicate insert (must be a version no-op) or a tuple removal (a
    Rewrite, forcing the fallback path).  [salt] keeps generated ids
    genuinely fresh across steps. *)
-let apply_op db (op, rel_idx, salt) =
+let mutation db (op, rel_idx, salt) =
   let rels = Database.relations db in
   let victim = List.nth rels (rel_idx mod List.length rels) in
   let name = Relation.name victim in
@@ -243,18 +253,23 @@ let apply_op db (op, rel_idx, salt) =
       let tuples =
         match Relation.tuples victim with [] -> [] | _ :: rest -> rest
       in
-      Database.replace db (Relation.create name (Relation.schema victim) tuples)
+      `Replace (Relation.create name (Relation.schema victim) tuples)
   | 4 -> (
       match Relation.tuples victim with
-      | [] -> db
-      | t :: _ -> Database.insert_tuples db name [ t ])
+      | [] -> `Insert (name, [])
+      | t :: _ -> `Insert (name, [ t ]))
   | _ ->
       let arity = Schema.arity (Relation.schema victim) in
       let fresh =
         Array.init arity (fun c ->
             if c = 0 then v_int (500_000 + salt) else v_int (salt mod 7))
       in
-      Database.insert_tuples db name [ fresh ]
+      `Insert (name, [ fresh ])
+
+let apply_mutation db = function
+  | `Replace r -> Database.replace db r
+  | `Insert (_, []) -> db
+  | `Insert (name, tuples) -> Database.insert_tuples db name tuples
 
 let parity_gen =
   QCheck2.Gen.(
@@ -300,20 +315,56 @@ let prop_incremental_equals_scratch =
             ~scheme:(scheme (Eval_ctx.data_associations scratch g))
             (Clio.illustrate (Eval_ctx.create ~no_cache:true ~kb:(Eval_ctx.kb ctx) db) m)
       in
-      (* Warm, mutate step by step, re-checking parity after every step. *)
+      (* Workspaces over the same inserts: one on an incremental caching
+         context, one replayed without a cache.  Two entries, so
+         [add_tuples] evolves more than the active illustration. *)
+      let workspace ctx =
+        let m0 = first_node inst in
+        Clio.Workspace.offer (Clio.Workspace.create ctx m0) [ m0; m ]
+      in
+      let same_illustrations ws replay =
+        List.equal
+          (fun (a : Clio.Workspace.entry) (b : Clio.Workspace.entry) ->
+            List.equal Clio.Example.equal a.Clio.Workspace.illustration
+              b.Clio.Workspace.illustration)
+          (Clio.Workspace.entries ws) (Clio.Workspace.entries replay)
+      in
+      let ws0 =
+        workspace
+          (Eval_ctx.create ~incremental:true ~jobs ~kb:inst.Synth.Gen_graph.kb
+             inst.Synth.Gen_graph.db)
+      in
+      let replay0 =
+        workspace
+          (Eval_ctx.create ~no_cache:true ~kb:inst.Synth.Gen_graph.kb
+             inst.Synth.Gen_graph.db)
+      in
+      (* Warm, mutate step by step, re-checking parity after every step.
+         The workspaces take the inserts only. *)
       check ctx0
-      && snd
-           (List.fold_left
-              (fun (ctx, ok) (op, rel_idx) ->
-                if not ok then (ctx, false)
-                else
-                  let salt = Database.version (Eval_ctx.db ctx) * 13 in
-                  let ctx =
-                    Eval_ctx.with_db ctx
-                      (apply_op (Eval_ctx.db ctx) (op, rel_idx, salt))
-                  in
-                  (ctx, check ctx))
-              (ctx0, true) ops))
+      && same_illustrations ws0 replay0
+      &&
+      let _, _, _, ok =
+        List.fold_left
+          (fun (ctx, ws, replay, ok) (op, rel_idx) ->
+            if not ok then (ctx, ws, replay, false)
+            else
+              let salt = Database.version (Eval_ctx.db ctx) * 13 in
+              let change = mutation (Eval_ctx.db ctx) (op, rel_idx, salt) in
+              let ctx =
+                Eval_ctx.with_db ctx (apply_mutation (Eval_ctx.db ctx) change)
+              in
+              let ws, replay =
+                match change with
+                | `Insert (name, tuples) ->
+                    ( Clio.Workspace.add_tuples ws name tuples,
+                      Clio.Workspace.add_tuples replay name tuples )
+                | `Replace _ -> (ws, replay)
+              in
+              (ctx, ws, replay, check ctx && same_illustrations ws replay))
+          (ctx0, ws0, replay0, true) ops
+      in
+      ok)
 
 (* --- property: D(G) results are already sets --- *)
 

@@ -227,6 +227,230 @@ let prop_evolve_sufficient_and_continuous =
           && Evolution.is_continuous (Eval_ctx.transient db) ~old_mapping:m0 ~old_illustration:old_ill
                ~new_mapping:new_m evolved)
 
+(* --- the hoisted continuation check = the projection-based one --- *)
+
+(* The definition the hoisted check replaced: project the new tuple onto
+   the old scheme, attribute by attribute, then test subsumption. *)
+let oracle_continues ~old_scheme ~new_scheme old_e new_e =
+  let positions =
+    Array.to_list (Schema.attrs old_scheme) |> List.map (Schema.index new_scheme)
+  in
+  let proj = Tuple.project new_e.Example.assoc.Fulldisj.Assoc.tuple positions in
+  Tuple.subsumes proj old_e.Example.assoc.Fulldisj.Assoc.tuple
+
+let oracle_evolve ctx ~old_scheme ~new_scheme ~old_illustration (new_m : Mapping.t) =
+  let universe = Mapping_eval.examples ctx new_m in
+  let seed =
+    List.filter_map
+      (fun old_e ->
+        match
+          List.filter (oracle_continues ~old_scheme ~new_scheme old_e) universe
+        with
+        | [] -> None
+        | c :: _ -> Some c)
+      old_illustration
+  in
+  let seed =
+    List.fold_left
+      (fun acc e -> if Illustration.mem e acc then acc else acc @ [ e ])
+      [] seed
+  in
+  Sufficiency.select ~seed ~universe ~target_cols:new_m.Mapping.target_cols ()
+
+let oracle_is_continuous ~old_scheme ~new_scheme ~old_illustration ~universe
+    illustration =
+  List.for_all
+    (fun old_e ->
+      let continues = oracle_continues ~old_scheme ~new_scheme old_e in
+      (not (List.exists continues universe))
+      || List.exists (fun e -> Illustration.mem e illustration && continues e) universe)
+    old_illustration
+
+let walk_gen =
+  QCheck2.Gen.(
+    let* params = instance_gen in
+    let* start = int_range 0 3 in
+    let* goal = int_range 0 3 in
+    return (params, start, goal))
+
+let prop_continuations_match_oracle =
+  QCheck2.Test.make
+    ~name:"continuations, evolve and is_continuous = projection oracle"
+    ~count:100 walk_gen (fun (params, start, goal) ->
+      let inst = make_instance params in
+      let db = inst.Synth.Gen_graph.db in
+      let aliases = Qgraph.aliases inst.Synth.Gen_graph.graph in
+      let pick i = List.nth aliases (i mod List.length aliases) in
+      let start = pick start and goal = pick goal in
+      let ctx = Eval_ctx.transient db in
+      let m0 =
+        Mapping.make
+          ~graph:(Qgraph.singleton ~alias:start ~base:start)
+          ~target:"T" ~target_cols:[ "x"; "y" ]
+          ~correspondences:[ Correspondence.identity "x" (Attr.make start "id") ]
+          ()
+      in
+      let old_exs = Mapping_eval.examples ctx m0 in
+      let old_ill = Clio.illustrate ctx m0 in
+      let lookup = Database.find db in
+      let old_scheme = Qgraph.scheme ~lookup m0.Mapping.graph in
+      Op_walk.walk_alternatives ~kb:inst.Synth.Gen_graph.kb m0 ~start ~goal
+        ~max_len:2 ()
+      |> List.for_all (fun (alt : Op_walk.alternative) ->
+             let new_m = alt.Op_walk.mapping in
+             let new_scheme = Qgraph.scheme ~lookup new_m.Mapping.graph in
+             let universe = Mapping_eval.examples ctx new_m in
+             let evolved =
+               Evolution.evolve ctx ~old_mapping:m0 ~old_illustration:old_ill new_m
+             in
+             List.for_all
+               (fun old_e ->
+                 List.equal ( == )
+                   (Evolution.continuations ~old_scheme ~new_scheme old_e universe)
+                   (List.filter
+                      (oracle_continues ~old_scheme ~new_scheme old_e)
+                      universe))
+               old_exs
+             && List.equal Example.equal evolved
+                  (oracle_evolve ctx ~old_scheme ~new_scheme
+                     ~old_illustration:old_ill new_m)
+             && List.for_all
+                  (fun ill ->
+                    Bool.equal
+                      (Evolution.is_continuous ctx ~old_mapping:m0
+                         ~old_illustration:old_exs ~new_mapping:new_m ill)
+                      (oracle_is_continuous ~old_scheme ~new_scheme
+                         ~old_illustration:old_exs ~universe ill))
+                  [ evolved; Clio.illustrate ctx new_m; [] ]))
+
+(* Old and new schemes over random attributes, the new one a shuffled
+   superset of the old; old examples and candidates with random nulls, so
+   a null the user saw may face any value. *)
+let continuation_gen =
+  QCheck2.Gen.(
+    let* old_arity = int_range 0 4 in
+    let* extra = int_range 0 3 in
+    let attrs = List.init (old_arity + extra) (fun i -> Attr.make "R" (Printf.sprintf "a%d" i)) in
+    let* new_attrs = shuffle_l attrs in
+    let value = frequency [ (1, return Value.Null); (3, map (fun i -> Value.Int i) (int_range 0 1)) ] in
+    let example arity =
+      let* cells = array_repeat arity value in
+      return
+        {
+          Example.assoc = Fulldisj.Assoc.make cells (Fulldisj.Coverage.singleton "R");
+          target_tuple = [||];
+          positive = true;
+        }
+    in
+    let* olds = list_size (int_range 1 4) (example old_arity) in
+    let* candidates = list_size (int_range 0 12) (example (old_arity + extra)) in
+    return
+      ( Schema.of_attrs (List.filteri (fun i _ -> i < old_arity) attrs),
+        Schema.of_attrs new_attrs,
+        olds,
+        candidates ))
+
+let prop_continues_match_oracle =
+  QCheck2.Test.make ~name:"continues = projection oracle on random tuples"
+    ~count:500 continuation_gen (fun (old_scheme, new_scheme, olds, candidates) ->
+      List.for_all
+        (fun old_e ->
+          List.equal ( == )
+            (Evolution.continuations ~old_scheme ~new_scheme old_e candidates)
+            (List.filter (oracle_continues ~old_scheme ~new_scheme old_e) candidates))
+        olds)
+
+(* --- one-pass sufficiency requirements = the three-pass definition --- *)
+
+let oracle_distinct_coverages universe =
+  let seen = Hashtbl.create 16 in
+  List.filter_map
+    (fun e ->
+      let key = Fulldisj.Coverage.to_list (Example.coverage e) in
+      if Hashtbl.mem seen key then None
+      else begin
+        Hashtbl.add seen key ();
+        Some (Example.coverage e)
+      end)
+    universe
+
+let oracle_satisfiable ~target_cols universe req =
+  List.exists (fun e -> Sufficiency.satisfies ~target_cols e req) universe
+
+let oracle_graph_requirements ~universe =
+  List.map (fun c -> Sufficiency.Cover c) (oracle_distinct_coverages universe)
+
+let oracle_filter_requirements ~universe =
+  oracle_distinct_coverages universe
+  |> List.concat_map (fun c ->
+         List.filter
+           (oracle_satisfiable ~target_cols:[] universe)
+           [ Sufficiency.Polarity (c, true); Sufficiency.Polarity (c, false) ])
+
+let oracle_correspondence_requirements ~universe ~target_cols =
+  oracle_distinct_coverages universe
+  |> List.concat_map (fun c ->
+         List.concat_map
+           (fun b ->
+             List.filter
+               (oracle_satisfiable ~target_cols universe)
+               [ Sufficiency.Attr_null (c, b, false); Sufficiency.Attr_null (c, b, true) ])
+           target_cols)
+
+let requirement_equal (a : Sufficiency.requirement) (b : Sufficiency.requirement) =
+  let open Sufficiency in
+  match (a, b) with
+  | Cover c, Cover d -> Fulldisj.Coverage.equal c d
+  | Polarity (c, p), Polarity (d, q) -> Fulldisj.Coverage.equal c d && Bool.equal p q
+  | Attr_null (c, x, n), Attr_null (d, y, m) ->
+      Fulldisj.Coverage.equal c d && String.equal x y && Bool.equal n m
+  | _ -> false
+
+(* Examples over a few aliases, coverages built in either order (equal
+   sets, different trees), target columns that may repeat. *)
+let universe_gen =
+  QCheck2.Gen.(
+    let* target_cols = list_size (int_range 0 4) (oneofl [ "a"; "b"; "c" ]) in
+    let ncols = List.length target_cols in
+    let example =
+      let* aliases = list_size (int_range 1 3) (oneofl [ "R"; "S"; "T" ]) in
+      let* reversed = bool in
+      let* positive = bool in
+      let* cells =
+        list_repeat ncols
+          (frequency [ (1, return Value.Null); (2, map (fun i -> Value.Int i) small_nat) ])
+      in
+      let coverage =
+        Fulldisj.Coverage.of_list (if reversed then List.rev aliases else aliases)
+      in
+      return
+        {
+          Example.assoc = Fulldisj.Assoc.make [||] coverage;
+          target_tuple = Array.of_list cells;
+          positive;
+        }
+    in
+    let* universe = list_size (int_range 0 30) example in
+    return (target_cols, universe))
+
+let prop_requirements_match_oracle =
+  QCheck2.Test.make ~name:"requirements = three-pass definition, order included"
+    ~count:300 universe_gen (fun (target_cols, universe) ->
+      List.equal requirement_equal
+        (Sufficiency.requirements ~universe ~target_cols)
+        (oracle_graph_requirements ~universe
+        @ oracle_filter_requirements ~universe
+        @ oracle_correspondence_requirements ~universe ~target_cols)
+      && List.equal requirement_equal
+           (Sufficiency.graph_requirements ~universe)
+           (oracle_graph_requirements ~universe)
+      && List.equal requirement_equal
+           (Sufficiency.filter_requirements ~universe)
+           (oracle_filter_requirements ~universe)
+      && List.equal requirement_equal
+           (Sufficiency.correspondence_requirements ~universe ~target_cols)
+           (oracle_correspondence_requirements ~universe ~target_cols))
+
 (* --- chase always yields valid mappings --- *)
 
 let prop_chase_mappings_valid =
@@ -311,5 +535,8 @@ let () =
           qtest prop_chase_mappings_valid;
           qtest prop_sampling_sound;
           qtest prop_mapping_io_roundtrips;
+          qtest prop_continuations_match_oracle;
+          qtest prop_continues_match_oracle;
+          qtest prop_requirements_match_oracle;
         ] );
     ]
