@@ -1246,7 +1246,7 @@ let run_counter_tables () =
     (workload_names "engine/");
   counter_table
     ~title:
-      "B15 — incremental maintenance: promotions vs fallbacks (example edits)"
+      "B15 — incremental maintenance: promotions (example edits)"
     ~columns:
       [
         ("delta.records", Obs.Names.delta_records);
@@ -1254,7 +1254,6 @@ let run_counter_tables () =
         ("promote.fj.rep", Obs.Names.cache_promote_fj_repaired);
         ("promote.dg.free", Obs.Names.cache_promote_dg_free);
         ("promote.dg.rep", Obs.Names.cache_promote_dg_repaired);
-        ("delta.fallbacks", Obs.Names.delta_fallbacks);
       ]
     (workload_names "engine/example-edit/");
   Printf.printf "engine/example-edit/workspace: %.0f minor words per edit\n\n"
@@ -1292,7 +1291,6 @@ let run_counter_tables () =
         ("cross.fj", Obs.Names.cache_promote_fj_cross_branch);
         ("cross.dg", Obs.Names.cache_promote_dg_cross_branch);
         ("promote.dg.free", Obs.Names.cache_promote_dg_free);
-        ("delta.fallbacks", Obs.Names.delta_fallbacks);
       ]
     (workload_names "version/restart/");
   (* B18 headline: both reboot arms must agree byte-for-byte on every

@@ -25,10 +25,8 @@
    GC allocation, environment — as JSON; default file metrics.json), and
    --no-cache (disable the engine's F(J)/D(G) memo cache — every context
    built downstream evaluates from scratch; the ablation switch used by
-   the benchmarks), --jobs N (evaluate fan-out points on a pool of N
-   domains; default 1, also settable via CLIO_JOBS), and
-   --history-limit N (changelog window for incremental cache
-   maintenance; default 32). *)
+   the benchmarks), and --jobs N (evaluate fan-out points on a pool of N
+   domains; default 1, also settable via CLIO_JOBS). *)
 
 open Relational
 open Cmdliner
@@ -47,7 +45,6 @@ type obs_opts = {
   no_cache : bool;
   no_incremental : bool;
   jobs : int option;
-  history_limit : int option;
 }
 
 let extract_obs_flags argv =
@@ -56,8 +53,7 @@ let extract_obs_flags argv =
   and metrics = ref None
   and no_cache = ref false
   and no_incremental = ref false
-  and jobs = ref None
-  and history_limit = ref None in
+  and jobs = ref None in
   let starts_with prefix s =
     String.length s >= String.length prefix
     && String.equal (String.sub s 0 (String.length prefix)) prefix
@@ -77,8 +73,6 @@ let extract_obs_flags argv =
      stays one-pass. *)
   let rec fuse_jobs = function
     | "--jobs" :: v :: rest -> ("--jobs=" ^ v) :: fuse_jobs rest
-    | "--history-limit" :: v :: rest ->
-        ("--history-limit=" ^ v) :: fuse_jobs rest
     | arg :: rest -> arg :: fuse_jobs rest
     | [] -> []
   in
@@ -121,15 +115,6 @@ let extract_obs_flags argv =
                  exit 124);
              false
            end
-           else if starts_with "--history-limit=" arg then begin
-             (match int_of_string_opt (value_of "--history-limit" arg) with
-             | Some n when n >= 1 -> history_limit := Some n
-             | Some _ | None ->
-                 Printf.eprintf
-                   "clio_cli: option '--history-limit': N must be >= 1\n";
-                 exit 124);
-             false
-           end
            else true)
   in
   ( Array.of_list keep,
@@ -140,7 +125,6 @@ let extract_obs_flags argv =
       no_cache = !no_cache;
       no_incremental = !no_incremental;
       jobs = !jobs;
-      history_limit = !history_limit;
     } )
 
 let database data_dir =
@@ -822,9 +806,6 @@ let () =
   if obs.no_cache then Clio.Eval_ctx.set_caching_default false;
   if obs.no_incremental then Clio.Eval_ctx.set_incremental_default false;
   (match obs.jobs with Some j -> Clio.Eval_ctx.set_jobs_default j | None -> ());
-  (match obs.history_limit with
-  | Some n -> Database.set_history_limit n
-  | None -> ());
   if obs.trace <> None || obs.stats || obs.metrics <> None then Obs.enable ();
   let man =
     [
@@ -847,23 +828,19 @@ let () =
          subcommand recomputes from scratch.  Useful for ablation and for \
          reproducing pre-cache timings.";
       `P
-        "$(b,--no-incremental) disables incremental cache maintenance: \
-         after a database edit, cache entries from earlier versions are \
-         recomputed from scratch instead of being promoted or repaired \
-         through the recorded delta chain.  The ablation switch behind \
-         bench B15.";
+        (Printf.sprintf
+           "$(b,--no-incremental) disables incremental cache maintenance: \
+            after a database edit, cache entries from earlier versions are \
+            recomputed from scratch instead of being promoted or repaired \
+            through the recorded delta chain (the last %d edits of each \
+            database).  The ablation switch behind bench B15."
+           Database.history_window);
       `P
         "$(b,--jobs=)$(i,N) evaluates fan-out points (per-subgraph joins, \
          walk/chase alternatives, subsumption sweeps, illustration \
          scoring) on a pool of $(i,N) domains (default 1 = sequential; \
          the $(b,CLIO_JOBS) environment variable sets the default).  \
          Results are identical to sequential evaluation.";
-      `P
-        "$(b,--history-limit=)$(i,N) keeps the last $(i,N) database \
-         versions of changelog history (default 32).  Edits older than \
-         the window force affected cache entries to recompute from \
-         scratch instead of replaying deltas; raise it for long replayed \
-         sessions, lower it to bound changelog memory.";
     ]
   in
   let info =

@@ -52,17 +52,24 @@ let tcp_arg =
 
 (* --- serve ------------------------------------------------------------- *)
 
-let serve_run socket tcp jobs workers queue history_limit no_cache cache_mb
-    store_dir metrics log log_level slow_ms exemplars exemplar_keep =
-  match address_of socket tcp with
-  | Error msg -> `Error (true, msg)
-  | Ok address when log = Some "" || metrics = Some "" ->
-      ignore address;
+let serve_run socket tcp jobs workers queue no_cache cache_mb store_dir
+    metrics log log_level slow_ms exemplars exemplar_keep =
+  let below_one =
+    List.find_opt
+      (fun (_, n) -> Option.fold ~none:false ~some:(fun n -> n < 1) n)
+      [
+        ("--jobs", jobs);
+        ("--workers", workers);
+        ("--queue", Some queue);
+        ("--cache-mb", cache_mb);
+      ]
+  in
+  match (address_of socket tcp, below_one) with
+  | Error msg, _ -> `Error (true, msg)
+  | Ok _, Some (flag, _) -> `Error (true, flag ^ " must be >= 1")
+  | Ok _, None when log = Some "" || metrics = Some "" ->
       `Error (true, "--log/--metrics need a non-empty filename")
-  | Ok address ->
-      (match history_limit with
-      | Some n -> Relational.Database.set_history_limit n
-      | None -> ());
+  | Ok address, None ->
       (* Any telemetry sink needs the Obs switch on: counters, spans and
          histograms are what the log lines, exemplars and scrapes show. *)
       if metrics <> None || log <> None || slow_ms <> None || exemplars <> None
@@ -192,15 +199,6 @@ let queue_arg =
           "Bound on queued requests; beyond it clients get an $(i,overloaded) \
            reply (backpressure) instead of a dropped connection.")
 
-let history_limit_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "history-limit" ] ~docv:"N"
-        ~doc:
-          "Size of the per-database changelog window the incremental engine \
-           promotes across (default 32).")
-
 let no_cache_arg =
   Arg.(
     value & flag
@@ -298,7 +296,7 @@ let serve_cmd =
     Term.(
       ret
         (const serve_run $ socket_arg $ tcp_arg $ jobs_arg $ workers_arg
-       $ queue_arg $ history_limit_arg $ no_cache_arg $ cache_mb_arg
+       $ queue_arg $ no_cache_arg $ cache_mb_arg
        $ store_dir_arg $ metrics_arg $ log_arg $ log_level_arg $ slow_ms_arg
        $ exemplars_arg $ exemplar_keep_arg))
 

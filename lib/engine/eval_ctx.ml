@@ -81,70 +81,7 @@ let with_branch_root t v = { t with branch_root = Some v }
 
 let base_source t = Source.of_db t.db
 
-(* --- promotion through the delta chain --------------------------------- *)
-
-(* On a miss at the current version, walk the database's recorded history
-   newest-first looking for the same key at an ancestor version.  Along the
-   walk we fold the steps into (a) the cumulative inserted tuples per
-   relation and (b) the set of poisoned relations (rewritten non-insert-only).
-   A [New_relation] step is a no-op here: a graph mentioning the new
-   relation cannot have cache entries at versions before it existed, so
-   deeper peeks just miss.  Poisoning only grows as the walk deepens, so
-   the first ancestor whose entry exists decides the outcome:
-
-   - no graph base touched at all     → promote for free (same payload);
-   - touched bases all insert-only    → repair by delta join;
-   - any graph base poisoned          → no ancestor can help; recompute.
-
-   [peek] probes the cache at one ancestor version; [free]/[repair] build
-   the promoted payload (and bump their counters).  [cross] is the
-   cross-branch counter for this tier: on a branched version graph, a
-   branch's history runs back through its fork point into the trunk shared
-   with sibling branches, so a promotion whose source entry sits at or
-   below the context's [branch_root] is warm state inherited across
-   branches — typically cached by a sibling session or the shared root. *)
-let note_cross_branch t ~cross ~from_version =
-  match t.branch_root with
-  | Some root when from_version <= root -> Obs.count cross
-  | _ -> ()
-
-let promote_via_chain t ~bases ~cross ~peek ~free ~repair =
-  let merge_changed pairs =
-    List.fold_left
-      (fun acc (rel, tups) ->
-        match List.assoc_opt rel acc with
-        | Some prev -> (rel, prev @ tups) :: List.remove_assoc rel acc
-        | None -> (rel, tups) :: acc)
-      [] pairs
-  in
-  let rec walk steps ~changed ~poisoned =
-    match steps with
-    | [] -> None
-    | step :: rest -> (
-        let changed, poisoned =
-          match step.Delta.kind with
-          | Delta.Insert { relation; tuples } ->
-              ((relation, tuples) :: changed, poisoned)
-          | Delta.Rewrite { relation } -> (changed, relation :: poisoned)
-          | Delta.New_relation _ | Delta.Constraints_only -> (changed, poisoned)
-        in
-        if List.exists (fun b -> List.mem b poisoned) bases then begin
-          Obs.count Obs.Names.delta_fallbacks;
-          None
-        end
-        else
-          match peek step.Delta.from_version with
-          | Some payload -> (
-              note_cross_branch t ~cross ~from_version:step.Delta.from_version;
-              match
-                merge_changed
-                  (List.filter (fun (rel, _) -> List.mem rel bases) changed)
-              with
-              | [] -> Some (free payload)
-              | touched -> Some (repair payload ~changed:touched))
-          | None -> walk rest ~changed ~poisoned)
-  in
-  walk (Database.history t.db) ~changed:[] ~poisoned:[]
+(* --- memoized tiers and promotion through the delta chain -------------- *)
 
 let graph_bases g =
   Querygraph.Qgraph.nodes g
@@ -167,47 +104,137 @@ let with_engine_span name f =
 
 let set_cache_attr outcome = if Obs.enabled () then Obs.set_attr "cache" outcome
 
-let full_associations t j =
-  with_engine_span Obs.Names.sp_engine_fj @@ fun () ->
+(* What distinguishes the two memoized tiers: their span, cache table and
+   promotion counters. *)
+type 'a tier = {
+  span : string;
+  find : Eval_cache.t -> version:int -> Graph_key.t -> 'a option;
+  peek : Eval_cache.t -> version:int -> Graph_key.t -> 'a option;
+  add : Eval_cache.t -> version:int -> Graph_key.t -> 'a -> unit;
+  free : Obs.Counter.t;
+  repaired : Obs.Counter.t;
+  cross : Obs.Counter.t;
+}
+
+let fj_tier =
+  {
+    span = Obs.Names.sp_engine_fj;
+    find = Eval_cache.find_fj;
+    peek = Eval_cache.peek_fj;
+    add = Eval_cache.add_fj;
+    free = Obs.Names.cache_promote_fj_free;
+    repaired = Obs.Names.cache_promote_fj_repaired;
+    cross = Obs.Names.cache_promote_fj_cross_branch;
+  }
+
+let dg_tier =
+  {
+    span = Obs.Names.sp_engine_dg;
+    find = Eval_cache.find_dg;
+    peek = Eval_cache.peek_dg;
+    add = Eval_cache.add_dg;
+    free = Obs.Names.cache_promote_dg_free;
+    repaired = Obs.Names.cache_promote_dg_repaired;
+    cross = Obs.Names.cache_promote_dg_cross_branch;
+  }
+
+(* On a miss at the current version, walk the database's recorded history
+   newest-first looking for the same key at an ancestor version, folding
+   the steps into the cumulative inserted tuples per relation.  Every
+   recorded step is insert-only ([Database.replace] records none: it
+   starts a new lineage with an empty history).  A [New_relation] step is
+   a no-op here: a graph mentioning the new relation cannot have cache
+   entries at versions before it existed, so deeper peeks just miss.  The
+   first ancestor whose entry exists decides the outcome:
+
+   - no graph base touched at all     → promote for free (same payload);
+   - otherwise                        → [repair] by delta join.
+
+   On a branched version graph, a branch's history runs back through its
+   fork point into the trunk shared with sibling branches, so a promotion
+   whose source entry sits at or below the context's [branch_root] is warm
+   state inherited across branches — typically cached by a sibling session
+   or the shared root — and counts as [tier.cross]. *)
+let promote_via_chain t tier cache key g ~repair =
+  let bases = graph_bases g in
+  let merge_changed pairs =
+    List.fold_left
+      (fun acc (rel, tups) ->
+        match List.assoc_opt rel acc with
+        | Some prev -> (rel, prev @ tups) :: List.remove_assoc rel acc
+        | None -> (rel, tups) :: acc)
+      [] pairs
+  in
+  let rec walk steps ~changed =
+    match steps with
+    | [] -> None
+    | step :: rest -> (
+        let changed =
+          match step.Delta.kind with
+          | Delta.Insert { relation; tuples } -> (relation, tuples) :: changed
+          | Delta.New_relation _ | Delta.Constraints_only -> changed
+        in
+        let from_version = step.Delta.from_version in
+        match tier.peek cache ~version:from_version key with
+        | Some payload -> (
+            (match t.branch_root with
+            | Some root when from_version <= root -> Obs.count tier.cross
+            | _ -> ());
+            match
+              merge_changed
+                (List.filter (fun (rel, _) -> List.mem rel bases) changed)
+            with
+            | [] ->
+                Obs.count tier.free;
+                set_cache_attr "promoted-free";
+                Some payload
+            | touched ->
+                Obs.count tier.repaired;
+                set_cache_attr "promoted-repaired";
+                let src = Source.with_pool t.pool (base_source t) in
+                Some (repair src payload ~changed:touched))
+        | None -> walk rest ~changed)
+  in
+  walk (Database.history t.db) ~changed:[]
+
+(* The one miss → promote → compute path: a hit at the current version,
+   else an ancestor entry promoted through the delta chain, else
+   [compute] from scratch; whatever was not a hit is cached at the
+   current version. *)
+let memoized t tier g ~repair ~compute =
+  with_engine_span tier.span @@ fun () ->
   match t.cache with
   | None ->
       set_cache_attr "off";
-      Join_eval.full_associations (base_source t) j
+      compute ()
   | Some cache -> (
       let version = version t in
-      let key = Graph_key.of_graph j in
-      match Eval_cache.find_fj cache ~version key with
+      let key = Graph_key.of_graph g in
+      match tier.find cache ~version key with
       | Some r ->
           set_cache_attr "hit";
           r
       | None ->
           let promoted =
             if not t.incremental then None
-            else
-              promote_via_chain t ~bases:(graph_bases j)
-                ~cross:Obs.Names.cache_promote_fj_cross_branch
-                ~peek:(fun v -> Eval_cache.peek_fj cache ~version:v key)
-                ~free:(fun r ->
-                  Obs.count Obs.Names.cache_promote_fj_free;
-                  set_cache_attr "promoted-free";
-                  r)
-                ~repair:(fun r ~changed ->
-                  Obs.count Obs.Names.cache_promote_fj_repaired;
-                  set_cache_attr "promoted-repaired";
-                  let src = Source.with_pool t.pool (base_source t) in
-                  Join_eval.canonical
-                    (Algebra.union r
-                       (Join_eval.full_associations_delta src j ~changed)))
+            else promote_via_chain t tier cache key g ~repair
           in
           let r =
             match promoted with
             | Some r -> r
             | None ->
                 set_cache_attr "miss";
-                Join_eval.full_associations (base_source t) j
+                compute ()
           in
-          Eval_cache.add_fj cache ~version key r;
+          tier.add cache ~version key r;
           r)
+
+let full_associations t j =
+  memoized t fj_tier j
+    ~repair:(fun src r ~changed ->
+      Join_eval.canonical
+        (Algebra.union r (Join_eval.full_associations_delta src j ~changed)))
+    ~compute:(fun () -> Join_eval.full_associations (base_source t) j)
 
 let source t =
   let base = Source.with_pool t.pool (base_source t) in
@@ -217,46 +244,9 @@ let source t =
 
 (* The source carries the F(J) hook, so even a D(G)-tier miss reuses
    per-subgraph materializations shared with other graphs. *)
-let compute t g = Full_disjunction.compute (source t) g
-
 let data_associations t g =
-  with_engine_span Obs.Names.sp_engine_dg @@ fun () ->
-  match t.cache with
-  | None ->
-      set_cache_attr "off";
-      compute t g
-  | Some cache -> (
-      let version = version t in
-      let key = Graph_key.of_graph g in
-      match Eval_cache.find_dg cache ~version key with
-      | Some r ->
-          set_cache_attr "hit";
-          r
-      | None ->
-          let promoted =
-            if not t.incremental then None
-            else
-              promote_via_chain t ~bases:(graph_bases g)
-                ~cross:Obs.Names.cache_promote_dg_cross_branch
-                ~peek:(fun v -> Eval_cache.peek_dg cache ~version:v key)
-                ~free:(fun r ->
-                  Obs.count Obs.Names.cache_promote_dg_free;
-                  set_cache_attr "promoted-free";
-                  r)
-                ~repair:(fun old ~changed ->
-                  Obs.count Obs.Names.cache_promote_dg_repaired;
-                  set_cache_attr "promoted-repaired";
-                  let src = Source.with_pool t.pool (base_source t) in
-                  Full_disjunction.delta src g ~old ~changed)
-          in
-          let r =
-            match promoted with
-            | Some r -> r
-            | None ->
-                set_cache_attr "miss";
-                compute t g
-          in
-          Eval_cache.add_dg cache ~version key r;
-          r)
+  memoized t dg_tier g
+    ~repair:(fun src old ~changed -> Full_disjunction.delta src g ~old ~changed)
+    ~compute:(fun () -> Full_disjunction.compute (source t) g)
 
 let possible_associations t g = Full_disjunction.possible_associations (source t) g

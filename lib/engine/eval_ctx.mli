@@ -44,13 +44,15 @@ val set_caching_default : bool -> unit
     the CLI maps [--no-incremental] onto this.  When incremental
     maintenance is on, a cache miss at the current database version first
     tries to *promote* an entry cached at a recorded ancestor version
-    through the delta chain ({!Relational.Database.deltas_from}): entries
-    whose graph touches none of the changed relations are reused as-is
-    ([cache.promote.*.free]); entries touched only by insert-only steps
-    are repaired by a delta join ([cache.promote.*.repaired],
-    {!Fulldisj.Full_disjunction.delta}); anything touched by a rewrite
-    falls back to recomputation ([delta.fallbacks]).  Results are
-    byte-identical to from-scratch evaluation either way. *)
+    through the delta chain ({!Relational.Database.history}, the last
+    {!Relational.Database.history_window} steps): entries whose graph
+    touches none of the changed relations are reused as-is
+    ([cache.promote.*.free]); the others are repaired by a delta join over
+    the inserted tuples ([cache.promote.*.repaired],
+    {!Fulldisj.Full_disjunction.delta}).  With no recorded ancestor in the
+    cache — past the window, or before a {!Relational.Database.replace} —
+    the entry is recomputed.  Results are byte-identical to from-scratch
+    evaluation either way. *)
 val set_incremental_default : bool -> unit
 
 (** Process-wide default for [create]'s [?jobs] — how the CLI's [--jobs]

@@ -55,11 +55,10 @@ let cache_bytes_resident = Counter.make "cache.bytes_resident"
 (* --- counters: incremental delta maintenance --- *)
 
 let delta_records = Counter.make "delta.records"
-let delta_fallbacks = Counter.make "delta.fallbacks"
 
 (* Bumped when recording a step pushes the oldest step out of a database's
-   bounded changelog window — from then on [deltas_from] answers "unknown
-   ancestry" for versions behind the drop, so promotion falls back to a
+   bounded changelog window — from then on versions behind the drop are no
+   longer recorded ancestors, so promotion from them falls back to a
    from-scratch evaluation instead of silently repairing a stale entry. *)
 let delta_history_evicted = Counter.make "delta.history_evicted"
 let cache_promote_fj_free = Counter.make "cache.promote.fj.free"

@@ -3,10 +3,7 @@ type t = {
   rels : (string * Relation.t) list;  (** insertion order *)
   by_name : (string, Relation.t) Hashtbl.t;
   constraints : Integrity.t list;
-  history : Delta.t list;  (** newest-first, bounded by {!history_limit} *)
-  limit : int option;
-      (** per-database changelog bound; [None] defers to the process
-          default at each recording *)
+  history : Delta.t list;  (** newest-first, at most {!history_window} steps *)
 }
 
 (* Versions are drawn from a process-global counter so that any two
@@ -21,15 +18,10 @@ let next_version =
 
 (* Deep edit histories stop paying for themselves: walking a long chain
    costs about as much as recomputing, and cached entries that old have
-   usually been evicted anyway.  Beyond the bound the oldest steps are
-   dropped, which soundly degrades [deltas_from] to "unknown ancestry". *)
-let default_history_limit = 32
-let history_limit_ref = ref default_history_limit
-let process_history_limit () = !history_limit_ref
-
-let set_history_limit n =
-  if n < 1 then invalid_arg "Database.set_history_limit: limit must be >= 1";
-  history_limit_ref := n
+   usually been evicted anyway.  Beyond the window the oldest steps are
+   dropped, so versions behind the drop are no longer recorded ancestors
+   and promotion from them degrades to a recompute. *)
+let history_window = 32
 
 let empty =
   {
@@ -38,27 +30,18 @@ let empty =
     by_name = Hashtbl.create 16;
     constraints = [];
     history = [];
-    limit = None;
   }
 
 let version t = t.version
-
-let history_limit t =
-  match t.limit with Some n -> n | None -> process_history_limit ()
-
-let with_history_limit t n =
-  if n < 1 then invalid_arg "Database.with_history_limit: limit must be >= 1";
-  { t with limit = Some n }
 
 let record t kind =
   let to_version = next_version () in
   Obs.count Obs.Names.delta_records;
   let step = { Delta.from_version = t.version; to_version; kind } in
-  let limit = history_limit t in
   let history =
-    if List.length t.history >= limit then begin
+    if List.length t.history >= history_window then begin
       Obs.count Obs.Names.delta_history_evicted;
-      step :: List.filteri (fun i _ -> i < limit - 1) t.history
+      step :: List.filteri (fun i _ -> i < history_window - 1) t.history
     end
     else step :: t.history
   in
@@ -77,51 +60,18 @@ let add_constraint t c =
   let version, history = record t Delta.Constraints_only in
   { t with version; constraints = t.constraints @ [ c ]; history }
 
-(* A replace is repairable when the new instance is a pure superset of
-   the old one over the same scheme: cached joins only need the new
-   tuples folded in.  Anything else (removals, changed schema) is a
-   rewrite and poisons cached results that touch the relation. *)
-let diff_kind ~old_r ~new_r =
-  let name = Relation.name old_r in
-  if not (Schema.equal (Relation.schema old_r) (Relation.schema new_r)) then
-    Delta.Rewrite { relation = name }
-  else begin
-    let new_set = Relation.Tuple_tbl.create (Relation.cardinality new_r) in
-    Relation.iter (fun tup -> Relation.Tuple_tbl.replace new_set tup ()) new_r;
-    let removed =
-      Relation.fold
-        (fun acc tup -> acc || not (Relation.Tuple_tbl.mem new_set tup))
-        false old_r
-    in
-    if removed then Delta.Rewrite { relation = name }
-    else begin
-      let old_set = Relation.Tuple_tbl.create (Relation.cardinality old_r) in
-      Relation.iter (fun tup -> Relation.Tuple_tbl.replace old_set tup ()) old_r;
-      let added =
-        Relation.fold
-          (fun acc tup ->
-            if Relation.Tuple_tbl.mem old_set tup then acc else tup :: acc)
-          [] new_r
-        |> List.rev
-      in
-      Delta.Insert { relation = name; tuples = added }
-    end
-  end
-
 let replace t r =
   let name = Relation.name r in
-  let old_r =
-    match Hashtbl.find_opt t.by_name name with
-    | Some old_r -> old_r
-    | None -> invalid_arg ("Database.replace: unknown relation " ^ name)
-  in
+  if not (Hashtbl.mem t.by_name name) then
+    invalid_arg ("Database.replace: unknown relation " ^ name);
   let by_name = Hashtbl.copy t.by_name in
   Hashtbl.replace by_name name r;
   let rels =
     List.map (fun (n, old) -> if n = name then (n, r) else (n, old)) t.rels
   in
-  let version, history = record t (diff_kind ~old_r ~new_r:r) in
-  { t with version; rels; by_name; history }
+  (* A fresh lineage: no recorded step may lead from a version before
+     the replace to the replaced instance. *)
+  { t with version = next_version (); rels; by_name; history = [] }
 
 let insert_tuples t name tuples =
   let old_r =
@@ -163,26 +113,8 @@ let insert_tuples t name tuples =
 
 let history t = t.history
 
-let deltas_from t ancestor_version =
-  if ancestor_version = t.version then Some []
-  else
-    let rec take acc = function
-      | [] -> None (* fell off the recorded window: unknown ancestry *)
-      | step :: rest ->
-          if step.Delta.to_version < ancestor_version then None
-          else if step.Delta.from_version = ancestor_version then
-            Some (step :: acc)
-          else take (step :: acc) rest
-    in
-    take [] t.history
-
-let of_relations ?history_limit ?(constraints = []) rels =
-  let seed =
-    match history_limit with
-    | None -> empty
-    | Some n -> with_history_limit empty n
-  in
-  let t = List.fold_left add seed rels in
+let of_relations ?(constraints = []) rels =
+  let t = List.fold_left add empty rels in
   List.fold_left add_constraint t constraints
 
 let find t name = Hashtbl.find_opt t.by_name name

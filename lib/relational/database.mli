@@ -6,17 +6,20 @@ type t
 val empty : t
 
 (** Monotonic identity stamp.  Every constructing operation ([add],
-    [replace], [add_constraint], [of_relations]) yields a database with a
-    fresh, strictly larger version than any database built before it, so a
-    version uniquely identifies one immutable catalog state — the key
-    memo caches use to invalidate entries when the instance changes.
-    [empty] is version 0. *)
+    [replace], [add_constraint], [insert_tuples], [of_relations]) yields a
+    database with a fresh, strictly larger version than any database built
+    before it, so a version uniquely identifies one immutable catalog
+    state — the key memo caches use to invalidate entries when the
+    instance changes.  [empty] is version 0. *)
 val version : t -> int
 
 val add : t -> Relation.t -> t
 val add_constraint : t -> Integrity.t -> t
 
 (** Replace an existing relation (matched by name) with a new instance.
+    The result starts a new lineage: a fresh version and an empty
+    {!history}, so no recorded step leads back to a version before the
+    replace and cached results from before it are never promoted.
     Raises [Invalid_argument] when no relation of that name exists. *)
 val replace : t -> Relation.t -> t
 
@@ -26,53 +29,21 @@ val replace : t -> Relation.t -> t
     dropped).  Returns [t] unchanged — same version — when nothing is
     new.  Raises [Invalid_argument] on an unknown relation or malformed
     tuples.  This is the repair-friendly way to express an example-tuple
-    edit; [replace] with a superset instance records the same delta. *)
+    edit. *)
 val insert_tuples : t -> string -> Tuple.t list -> t
 
-(** [deltas_from t v] is the chain of recorded changelog steps leading
-    from version [v] to [t]'s version, oldest first — [Some []] when
-    [v] is already [t]'s version, [None] when [v] is not a recorded
-    ancestor (different lineage, or the bounded history window has
-    dropped the steps).  The changelog keeps the most recent
-    {!history_limit} steps. *)
-val deltas_from : t -> int -> Delta.t list option
+(** Steps the changelog keeps: 32.  When recording a step pushes the
+    oldest one out, the [delta.history_evicted] counter is bumped;
+    versions behind the dropped step are no longer recorded ancestors. *)
+val history_window : int
 
-(** The raw changelog window, newest step first — what {!deltas_from}
-    walks.  Exposed for the engine's promotion scan, which probes its
+(** The changelog, newest step first: each step's [from_version] is the
+    next step's [to_version], and the newest step ends at {!version}.  At
+    most {!history_window} steps.  The engine's promotion scan probes its
     cache at each recorded ancestor version. *)
 val history : t -> Delta.t list
 
-(** Size of this database's bounded changelog window, consulted each time
-    a mutation records a step (an existing database's already-recorded
-    window is not retrimmed).  Databases built without an explicit limit
-    read the process default ({!set_history_limit}) at each recording.
-    Larger windows let the engine's incremental promotion reach
-    further-back ancestors at the cost of retaining more deltas per
-    version.  When recording a step pushes the oldest one out of the
-    window, the [delta.history_evicted] counter is bumped. *)
-val history_limit : t -> int
-
-(** Pin the changelog bound for this database (and everything derived from
-    it) regardless of the process default.  Raises [Invalid_argument] when
-    [n < 1]. *)
-val with_history_limit : t -> int -> t
-
-val default_history_limit : int
-
-(** The process-wide default consulted by databases without a pinned
-    limit. *)
-val process_history_limit : unit -> int
-
-(** Set the process-wide default window size.  Deprecated in favour of the
-    per-database {!with_history_limit} / [of_relations ~history_limit]:
-    this setter affects every database in the process that has not pinned
-    its own limit — in a multi-session server, one session adjusting it
-    would silently resize every other session's window.  Raises
-    [Invalid_argument] when [n < 1]. *)
-val set_history_limit : int -> unit
-
-val of_relations :
-  ?history_limit:int -> ?constraints:Integrity.t list -> Relation.t list -> t
+val of_relations : ?constraints:Integrity.t list -> Relation.t list -> t
 val find : t -> string -> Relation.t option
 
 (** Raises [Not_found]. *)

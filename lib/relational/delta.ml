@@ -1,23 +1,6 @@
 type kind =
   | Insert of { relation : string; tuples : Tuple.t list }
-  | Rewrite of { relation : string }
   | New_relation of string
   | Constraints_only
 
 type t = { from_version : int; to_version : int; kind : kind }
-
-let touches_relation t name =
-  match t.kind with
-  | Insert { relation; _ } | Rewrite { relation } -> relation = name
-  | New_relation relation -> relation = name
-  | Constraints_only -> false
-
-let pp_kind ppf = function
-  | Insert { relation; tuples } ->
-      Format.fprintf ppf "+%d tuple(s) into %s" (List.length tuples) relation
-  | Rewrite { relation } -> Format.fprintf ppf "rewrite of %s" relation
-  | New_relation relation -> Format.fprintf ppf "new relation %s" relation
-  | Constraints_only -> Format.fprintf ppf "constraints only"
-
-let pp ppf t =
-  Format.fprintf ppf "v%d->v%d: %a" t.from_version t.to_version pp_kind t.kind

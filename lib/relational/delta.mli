@@ -1,21 +1,18 @@
 (** One step of a database changelog: what changed between two adjacent
     versions.
 
-    {!Database} records one [Delta.t] per constructing operation so the
-    evaluation engine can ask "what happened between version v and v'?"
-    instead of only "did anything change?".  The discrimination that
-    matters downstream is between {e insert-only} steps — cached results
-    can be repaired by joining the new tuples in — and everything else,
-    which forces the affected relation to be recomputed from scratch. *)
+    {!Database} records one [Delta.t] per [add], [add_constraint] and
+    [insert_tuples] so the evaluation engine can ask "what happened
+    between version v and v'?" instead of only "did anything change?".
+    Every recorded step is insert-only or touches no instance: cached
+    results can be repaired by joining the new tuples in.  A
+    {!Database.replace} records no step at all; it starts a new lineage
+    with an empty changelog, so nothing cached before it is reachable. *)
 
 type kind =
   | Insert of { relation : string; tuples : Tuple.t list }
       (** Tuples added to an existing relation; every tuple listed is
           genuinely new (absent at [from_version]).  The repairable case. *)
-  | Rewrite of { relation : string }
-      (** The relation was replaced by something that is not a pure
-          superset (removals, changed schema, …): cached results touching
-          it cannot be repaired. *)
   | New_relation of string
       (** A relation appeared.  Query graphs always resolve every alias,
           so results cached before the relation existed never mention it —
@@ -25,9 +22,3 @@ type kind =
           result is still exact. *)
 
 type t = { from_version : int; to_version : int; kind : kind }
-
-(** Does this step mention the given base relation at all? *)
-val touches_relation : t -> string -> bool
-
-val pp_kind : Format.formatter -> kind -> unit
-val pp : Format.formatter -> t -> unit

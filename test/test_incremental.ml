@@ -1,7 +1,7 @@
 (* Tests for incremental D(G)/F(J) maintenance (the delta-evaluation path).
 
    Units: free vs repaired promotion through the recorded delta chain
-   (counter-visible), rewrite fallback, peek neutrality (a promotion probe
+   (counter-visible), no promotion across a replace, peek neutrality (a promotion probe
    must not perturb LRU recency), and the fresh recency + bytes accounting
    of promoted entries.
 
@@ -133,9 +133,9 @@ let test_promotion_fj_repaired () =
       Alcotest.(check bool) "F(J) repair = from-scratch, same order" true
         (Relation.tuples repaired = Relation.tuples scratch))
 
-(* --- rewrite fallback: removals poison the chain --- *)
+(* --- replace starts a new lineage: nothing before it is promoted --- *)
 
-let test_rewrite_fallback () =
+let test_replace_new_lineage () =
   with_counters (fun () ->
       let inst = chain_instance () in
       let g = inst.Synth.Gen_graph.graph in
@@ -143,26 +143,28 @@ let test_rewrite_fallback () =
         Eval_ctx.create ~kb:inst.Synth.Gen_graph.kb inst.Synth.Gen_graph.db
       in
       ignore (Eval_ctx.data_associations ctx g);
+      (* A pure superset: as an insert it would be repaired, and subgraphs
+         off R2 promoted for free. *)
       let r2 = Database.get (Eval_ctx.db ctx) "R2" in
+      let extra = Array.copy (List.hd (Relation.tuples r2)) in
+      extra.(0) <- v_int 2_000_000;
       let r2' =
-        Relation.create "R2" (Relation.schema r2)
-          (match Relation.tuples r2 with [] -> [] | _ :: rest -> rest)
+        Relation.create "R2" (Relation.schema r2) (Relation.tuples r2 @ [ extra ])
       in
       let ctx' = Eval_ctx.with_db ctx (Database.replace (Eval_ctx.db ctx) r2') in
-      let fb0 = counter "delta.fallbacks" in
-      let rep0 = counter "cache.promote.dg.repaired" in
-      let rep0_fj = counter "cache.promote.fj.repaired" in
+      let promotions () =
+        List.map counter
+          [
+            "cache.promote.dg.free";
+            "cache.promote.dg.repaired";
+            "cache.promote.fj.free";
+            "cache.promote.fj.repaired";
+          ]
+      in
+      let before = promotions () in
       let after = Eval_ctx.data_associations ctx' g in
-      (* One fallback at the DG tier plus one per poisoned subgraph the
-         recomputation walks at the FJ tier. *)
-      Alcotest.(check bool) "fallbacks counted" true
-        (counter "delta.fallbacks" > fb0);
-      Alcotest.(check int)
-        "no dg repair attempted" rep0
-        (counter "cache.promote.dg.repaired");
-      Alcotest.(check int)
-        "no fj repair attempted" rep0_fj
-        (counter "cache.promote.fj.repaired");
+      Alcotest.(check (list int)) "no promotion at either tier" before
+        (promotions ());
       let scratch = Eval_ctx.data_associations (Eval_ctx.transient (Eval_ctx.db ctx')) g in
       Alcotest.(check bool) "recomputed result correct" true
         (assocs_equal after scratch))
@@ -242,8 +244,8 @@ let first_node (inst : Synth.Gen_graph.instance) =
 
 (* Mutations: mostly insert-only steps (the repairable case), sometimes a
    duplicate insert (must be a version no-op) or a tuple removal (a
-   Rewrite, forcing the fallback path).  [salt] keeps generated ids
-   genuinely fresh across steps. *)
+   replace, which starts a new lineage and forces a recompute).  [salt]
+   keeps generated ids genuinely fresh across steps. *)
 let mutation db (op, rel_idx, salt) =
   let rels = Database.relations db in
   let victim = List.nth rels (rel_idx mod List.length rels) in
@@ -277,7 +279,19 @@ let parity_gen =
     let* n = int_range 2 4 in
     let* rows = int_range 1 12 in
     let* jobs = oneofl [ 1; 4 ] in
-    let* ops = list_size (int_range 1 5) (pair (int_range 0 5) (int_range 0 3)) in
+    let* ops =
+      frequency
+        [
+          (4, list_size (int_range 1 5) (pair (int_range 0 5) (int_range 0 3)));
+          (* Fresh inserts only, enough to push steps out of the
+             changelog window while promotion keeps walking it. *)
+          ( 1,
+            list_size
+              (int_range (Database.history_window + 1)
+                 (Database.history_window + 8))
+              (pair (int_range 0 3) (int_range 0 3)) );
+        ]
+    in
     return (seed, n, rows, jobs, ops))
 
 let prop_incremental_equals_scratch =
@@ -452,7 +466,7 @@ let () =
           tc "free" `Quick test_promotion_free;
           tc "repaired" `Quick test_promotion_repaired;
           tc "fj repaired" `Quick test_promotion_fj_repaired;
-          tc "rewrite fallback" `Quick test_rewrite_fallback;
+          tc "replace starts a new lineage" `Quick test_replace_new_lineage;
         ] );
       ( "cache",
         [

@@ -496,7 +496,7 @@ let test_equal_contents_order_insensitive () =
   Alcotest.(check bool) "cardinality matters" false (Relation.equal_contents r1 r3);
   Alcotest.(check bool) "subset is not equality" false (Relation.equal_contents r3 r1)
 
-(* --- changelog: insert_tuples, diff classification, deltas_from --- *)
+(* --- changelog: insert_tuples, replace lineage, the bounded window --- *)
 
 let delta_db =
   Database.of_relations
@@ -529,122 +529,66 @@ let test_insert_tuples () =
 
 let test_replace_delta_classification () =
   let r = Database.get delta_db "R" in
-  (* Pure superset: an Insert of exactly the added tuples. *)
-  let grown =
-    Relation.create "R" (Relation.schema r)
-      (Relation.tuples r @ [ Tuple.make [ v_int 5; v_int 50 ] ])
-  in
-  (match Database.history (Database.replace delta_db grown) with
-  | { Delta.kind = Delta.Insert { relation = "R"; tuples = [ _ ] }; _ } :: _ -> ()
-  | _ -> Alcotest.fail "superset replace should record Insert");
-  (* A removal is a Rewrite. *)
-  let shrunk =
-    Relation.create "R" (Relation.schema r) [ Tuple.make [ v_int 1; v_int 10 ] ]
-  in
-  (match Database.history (Database.replace delta_db shrunk) with
-  | { Delta.kind = Delta.Rewrite { relation = "R" }; _ } :: _ -> ()
-  | _ -> Alcotest.fail "shrinking replace should record Rewrite");
-  (* A schema change is a Rewrite even with no tuples removed. *)
-  let reshaped = Relation.create "R" (Schema.make "R" [ "a"; "c" ]) (Relation.tuples r) in
-  (match Database.history (Database.replace delta_db reshaped) with
-  | { Delta.kind = Delta.Rewrite { relation = "R" }; _ } :: _ -> ()
-  | _ -> Alcotest.fail "schema-changing replace should record Rewrite");
   (* add and add_constraint record their own kinds. *)
   let s = Relation.create "S" (Schema.make "S" [ "x" ]) [] in
   (match Database.history (Database.add delta_db s) with
   | { Delta.kind = Delta.New_relation "S"; _ } :: _ -> ()
   | _ -> Alcotest.fail "add should record New_relation");
-  match
-    Database.history
-      (Database.add_constraint delta_db
-         (Integrity.Foreign_key
-            { rel = "R"; cols = [ "a" ]; ref_rel = "R"; ref_cols = [ "a" ] }))
-  with
+  (match
+     Database.history
+       (Database.add_constraint delta_db
+          (Integrity.Foreign_key
+             { rel = "R"; cols = [ "a" ]; ref_rel = "R"; ref_cols = [ "a" ] }))
+   with
   | { Delta.kind = Delta.Constraints_only; _ } :: _ -> ()
-  | _ -> Alcotest.fail "add_constraint should record Constraints_only"
+  | _ -> Alcotest.fail "add_constraint should record Constraints_only");
+  (* replace records no step: it starts a new lineage, whether the new
+     instance is a superset, a subset or a different scheme. *)
+  let grown =
+    Relation.create "R" (Relation.schema r)
+      (Relation.tuples r @ [ Tuple.make [ v_int 5; v_int 50 ] ])
+  in
+  let shrunk =
+    Relation.create "R" (Relation.schema r) [ Tuple.make [ v_int 1; v_int 10 ] ]
+  in
+  let reshaped = Relation.create "R" (Schema.make "R" [ "a"; "c" ]) (Relation.tuples r) in
+  List.iter
+    (fun (label, r') ->
+      let db' = Database.replace delta_db r' in
+      Alcotest.(check bool) (label ^ " replace bumps the version") true
+        (Database.version db' > Database.version delta_db);
+      Alcotest.(check int) (label ^ " replace leaves an empty history") 0
+        (List.length (Database.history db')))
+    [ ("superset", grown); ("shrinking", shrunk); ("schema-changing", reshaped) ]
 
-let test_deltas_from () =
-  let v0 = Database.version delta_db in
-  let db1 = Database.insert_tuples delta_db "R" [ Tuple.make [ v_int 3; v_int 30 ] ] in
-  let db2 = Database.insert_tuples db1 "R" [ Tuple.make [ v_int 4; v_int 40 ] ] in
-  (* Same version: an empty chain. *)
-  (match Database.deltas_from db2 (Database.version db2) with
-  | Some [] -> ()
-  | _ -> Alcotest.fail "same version should give an empty chain");
-  (* Two steps back: oldest first. *)
-  (match Database.deltas_from db2 v0 with
-  | Some [ s1; s2 ] ->
-      Alcotest.(check int) "chain starts at the ancestor" v0 s1.Delta.from_version;
-      Alcotest.(check int) "chain is contiguous" s1.Delta.to_version s2.Delta.from_version;
-      Alcotest.(check int) "chain ends at the current version"
-        (Database.version db2) s2.Delta.to_version
-  | _ -> Alcotest.fail "expected a two-step chain");
-  (* A version from another lineage is not an ancestor. *)
-  Alcotest.(check bool) "unknown ancestor rejected" true
-    (Database.deltas_from db2 (Database.version db2 + 17) = None)
+(* Grow [db] by [n] single-tuple inserts, ids from [base]. *)
+let grow db n base =
+  List.fold_left
+    (fun db i ->
+      Database.insert_tuples db "R" [ Tuple.make [ v_int (base + i); v_int i ] ])
+    db
+    (List.init n Fun.id)
 
 let test_history_bounded () =
-  let db =
-    List.fold_left
-      (fun db i -> Database.insert_tuples db "R" [ Tuple.make [ v_int (100 + i); v_int i ] ])
-      delta_db
-      (List.init (Database.history_limit delta_db + 8) Fun.id)
+  let db = grow delta_db (Database.history_window + 8) 100 in
+  let history = Database.history db in
+  Alcotest.(check int) "window bounded" Database.history_window
+    (List.length history);
+  (* Newest first and contiguous: the newest step ends at the current
+     version, and each step starts where the next-older one ends. *)
+  Alcotest.(check int) "newest step ends at the current version"
+    (Database.version db) (List.hd history).Delta.to_version;
+  let rec contiguous = function
+    | newer :: (older :: _ as rest) ->
+        newer.Delta.from_version = older.Delta.to_version && contiguous rest
+    | [ _ ] | [] -> true
   in
-  Alcotest.(check int) "window bounded" (Database.history_limit db)
-    (List.length (Database.history db));
-  (* Beyond the window the ancestor is unreachable. *)
-  Alcotest.(check bool) "pre-window ancestor unreachable" true
-    (Database.deltas_from db (Database.version delta_db) = None)
-
-let test_history_limit_setting () =
-  let saved = Database.process_history_limit () in
-  Fun.protect
-    ~finally:(fun () -> Database.set_history_limit saved)
-    (fun () ->
-      Database.set_history_limit 4;
-      let db =
-        List.fold_left
-          (fun db i ->
-            Database.insert_tuples db "R" [ Tuple.make [ v_int (200 + i); v_int i ] ])
-          delta_db
-          (List.init 10 Fun.id)
-      in
-      Alcotest.(check int) "narrow window" 4 (List.length (Database.history db));
-      Alcotest.check_raises "limit must be positive"
-        (Invalid_argument "Database.set_history_limit: limit must be >= 1")
-        (fun () -> Database.set_history_limit 0))
-
-(* Two databases with different pinned limits truncate independently:
-   neither the process default nor the other database's limit leaks. *)
-let test_history_limit_per_database () =
-  let grow db n base =
-    List.fold_left
-      (fun db i ->
-        Database.insert_tuples db "R" [ Tuple.make [ v_int (base + i); v_int i ] ])
-      db
-      (List.init n Fun.id)
-  in
-  let narrow = grow (Database.with_history_limit delta_db 3) 12 300 in
-  let wide = grow (Database.with_history_limit delta_db 9) 12 400 in
-  Alcotest.(check int) "narrow db keeps 3" 3 (List.length (Database.history narrow));
-  Alcotest.(check int) "wide db keeps 9" 9 (List.length (Database.history wide));
-  (* The process default is untouched by pinned databases... *)
-  let default = grow delta_db 5 500 in
-  Alcotest.(check int) "default db reads the process default"
-    (Database.process_history_limit ())
-    (Database.history_limit default);
-  (* ...and changing it does not move a pinned database's window. *)
-  let saved = Database.process_history_limit () in
-  Fun.protect
-    ~finally:(fun () -> Database.set_history_limit saved)
-    (fun () ->
-      Database.set_history_limit 2;
-      let narrow2 = grow narrow 4 600 in
-      Alcotest.(check int) "pinned limit survives the global setter" 3
-        (List.length (Database.history narrow2)));
-  Alcotest.check_raises "pinned limit must be positive"
-    (Invalid_argument "Database.with_history_limit: limit must be >= 1")
-    (fun () -> ignore (Database.with_history_limit delta_db 0))
+  Alcotest.(check bool) "history is contiguous" true (contiguous history);
+  (* Beyond the window the ancestor is no longer recorded. *)
+  Alcotest.(check bool) "pre-window ancestor dropped" false
+    (List.exists
+       (fun step -> step.Delta.from_version = Database.version delta_db)
+       history)
 
 (* Dropping a step off the bounded window must bump the eviction counter
    — the signal that promotion will degrade to from-scratch recompute. *)
@@ -655,21 +599,16 @@ let test_history_eviction_counted () =
     ~finally:(fun () -> if not was_enabled then Obs.disable ())
     (fun () ->
       let evicted () = Obs.Counter.value Obs.Names.delta_history_evicted in
-      let db = Database.with_history_limit delta_db 3 in
-      let db, _ =
-        List.fold_left
-          (fun (db, i) () ->
-            (Database.insert_tuples db "R" [ Tuple.make [ v_int (700 + i); v_int i ] ],
-             i + 1))
-          (db, 0)
-          (List.init 3 (fun _ -> ()))
-      in
+      (* [delta_db] already holds one step; fill the window exactly. *)
+      let db = grow delta_db (Database.history_window - 1) 700 in
+      Alcotest.(check int) "window full" Database.history_window
+        (List.length (Database.history db));
       let before = evicted () in
       let db' =
         Database.insert_tuples db "R" [ Tuple.make [ v_int 799; v_int 99 ] ]
       in
       Alcotest.(check int) "overflow recorded" (before + 1) (evicted ());
-      Alcotest.(check int) "window still bounded" 3
+      Alcotest.(check int) "window still bounded" Database.history_window
         (List.length (Database.history db')))
 
 (* --- CSV --- *)
@@ -978,10 +917,7 @@ let () =
         [
           tc "insert_tuples" `Quick test_insert_tuples;
           tc "replace classification" `Quick test_replace_delta_classification;
-          tc "deltas_from" `Quick test_deltas_from;
           tc "history bounded" `Quick test_history_bounded;
-          tc "history limit setting" `Quick test_history_limit_setting;
-          tc "history limit per database" `Quick test_history_limit_per_database;
           tc "history eviction counted" `Quick test_history_eviction_counted;
         ] );
       ( "csv",

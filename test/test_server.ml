@@ -1261,6 +1261,56 @@ let test_socket_drain_under_load () =
   | Unix.WEXITED code -> Alcotest.failf "server exited %d" code
   | _ -> Alcotest.fail "server did not exit cleanly"
 
+(* Numeric flags below 1 are usage errors (exit 124): the server must
+   refuse to boot instead of dying on an internal exception or serving
+   with a zero-sized pool, queue or cache.  A server that boots anyway is
+   killed after a deadline and reported. *)
+let test_serve_rejects_nonpositive_flags () =
+  let path =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "clio-test-flags-%d.sock" (Unix.getpid ()))
+  in
+  let exit_of flag v =
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let pid =
+      Unix.create_process serve_exe
+        [| "clio_serve"; "serve"; "--socket"; path; flag; v |]
+        null null null
+    in
+    Unix.close null;
+    let deadline = Unix.gettimeofday () +. 10. in
+    let rec wait () =
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ when Unix.gettimeofday () < deadline ->
+          ignore (Unix.select [] [] [] 0.02);
+          wait ()
+      | 0, _ ->
+          Unix.kill pid Sys.sigkill;
+          ignore (Unix.waitpid [] pid);
+          Alcotest.failf "serve %s %s booted" flag v
+      | _, status -> status
+    in
+    wait ()
+  in
+  Fun.protect
+    ~finally:(fun () -> try Unix.unlink path with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  List.iter
+    (fun (flag, v) ->
+      match exit_of flag v with
+      | Unix.WEXITED 124 -> ()
+      | Unix.WEXITED code ->
+          Alcotest.failf "serve %s %s exited %d, expected 124" flag v code
+      | _ -> Alcotest.failf "serve %s %s died on a signal" flag v)
+    [
+      ("--jobs", "0");
+      ("--workers", "0");
+      ("--queue", "0");
+      ("--cache-mb", "0");
+      ("--jobs", "-3");
+    ]
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "server"
@@ -1307,6 +1357,8 @@ let () =
             test_socket_loadgen_long_chain;
           tc "evaluate exemplar shows to_relation and digest spans" `Quick
             test_socket_evaluate_exemplar_spans;
+          tc "numeric flags below 1 exit 124" `Quick
+            test_serve_rejects_nonpositive_flags;
         ] );
       ( "concurrency",
         [

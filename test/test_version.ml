@@ -14,16 +14,9 @@ let qtest t = QCheck_alcotest.to_alcotest ~long:false t
 let spec = Scenario.Chain { n = 3; rows = 60; seed = 11 }
 
 (* The test resolver mirrors the server's: the memoized scenario state
-   wrapped in a context that either shares one cache or caches nothing.
-   [history_limit] pins the per-database delta window (satellite: the
-   truncation test shrinks it far below the commit count). *)
-let resolver ?cache ?(jobs = 1) ?history_limit () sc =
+   wrapped in a context that either shares one cache or caches nothing. *)
+let resolver ?cache ?(jobs = 1) () sc =
   let db, kb, mapping = Scenario.resolve sc in
-  let db =
-    match history_limit with
-    | None -> db
-    | Some n -> Database.with_history_limit db n
-  in
   let ctx =
     match cache with
     | Some cache -> Clio.Eval_ctx.create ~cache ~jobs ~kb db
@@ -31,8 +24,8 @@ let resolver ?cache ?(jobs = 1) ?history_limit () sc =
   in
   Clio.Workspace.create ctx mapping
 
-let make_store ?cache ?jobs ?history_limit () =
-  Store.create ~resolve:(resolver ?cache ?jobs ?history_limit ()) spec
+let make_store ?cache ?jobs () =
+  Store.create ~resolve:(resolver ?cache ?jobs ()) spec
 
 (* Chain relations: R1 (id, p0, fk_R2), R2 (id, p0, fk_R3), R3 (id, p0).
    Keys start far above the generator's key space so inserts never
@@ -208,10 +201,11 @@ let test_diff () =
 (* --- satellite: history truncation never yields a stale promotion --- *)
 
 (* A shared cache warmed on the trunk, then a fork whose insert run
-   overflows a tiny delta-history window: [Database.deltas_from] loses
-   the ancestry, so promotion must fall back to recomputation — the
-   fork's D(G) has to match a cache-less linear replay byte-for-byte,
-   and the eviction counter has to show the window actually overflowed. *)
+   overflows the delta-history window: the trunk version drops out of
+   the fork's recorded ancestry, so promotion must fall back to
+   recomputation — the fork's D(G) has to match a cache-less linear
+   replay byte-for-byte, and the eviction counter has to show the window
+   actually overflowed. *)
 let test_truncated_history_not_stale () =
   Obs.enable ();
   Obs.reset ();
@@ -221,10 +215,10 @@ let test_truncated_history_not_stale () =
       Obs.reset ())
   @@ fun () ->
   let cache = Engine.Eval_cache.create () in
-  let t = make_store ~cache ~history_limit:2 () in
+  let t = make_store ~cache () in
   ignore (dg_digest (Store.checkout t Store.main));
   ignore (Store.branch t ~from:Store.main "fork");
-  for k = 1 to 6 do
+  for k = 1 to Database.history_window + 4 do
     ignore (Store.commit t ~branch:"fork" (insert_r1 k (Printf.sprintf "t%d" k)))
   done;
   Alcotest.(check bool) "the history window actually overflowed" true
@@ -232,7 +226,7 @@ let test_truncated_history_not_stale () =
   let warm = dg_digest (Store.checkout t "fork") in
   let replay =
     List.fold_left Op.apply
-      (resolver ~history_limit:2 () spec)
+      (resolver () spec)
       (Store.linear_ops t ~branch:"fork")
   in
   Alcotest.(check string) "shared-cache fork = cache-less replay" (dg_digest replay)
