@@ -21,9 +21,10 @@
       example-edit replay (incremental delta maintenance vs from-scratch
       re-evaluation after each edit), the B16 server load generator
       (lib/server's multi-session service under scripted client traffic,
-      cold vs warm shared-cache substrate), and the B17 columnar data
+      cold vs warm shared-cache substrate), the B17 columnar data
       plane (million-tuple full disjunction + subsumption on the
-      columnar kernels).
+      columnar kernels), and the B20 served digest ([render/digest]:
+      time and words per warm [Render.digest] of the B15 D(G)).
 
    3. Operator-counter and allocation tables (lib/obs): the same workloads
       run once with observability enabled, reporting subsumption checks,
@@ -445,29 +446,30 @@ let engine_edit_replay ~incremental () =
    repairs the cached D(G) and evolves the illustration onto it.  The
    session is built once, outside the timings; every run inserts a key
    no earlier run used. *)
-let workspace_edit_session =
-  lazy
-    (let inst =
-       Synth.Gen_graph.chain (seeded 59) ~n:3 ~rows:2000 ~null_prob:0.25
-         ~orphan_prob:0.2 ()
-     in
-     let ctx =
-       Clio.Eval_ctx.create ~incremental:true ~jobs:1 ~kb:inst.Synth.Gen_graph.kb
-         inst.Synth.Gen_graph.db
-     in
-     let m0 =
-       Clio.Mapping.make
-         ~graph:(Qgraph.singleton ~alias:"R1" ~base:"R1")
-         ~target:"T" ~target_cols:[ "c" ]
-         ~correspondences:[ Clio.Correspondence.identity "c" (Attr.make "R1" "id") ]
-         ()
-     in
-     let alts = Clio.Op_walk.data_walk ctx m0 ~start:"R1" ~goal:"R3" ~max_len:3 () in
-     let ws =
-       Clio.Workspace.offer (Clio.Workspace.create ctx m0)
-         (List.map (fun (a : Clio.Op_walk.alternative) -> a.Clio.Op_walk.mapping) alts)
-     in
-     ref (Clio.Workspace.confirm ws))
+let workspace_session () =
+  let inst =
+    Synth.Gen_graph.chain (seeded 59) ~n:3 ~rows:2000 ~null_prob:0.25
+      ~orphan_prob:0.2 ()
+  in
+  let ctx =
+    Clio.Eval_ctx.create ~incremental:true ~jobs:1 ~kb:inst.Synth.Gen_graph.kb
+      inst.Synth.Gen_graph.db
+  in
+  let m0 =
+    Clio.Mapping.make
+      ~graph:(Qgraph.singleton ~alias:"R1" ~base:"R1")
+      ~target:"T" ~target_cols:[ "c" ]
+      ~correspondences:[ Clio.Correspondence.identity "c" (Attr.make "R1" "id") ]
+      ()
+  in
+  let alts = Clio.Op_walk.data_walk ctx m0 ~start:"R1" ~goal:"R3" ~max_len:3 () in
+  let ws =
+    Clio.Workspace.offer (Clio.Workspace.create ctx m0)
+      (List.map (fun (a : Clio.Op_walk.alternative) -> a.Clio.Op_walk.mapping) alts)
+  in
+  Clio.Workspace.confirm ws
+
+let workspace_edit_session = lazy (ref (workspace_session ()))
 
 let workspace_edits = ref 0
 
@@ -484,6 +486,24 @@ let workspace_edit () =
           Value.Int (key mod 2000);
         |];
       ]
+
+(* --- render/digest: the served evaluate's digest ---
+
+   [Render.digest] over the D(G) of a fresh B15 workspace session, the
+   4273-row, 346 KB table a served chain-edit evaluate hashes.  Part 3
+   prints its minor and major words per digest: a warm digest renders
+   into its domain's kept buffer, so neither grows with the text. *)
+let render_dg =
+  lazy
+    (let ws = workspace_session () in
+     Fulldisj.Full_disjunction.to_relation
+       (Clio.Mapping_eval.data_associations (Clio.Workspace.ctx ws)
+          (Clio.Workspace.active ws).Clio.Workspace.mapping))
+
+let render_digest () = ignore (Render.digest (Lazy.force render_dg))
+let render_digest_runs = 20
+
+let render_tests = [ Test.make ~name:"render/digest" (Staged.stage render_digest) ]
 
 let engine_edit_tests =
   [
@@ -898,7 +918,7 @@ let socket_workers_tests =
 let all_tests =
   minunion_tests @ fulldisj_tests @ illustration_tests @ walk_tests @ chase_tests
   @ mapping_tests @ mine_tests @ evolve_tests @ engine_walk_tests
-  @ engine_session_tests @ engine_edit_tests @ server_tests @ sampling_tests
+  @ engine_session_tests @ engine_edit_tests @ render_tests @ server_tests @ sampling_tests
   @ join_impl_tests @ match_tests @ pruning_tests @ par_tests @ colplane_tests
   @ restart_tests @ socket_workers_tests
 
@@ -909,6 +929,7 @@ let run_benchmarks () =
      arm that happens to force it (at CI quotas that's the only run). *)
   ignore (Lazy.force b17_instance);
   ignore (Lazy.force b18_store_dir);
+  render_digest ();
   (* Server spawn + verified priming burst must not be charged to the
      first timed B19 run either. *)
   ignore (Lazy.force b19_server_w1);
@@ -1143,6 +1164,11 @@ let workloads : (string * (unit -> unit)) list =
           for _ = 1 to engine_edit_count do
             workspace_edit ()
           done );
+      ( "render/digest",
+        fun () ->
+          for _ = 1 to render_digest_runs do
+            render_digest ()
+          done );
     ]
   (* B16: the multi-session server under scripted load — the cache.*
      counters here show the warm substrate absorbing the cold arm's
@@ -1170,6 +1196,8 @@ let run_measurements () =
   server_loadgen_warm ();
   (* Build the B15 workspace session outside its measured edits. *)
   ignore (Lazy.force workspace_edit_session);
+  (* Warm the digest buffer: the measured digests are the served ones. *)
+  render_digest ();
   List.iter (fun (name, f) -> measure name f) workloads
 
 let counter_table ~title ~columns rows =
@@ -1259,6 +1287,22 @@ let run_counter_tables () =
   Printf.printf "engine/example-edit/workspace: %.0f minor words per edit\n\n"
     ((measurement_of "engine/example-edit/workspace").alloc.Obs.Span.minor_words
     /. float_of_int engine_edit_count);
+  (let dg = Lazy.force render_dg in
+   let a = (measurement_of "render/digest").alloc in
+   let times =
+     Array.init 50 (fun _ ->
+         let t0 = Unix.gettimeofday () in
+         render_digest ();
+         Unix.gettimeofday () -. t0)
+   in
+   Array.sort Float.compare times;
+   let per x = x /. float_of_int render_digest_runs in
+   Printf.printf
+     "render/digest (%d rows, %d bytes of text): %.3f ms (median of 50), %.0f \
+      minor and %.0f major words per digest\n\n"
+     (Relation.cardinality dg)
+     (String.length (Render.relation dg))
+     (times.(25) *. 1e3) (per a.Obs.Span.minor_words) (per a.Obs.Span.major_words));
   counter_table
     ~title:"B16 — server loadgen: memo traffic, cold vs warm substrate"
     ~columns:

@@ -29,6 +29,18 @@ let worker_loop t =
   in
   loop ()
 
+(* A new domain's thread inherits the signal mask of the thread that
+   spawns it; a spawned domain blocks SIGTERM and SIGINT before it runs
+   anything.  The kernel then delivers those signals to the main thread,
+   where a blocking [select] returns EINTR and the OCaml handler runs.
+   Left unblocked, a signal can land on a worker idling in a condition
+   wait, which never reaches a poll point to run the handler, and the
+   signal is lost. *)
+let spawn f =
+  Domain.spawn (fun () ->
+      ignore (Unix.sigprocmask SIG_BLOCK [ Sys.sigterm; Sys.sigint ]);
+      f ())
+
 let create ~jobs =
   let jobs = max 1 jobs in
   let t =
@@ -41,7 +53,7 @@ let create ~jobs =
       stop = false;
     }
   in
-  t.workers <- Array.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  t.workers <- Array.init (jobs - 1) (fun _ -> spawn (fun () -> worker_loop t));
   t
 
 let jobs t = t.pool_jobs

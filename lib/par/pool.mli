@@ -9,6 +9,11 @@
 
 type t
 
+(** [spawn f] runs [f] on a new domain that first blocks SIGTERM and
+    SIGINT, so those signals reach the main thread.  Every domain of
+    this library ({!create} and [Workers.create]) is spawned this way. *)
+val spawn : (unit -> 'a) -> 'a Domain.t
+
 (** [create ~jobs] spawns [max 0 (jobs - 1)] worker domains. *)
 val create : jobs:int -> t
 

@@ -81,7 +81,7 @@ let create ~workers ~notify =
   in
   t.domains <-
     Array.init shard_count (fun shard ->
-        Domain.spawn (fun () -> worker_loop t shard));
+        Pool.spawn (fun () -> worker_loop t shard));
   t
 
 let shards t = t.shard_count

@@ -2,17 +2,20 @@
    same rows, built lazily from one another and memoized:
 
    - the *boxed* view: an array of [Tuple.t] (what the pre-columnar code
-     stored), still the substrate for predicates, rendering and every
-     tuple-level accessor;
+     stored), still the substrate for predicates and every tuple-level
+     accessor;
    - the *columnar* view: one int array per attribute holding
      {!Value_pool} structural ids (0 = null), the substrate for the batch
      operator kernels.
 
    Constructors record whichever representation they were given; the
-   other materializes on first demand.  Both views describe the same row
-   sequence in the same order, and because interning is a structural
-   round-trip ([Value_pool.resolve (intern v)] is [v] bit-for-bit),
-   boxing a columnar relation renders byte-identically to the original.
+   other materializes on first demand.  [view] and [cell] read whichever
+   one is there and materialize nothing, so the renderer and the served
+   rows read a columnar relation without boxing it.  Both views describe
+   the same row sequence in the same order, and because interning is a
+   structural round-trip ([Value_pool.resolve (intern v)] is [v]
+   bit-for-bit), a columnar relation renders byte-identically to its
+   boxed twin.
 
    The memo fields are written at most once per representation with a
    single pointer store; a concurrent second computation (two Par domains
@@ -107,6 +110,16 @@ let tuples_array t =
       in
       t.boxed <- Some arr;
       arr
+
+type view = Boxed of Tuple.t array | Columns of int array array
+
+let view t =
+  match t.boxed with Some arr -> Boxed arr | None -> Columns (Option.get t.cols)
+
+let cell t i c =
+  match t.boxed with
+  | Some arr -> arr.(i).(c)
+  | None -> Value_pool.resolve (Option.get t.cols).(c).(i)
 
 let columns t =
   match t.cols with

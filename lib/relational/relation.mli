@@ -9,7 +9,8 @@
     {!Value_pool}-id view — each materialized lazily from the other.
     Tuple-level accessors ({!tuples}, {!iter}, {!fold}, {!pp}, …) force
     the boxed view; the batch operator kernels ({!Algebra},
-    [Fulldisj.Min_union]) work on {!columns}.  See docs/data-plane.md. *)
+    [Fulldisj.Min_union]) work on {!columns}; {!view} and {!cell} read
+    whichever is there ({!Render} does).  See docs/data-plane.md. *)
 
 type t
 
@@ -52,6 +53,18 @@ val tuples_array : t -> Tuple.t array
     int array per attribute; cells are {!Value_pool} structural ids
     (0 = null). *)
 val columns : t -> int array array
+
+(** How the relation holds its rows right now: the boxed array when it
+    has one, else the id columns.  Materializes nothing; for readers
+    such as {!Render} that consume either without boxing a columnar
+    relation. *)
+type view = Boxed of Tuple.t array | Columns of int array array
+
+val view : t -> view
+
+(** [cell t i c] is the value at row [i], column [c], read from
+    whichever representation {!view} returns; materializes nothing. *)
+val cell : t -> int -> int -> Value.t
 
 val cardinality : t -> int
 val is_empty : t -> bool

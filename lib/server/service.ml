@@ -27,20 +27,15 @@ let draining t = Atomic.get t.draining
 let scheme_of rel =
   Array.to_list (Array.map Attr.to_string (Schema.attrs (Relation.schema rel)))
 
+(* The first [limit] rows, read in place: a columnar F(J) is not boxed. *)
 let rows_of rel limit =
-  match limit with
-  | None -> None
-  | Some k ->
-      let rows = ref [] and taken = ref 0 in
-      (try
-         Relation.iter
-           (fun tup ->
-             if !taken >= k then raise Exit;
-             incr taken;
-             rows := Array.to_list (Array.map Value.to_string tup) :: !rows)
-           rel
-       with Exit -> ());
-      Some (List.rev !rows)
+  Option.map
+    (fun k ->
+      let arity = Schema.arity (Relation.schema rel) in
+      List.init
+        (Int.max 0 (Int.min k (Relation.cardinality rel)))
+        (fun i -> List.init arity (fun c -> Value.to_string (Relation.cell rel i c))))
+    limit
 
 let entry_infos ?scores ws =
   let active = (Clio.Workspace.active ws).Clio.Workspace.id in

@@ -10,7 +10,10 @@
 
    Stress: one shared Eval_cache hammered from 4 domains — every hit
    returns the exact relation inserted (no torn entries) and the
-   hit/miss counters account for every lookup. *)
+   hit/miss counters account for every lookup.
+
+   Signals: the domains both executors spawn block SIGTERM and SIGINT,
+   so those signals reach the main thread. *)
 
 open Relational
 open Clio
@@ -261,6 +264,42 @@ let test_cache_stress () =
     arr;
   Obs.Counter.reset_all ()
 
+(* --- signal masks of spawned domains --- *)
+
+let blocks_shutdown_signals mask =
+  List.mem Sys.sigterm mask && List.mem Sys.sigint mask
+
+(* A task on a spawned domain reads its own mask; both executors' domains
+   must block SIGTERM and SIGINT, so the kernel hands those signals to
+   the main thread instead of a worker idling in a condition wait. *)
+let test_workers_block_signals () =
+  let mask = Atomic.make None in
+  let w = Par.Workers.create ~workers:2 ~notify:ignore in
+  Par.Workers.submit w ~shard:1 (fun () ->
+      Atomic.set mask (Some (Unix.sigprocmask SIG_BLOCK [])));
+  Par.Workers.drain w;
+  Par.Workers.shutdown w;
+  match Atomic.get mask with
+  | Some m ->
+      Alcotest.(check bool) "worker blocks SIGTERM and SIGINT" true
+        (blocks_shutdown_signals m)
+  | None -> Alcotest.fail "task did not run"
+
+let test_pool_blocks_signals () =
+  let mask = Atomic.make None in
+  let p = Par.Pool.create ~jobs:2 in
+  (* [submit] only enqueues: the pool's one spawned domain runs it. *)
+  Par.Pool.submit p (fun () ->
+      Atomic.set mask (Some (Unix.sigprocmask SIG_BLOCK [])));
+  Par.Pool.shutdown p;
+  (match Atomic.get mask with
+  | Some m ->
+      Alcotest.(check bool) "pool domain blocks SIGTERM and SIGINT" true
+        (blocks_shutdown_signals m)
+  | None -> Alcotest.fail "task did not run");
+  Alcotest.(check bool) "the caller's mask is unchanged" false
+    (List.mem Sys.sigterm (Unix.sigprocmask SIG_BLOCK []))
+
 let () =
   Alcotest.run "par"
     [
@@ -287,4 +326,10 @@ let () =
           qtest prop_illustration_parallel_eq_sequential;
         ] );
       ("cache", [ tc "4-domain stress" `Quick test_cache_stress ]);
+      ( "signals",
+        [
+          tc "worker domains block SIGTERM and SIGINT" `Quick
+            test_workers_block_signals;
+          tc "pool domains block SIGTERM and SIGINT" `Quick test_pool_blocks_signals;
+        ] );
     ]

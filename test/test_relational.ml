@@ -832,6 +832,179 @@ let test_render_edge_cases () =
         (Render.relation r))
     [ []; [ [||] ] ]
 
+(* A relation held as id columns only, twin of a boxed one. *)
+let columnar_twin r =
+  Relation.of_columns ~dedup:false ~allow_all_null:true (Relation.name r)
+    (Relation.schema r)
+    (Value_pool.intern_rows (Relation.tuples_array r)
+       ~arity:(Schema.arity (Relation.schema r)))
+
+let is_columnar r =
+  match Relation.view r with Relation.Columns _ -> true | Relation.Boxed _ -> false
+
+(* The writer reads id columns in place: the text is the oracle's and the
+   boxed twin's, and rendering leaves the relation unboxed.  Id columns
+   cannot hold rows of no columns, so zero-column draws are skipped. *)
+let prop_columnar_matches_oracle =
+  QCheck2.Test.make ~name:"columnar relation/digest = list oracle = boxed twin"
+    ~count:500 render_relation_gen (fun boxed ->
+      QCheck2.assume (Schema.arity (Relation.schema boxed) > 0);
+      let r = columnar_twin boxed in
+      List.for_all
+        (fun qualified ->
+          let text = Render.relation ?qualified r in
+          String.equal text (oracle_relation ?qualified boxed)
+          && String.equal text (Render.relation ?qualified boxed))
+        [ None; Some true; Some false ]
+      && String.equal (Render.digest r)
+           (Digest.to_hex (Digest.string (oracle_relation boxed)))
+      && String.equal (Render.digest r) (Render.digest boxed)
+      && is_columnar r)
+
+(* Ints across every digit-count boundary and strings across the
+   writer's word-copy lengths, boxed and columnar, against the oracle. *)
+let prop_cell_widths_match_oracle =
+  QCheck2.Test.make ~name:"ints and strings of every width = list oracle"
+    ~count:300
+    QCheck2.Gen.(
+      list_size (int_range 0 30)
+        (pair
+           (oneof
+              [
+                int_range (-20000) 20000;
+                int;
+                oneofl [ 9; 10; 99; 100; 999; 1000; 9999; 10000; -9; -10; -9999; -10000 ];
+              ])
+           (string_size ~gen:printable (int_range 0 40))))
+    (fun rows ->
+      let r =
+        Relation.create "N" (Schema.make "N" [ "i"; "s" ])
+          (List.map (fun (i, s) -> [| v_int i; v_str s |]) rows)
+      in
+      check_relation_matches r
+      && String.equal (Render.relation (columnar_twin r)) (oracle_relation r))
+
+(* [rows] rows of an int key and a string whose length varies with the
+   key, so the widths differ from one relation to the next. *)
+let keyed_relation name rows =
+  Relation.create name (Schema.make name [ "k"; "s" ])
+    (List.init rows (fun i ->
+         [| v_int ((i * 7919) - 3000); v_str (String.make (1 + (i mod 37)) 'x') |]))
+
+(* Each domain keeps its own digest buffer: two domains digesting
+   different relations at once (one of them growing its buffer as it
+   alternates sizes) agree with the sequential digests. *)
+let test_digest_domains_isolated () =
+  let a1 = keyed_relation "A" 40 and a2 = keyed_relation "A" 3000 in
+  let b = keyed_relation "B" 1500 in
+  let want r = Digest.to_hex (Digest.string (oracle_relation r)) in
+  let wa1 = want a1 and wa2 = want a2 and wb = want b in
+  let run f =
+    Domain.spawn (fun () ->
+        let ok = ref true in
+        for i = 1 to 200 do
+          if not (f i) then ok := false
+        done;
+        !ok)
+  in
+  let da =
+    run (fun i ->
+        if i mod 2 = 0 then Render.digest a1 = wa1 else Render.digest a2 = wa2)
+  in
+  let db = run (fun _ -> Render.digest b = wb) in
+  Alcotest.(check bool) "domain A digests match" true (Domain.join da);
+  Alcotest.(check bool) "domain B digests match" true (Domain.join db)
+
+(* Texts above the retention cap render into a transient buffer: the
+   digest is right and the buffer a domain keeps stays within the cap.
+   Run on a fresh domain, whose buffer starts empty. *)
+let test_digest_above_cap () =
+  let wide rows =
+    Relation.create "W" (Schema.make "W" [ "k"; "s" ])
+      (List.init rows (fun i -> [| v_int i; v_str (String.make 100 'w') |]))
+  in
+  let small = wide 10 and mid = wide 5000 and near = wide 9000 and big = wide 11000 in
+  Alcotest.(check bool) "near-cap text fits" true
+    (String.length (Render.relation near) <= Render.digest_buffer_cap);
+  Alcotest.(check bool) "twice the mid text is above the cap" true
+    (2 * String.length (Render.relation mid) > Render.digest_buffer_cap);
+  Alcotest.(check bool) "big text is above the cap" true
+    (String.length (Render.relation big) > Render.digest_buffer_cap);
+  let got =
+    Domain.join
+      (Domain.spawn (fun () ->
+           let fresh = Render.digest_buffer_bytes () in
+           ignore (Render.digest small);
+           let after_small = Render.digest_buffer_bytes () in
+           let d_big = Render.digest big in
+           let after_big = Render.digest_buffer_bytes () in
+           (* Growing from [mid] by doubling would pass the cap. *)
+           ignore (Render.digest mid);
+           let d_near = Render.digest near in
+           (fresh, after_small, d_big, after_big, d_near, Render.digest_buffer_bytes ())))
+  in
+  let fresh, after_small, d_big, after_big, d_near, after_near = got in
+  Alcotest.(check int) "a fresh domain keeps no buffer" 0 fresh;
+  Alcotest.(check bool) "a small digest keeps a buffer" true (after_small > 0);
+  Alcotest.(check string) "big digest = oracle"
+    (Digest.to_hex (Digest.string (oracle_relation big)))
+    d_big;
+  Alcotest.(check int) "a text above the cap is not kept" after_small after_big;
+  Alcotest.(check string) "near-cap digest = oracle"
+    (Digest.to_hex (Digest.string (oracle_relation near)))
+    d_near;
+  Alcotest.(check bool) "the kept buffer stays within the cap" true
+    (after_near <= Render.digest_buffer_cap && after_near > 0)
+
+(* The D(G) of the served chain-edit walk: a 2000-row 3-chain joined R1 to
+   R3, as bench/main.exe's workspace arm builds it. *)
+let chain_dg () =
+  let inst =
+    Synth.Gen_graph.chain (Random.State.make [| 59 |]) ~n:3 ~rows:2000
+      ~null_prob:0.25 ~orphan_prob:0.2 ()
+  in
+  let ctx =
+    Clio.Eval_ctx.create ~jobs:1 ~kb:inst.Synth.Gen_graph.kb inst.Synth.Gen_graph.db
+  in
+  let m0 =
+    Clio.Mapping.make
+      ~graph:(Querygraph.Qgraph.singleton ~alias:"R1" ~base:"R1")
+      ~target:"T" ~target_cols:[ "c" ]
+      ~correspondences:[ Clio.Correspondence.identity "c" (Attr.make "R1" "id") ]
+      ()
+  in
+  match Clio.Op_walk.data_walk ctx m0 ~start:"R1" ~goal:"R3" ~max_len:3 () with
+  | alt :: _ ->
+      Fulldisj.Full_disjunction.to_relation
+        (Clio.Mapping_eval.data_associations ctx alt.Clio.Op_walk.mapping)
+  | [] -> Alcotest.fail "no R1-R3 walk"
+
+(* A warm digest allocates nothing proportional to the text: under 1 % of
+   its bytes, counted in words.  Allocation counts do not depend on the
+   machine, so this gates what a wall-clock bound could not. *)
+let test_digest_allocation () =
+  let dg = chain_dg () in
+  let text = String.length (Render.relation dg) in
+  ignore (Render.digest dg);
+  (* Words allocated: [Gc.minor_words] counts the minor heap exactly (the
+     minor counts of [Gc.quick_stat] and [Gc.counters] lag until a minor
+     collection), and [quick_stat]'s major words count direct major
+     allocations, where a fresh text of this size would go. *)
+  let allocated () =
+    let major = (Gc.quick_stat ()).Gc.major_words in
+    Gc.minor_words () +. major
+  in
+  let runs = 10 in
+  let before = allocated () in
+  for _ = 1 to runs do
+    ignore (Sys.opaque_identity (Render.digest dg))
+  done;
+  let per_digest = (allocated () -. before) /. float_of_int runs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f words a digest of %d bytes (< 1%%)" per_digest text)
+    true
+    (per_digest < 0.01 *. float_of_int text)
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "relational"
@@ -934,5 +1107,11 @@ let () =
           QCheck_alcotest.to_alcotest ~long:false prop_table_matches_oracle;
           QCheck_alcotest.to_alcotest ~long:false prop_relation_matches_oracle;
           QCheck_alcotest.to_alcotest ~long:false prop_annotated_matches_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_columnar_matches_oracle;
+          QCheck_alcotest.to_alcotest ~long:false prop_cell_widths_match_oracle;
+          tc "digest buffers are per domain" `Quick test_digest_domains_isolated;
+          tc "digest above the buffer cap" `Quick test_digest_above_cap;
+          tc "warm digest allocates under 1% of its text" `Quick
+            test_digest_allocation;
         ] );
     ]

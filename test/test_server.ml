@@ -537,6 +537,58 @@ let test_loadgen_inprocess_verified () =
     (evaluations > 0
     && Array.for_all (fun ds -> List.length ds = evaluations) o.Loadgen.digests)
 
+(* A served [evaluate fj] reads the cached F(J) in place: the columnar
+   relation the joins built is not boxed by the digest or the rows. *)
+let test_evaluate_fj_stays_columnar () =
+  let registry = Registry.create ~jobs:1 () in
+  let service = Service.create registry in
+  let next = ref 0 in
+  let call ?session request =
+    incr next;
+    Service.handle service { P.id = !next; session; request; trace_id = None }
+  in
+  let sid =
+    match
+      ok_result "open" (call (P.Open_session (P.Chain { n = 3; rows = 80; seed = 4 })))
+    with
+    | P.Opened { session; _ } -> session
+    | _ -> Alcotest.fail "expected Opened"
+  in
+  ignore
+    (ok_result "offer"
+       (call ~session:sid (P.Offer { start = "R1"; goal = "R3"; max_len = 3 })));
+  let info =
+    match
+      ok_result "evaluate"
+        (call ~session:sid (P.Evaluate { what = P.Fj; limit = Some 4 }))
+    with
+    | P.Evaluated info -> info
+    | _ -> Alcotest.fail "expected Evaluated"
+  in
+  let ws = Registry.ws (Option.get (Registry.find registry sid)) in
+  let graph = (Clio.Workspace.active ws).Clio.Workspace.mapping.Clio.Mapping.graph in
+  match
+    Engine.Eval_cache.peek_fj
+      (Option.get (Registry.cache registry))
+      ~version:(Relational.Database.version (Clio.Workspace.db ws))
+      (Engine.Graph_key.of_graph graph)
+  with
+  | None -> Alcotest.fail "F(J) not cached"
+  | Some rel ->
+      Alcotest.(check bool) "cached F(J) holds no boxed array" true
+        (match Relational.Relation.view rel with
+        | Relational.Relation.Columns _ -> true
+        | Relational.Relation.Boxed _ -> false);
+      Alcotest.(check string) "digest of the columnar text"
+        (Digest.to_hex (Digest.string (Relational.Render.relation rel)))
+        info.P.digest;
+      let first =
+        List.filteri (fun i _ -> i < 4) (Relational.Relation.tuples rel)
+        |> List.map (fun t -> Array.to_list (Array.map V.to_string t))
+      in
+      Alcotest.(check (option (list (list string)))) "rows read in place"
+        (Some first) info.P.rows
+
 (* --- trace echo and telemetry attribution, in process --- *)
 
 let test_service_trace_echo () =
@@ -1336,6 +1388,8 @@ let () =
           tc "draining" `Quick test_service_draining;
           tc "loadgen in process, verified" `Quick
             test_loadgen_inprocess_verified;
+          tc "evaluate fj leaves the cached F(J) columnar" `Quick
+            test_evaluate_fj_stays_columnar;
         ] );
       ( "telemetry",
         [
