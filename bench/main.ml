@@ -23,8 +23,10 @@
       (lib/server's multi-session service under scripted client traffic,
       cold vs warm shared-cache substrate), the B17 columnar data
       plane (million-tuple full disjunction + subsumption on the
-      columnar kernels), and the B20 served digest ([render/digest]:
-      time and words per warm [Render.digest] of the B15 D(G)).
+      columnar kernels), the B20 served digest ([render/digest]:
+      time and words per warm [Render.digest] of the B15 D(G)), and the
+      B22 cold offer ([engine/offer-cold], with its selection step alone
+      as [core/illustration-select]).
 
    3. Operator-counter and allocation tables (lib/obs): the same workloads
       run once with observability enabled, reporting subsumption checks,
@@ -505,6 +507,50 @@ let render_digest_runs = 20
 
 let render_tests = [ Test.make ~name:"render/digest" (Staged.stage render_digest) ]
 
+(* --- B22: a cold offer, the first step of a served chain-explore cycle ---
+
+   [Op.apply Offer] (walk R1 to R3 within 3 steps, then evolve an
+   illustration onto each alternative) on a session rooted at R1 of a
+   3-chain of 4000-row relations (1000 with --quick), the step a served
+   chain-explore cycle opens with.  The context is cache-less, so every
+   run joins, min-unions and selects afresh for each alternative, as a
+   served offer does when its D(G)s miss.  [core/illustration-select]
+   times the last step alone: greedy selection over the examples of the
+   first alternative. *)
+let b22_rows = if quick then 1000 else 4000
+
+let b22_session =
+  lazy
+    (let inst =
+       Synth.Gen_graph.chain (seeded 61) ~n:3 ~rows:b22_rows ~null_prob:0.25
+         ~orphan_prob:0.2 ()
+     in
+     let ctx =
+       Clio.Eval_ctx.create ~no_cache:true ~jobs:1 ~kb:inst.Synth.Gen_graph.kb
+         inst.Synth.Gen_graph.db
+     in
+     Clio.Workspace.create ctx (Version.Scenario.rooted_mapping ~root:"R1"))
+
+let b22_offer = Version.Op.Offer { start = "R1"; goal = "R3"; max_len = 3 }
+let offer_cold () = ignore (Version.Op.apply (Lazy.force b22_session) b22_offer)
+
+let b22_universe =
+  lazy
+    (let ws = Version.Op.apply (Lazy.force b22_session) b22_offer in
+     let m = (Clio.Workspace.active ws).Clio.Workspace.mapping in
+     ( Clio.Mapping_eval.examples (Clio.Workspace.ctx ws) m,
+       m.Clio.Mapping.target_cols ))
+
+let illustration_select () =
+  let universe, target_cols = Lazy.force b22_universe in
+  ignore (Clio.Sufficiency.select ~universe ~target_cols ())
+
+let offer_tests =
+  [
+    Test.make ~name:"engine/offer-cold" (Staged.stage offer_cold);
+    Test.make ~name:"core/illustration-select" (Staged.stage illustration_select);
+  ]
+
 let engine_edit_tests =
   [
     Test.make ~name:"engine/example-edit/incremental"
@@ -920,7 +966,7 @@ let all_tests =
   @ mapping_tests @ mine_tests @ evolve_tests @ engine_walk_tests
   @ engine_session_tests @ engine_edit_tests @ render_tests @ server_tests @ sampling_tests
   @ join_impl_tests @ match_tests @ pruning_tests @ par_tests @ colplane_tests
-  @ restart_tests @ socket_workers_tests
+  @ restart_tests @ socket_workers_tests @ offer_tests
 
 (* --- running and reporting --- *)
 
@@ -930,6 +976,7 @@ let run_benchmarks () =
   ignore (Lazy.force b17_instance);
   ignore (Lazy.force b18_store_dir);
   render_digest ();
+  ignore (Lazy.force b22_universe);
   (* Server spawn + verified priming burst must not be charged to the
      first timed B19 run either. *)
   ignore (Lazy.force b19_server_w1);
@@ -1189,6 +1236,13 @@ let workloads : (string * (unit -> unit)) list =
       ("version/restart/warm", fun () -> ignore (b18_digests ~warm:true ()));
       ("version/restart/cold", fun () -> ignore (b18_digests ~warm:false ()));
     ]
+  (* B22: the cold offer and its selection step — rows interned (none:
+     the database holds its relations as columns), join rows, and the
+     examples a selection considers and keeps. *)
+  @ [
+      ("engine/offer-cold", offer_cold);
+      ("core/illustration-select", illustration_select);
+    ]
 
 let run_measurements () =
   (* Prime B16's persistent substrate so the measured warm arm really runs
@@ -1198,6 +1252,8 @@ let run_measurements () =
   ignore (Lazy.force workspace_edit_session);
   (* Warm the digest buffer: the measured digests are the served ones. *)
   render_digest ();
+  (* Build the B22 session and its universe outside the measured runs. *)
+  ignore (Lazy.force b22_universe);
   List.iter (fun (name, f) -> measure name f) workloads
 
 let counter_table ~title ~columns rows =
@@ -1352,6 +1408,33 @@ let run_counter_tables () =
       digests %s\n\n"
      (List.length warm)
      (if agree then "byte-identical" else "MISMATCH"));
+  counter_table
+    ~title:"B22 — cold offer: rows interned, join work and selection"
+    ~columns:
+      [
+        ("rows.interned", Obs.Names.relation_rows_interned);
+        ("join.rows_out", Obs.Names.join_rows_out);
+        ("examples", Obs.Names.eval_examples);
+        ("ill.candidates", Obs.Names.illustration_candidates);
+        ("ill.selected", Obs.Names.illustration_selected);
+      ]
+    [ "engine/offer-cold"; "core/illustration-select" ];
+  (let median runs f =
+     let times =
+       Array.init runs (fun _ ->
+           let t0 = Unix.gettimeofday () in
+           f ();
+           Unix.gettimeofday () -. t0)
+     in
+     Array.sort Float.compare times;
+     times.(runs / 2) *. 1e3
+   in
+   let universe, _ = Lazy.force b22_universe in
+   Printf.printf
+     "B22 — cold offer (%d-row 3-chain): %.1f ms an offer (median of 5); \
+      selection over %d examples: %.2f ms (median of 21)\n\n"
+     b22_rows (median 5 offer_cold) (List.length universe)
+     (median 21 illustration_select));
   (* B16 headline: one verified run per arm, end-to-end numbers. *)
   let b16_outcome ~arm =
     let service =

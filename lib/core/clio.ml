@@ -50,9 +50,7 @@ let context ?mine ?no_cache db =
 let illustrate ctx (m : Mapping.t) =
   Obs.with_span Obs.Names.sp_illustrate (fun () ->
       let universe = Mapping_eval.examples ctx m in
-      Sufficiency.select
-        ?pool:(Engine.Eval_ctx.pool ctx)
-        ~universe ~target_cols:m.Mapping.target_cols ())
+      Sufficiency.select ~universe ~target_cols:m.Mapping.target_cols ())
 
 let corr_identity target_col src_rel src_col =
   Correspondence.identity target_col (Attr.make src_rel src_col)

@@ -58,9 +58,7 @@ let evolve ctx ~old_mapping ~old_illustration (new_m : Mapping.t) =
       (fun acc e -> if Illustration.mem e acc then acc else acc @ [ e ])
       [] seed
   in
-  Sufficiency.select
-    ?pool:(Engine.Eval_ctx.pool ctx)
-    ~seed ~universe ~target_cols:new_m.Mapping.target_cols ()
+  Sufficiency.select ~seed ~universe ~target_cols:new_m.Mapping.target_cols ()
 
 let is_continuous ctx ~old_mapping ~old_illustration ~new_mapping illustration =
   let positions = positions ctx old_mapping new_mapping in

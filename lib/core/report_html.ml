@@ -70,9 +70,7 @@ let page ?title ?short ?root ctx (m : Mapping.t) =
   let fd = Mapping_eval.data_associations ctx m in
   let universe = Mapping_eval.examples ctx m in
   let ill =
-    Sufficiency.select
-      ?pool:(Engine.Eval_ctx.pool ctx)
-      ~universe ~target_cols:m.Mapping.target_cols ()
+    Sufficiency.select ~universe ~target_cols:m.Mapping.target_cols ()
   in
   let scheme = fd.Full_disjunction.scheme in
   let b = Buffer.create 8192 in

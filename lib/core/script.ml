@@ -100,9 +100,7 @@ let exec_show ln st args =
       let fd = Mapping_eval.data_associations st.ctx m in
       let universe = Mapping_eval.examples st.ctx m in
       let ill =
-        Sufficiency.select
-          ?pool:(Engine.Eval_ctx.pool st.ctx)
-          ~universe ~target_cols:m.Mapping.target_cols ()
+        Sufficiency.select ~universe ~target_cols:m.Mapping.target_cols ()
       in
       show st
         (Illustration.render ~scheme:fd.Fulldisj.Full_disjunction.scheme ill)

@@ -64,10 +64,10 @@ val is_sufficient :
 
 (** Greedy minimal sufficient illustration drawn from the universe.
     [seed] examples are always included (used by continuous evolution).
-    [?pool] fans the per-round candidate scoring across a [Par] pool; the
-    selection is identical either way (the argmax fold is sequential). *)
+    Each round takes the first example, in universe order, that meets
+    the most unmet requirements; examples are grouped once by what they
+    can satisfy, so a round scores one example per group. *)
 val select :
-  ?pool:Par.Pool.t ->
   ?seed:Example.t list ->
   universe:Example.t list ->
   target_cols:string list ->

@@ -17,9 +17,7 @@ type t = {
 
 let fresh_illustration ctx (m : Mapping.t) =
   let universe = Mapping_eval.examples ctx m in
-  Sufficiency.select
-    ?pool:(Eval_ctx.pool ctx)
-    ~universe ~target_cols:m.Mapping.target_cols ()
+  Sufficiency.select ~universe ~target_cols:m.Mapping.target_cols ()
 
 let create ctx ?(label = "initial") m =
   let entry =

@@ -9,15 +9,12 @@ let reorder r target =
     Array.to_list (Schema.attrs target) |> List.map (Schema.index src)
   in
   (* A column permutation: rows are untouched, so the input set stays a
-     set and dedup is skipped.  Zero columns carry no row count, so that
-     shape keeps its (at most one) empty tuple directly. *)
-  if positions = [] then
-    Relation.create ~dedup:false (Relation.name r) target (Relation.tuples r)
-  else
-    let cols = Relation.columns r in
-    Relation.of_columns ~dedup:false ~allow_all_null:true (Relation.name r)
-      target
-      (Array.of_list (List.map (fun i -> cols.(i)) positions))
+     set and dedup is skipped.  The row count travels with the columns,
+     which zero columns cannot carry. *)
+  let cols = if positions = [] then [||] else Relation.columns r in
+  Relation.of_columns ~dedup:false ~allow_all_null:true
+    ~nrows:(Relation.cardinality r) (Relation.name r) target
+    (Array.of_list (List.map (fun i -> cols.(i)) positions))
 
 (* BFS order from the lexicographically first alias; each step joins the next
    node in, with the conjunction of all edges linking it to nodes already

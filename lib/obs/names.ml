@@ -20,6 +20,14 @@ let join_rows_out = Counter.make "algebra.join.rows_out"
 let outer_join_dangling = Counter.make "algebra.outer_join.dangling"
 let outer_union_rows = Counter.make "algebra.outer_union.rows"
 
+(* --- counters: relation storage --- *)
+
+(* Rows whose boxed tuples were interned into id columns
+   ([Relation.columns] on a relation that had no columns yet).  Base
+   relations are interned once, when a database stores them; an
+   evaluation over stored relations interns only what it builds itself. *)
+let relation_rows_interned = Counter.make "relation.rows_interned"
+
 (* --- counters: full disjunction / minimum union --- *)
 
 let subsumption_checks = Counter.make "fulldisj.subsumption_checks"

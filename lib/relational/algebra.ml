@@ -5,21 +5,18 @@ let select p r =
   Obs.add Obs.Names.select_rows_out (Relation.cardinality out);
   out
 
-(* Every operator runs on the columnar kernels.  The one shape a column
-   set cannot express is zero arity (no column carries the row count), so
-   there a relation is {} or {()} and is built directly. *)
+(* Every operator runs on the columnar kernels.  A projection onto no
+   attributes keeps no column, so the row count is passed along: the
+   result is {} or {()}. *)
 let project attrs r =
   let schema = Relation.schema r in
   let positions = List.map (Schema.index schema) attrs in
   let out_schema = Schema.project schema attrs in
   Obs.add Obs.Names.project_rows (Relation.cardinality r);
-  if positions = [] then
-    Relation.create (Relation.name r) out_schema
-      (if Relation.is_empty r then [] else [ [||] ])
-  else
-    let cols = Relation.columns r in
-    Relation.of_columns ~allow_all_null:true (Relation.name r) out_schema
-      (Array.of_list (List.map (fun i -> cols.(i)) positions))
+  let cols = if positions = [] then [||] else Relation.columns r in
+  Relation.of_columns ~allow_all_null:true ~nrows:(Relation.cardinality r)
+    (Relation.name r) out_schema
+    (Array.of_list (List.map (fun i -> cols.(i)) positions))
 
 let product l r =
   let schema = Schema.append (Relation.schema l) (Relation.schema r) in

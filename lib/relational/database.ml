@@ -47,7 +47,12 @@ let record t kind =
   in
   (to_version, history)
 
+(* Base relations are stored as id columns only: every evaluation reads
+   them through the batch kernels, so they are interned once here rather
+   than on first use, and the boxed tuples they arrived in are not kept
+   beside the columns. *)
 let add t r =
+  let r = Relation.as_columns r in
   let name = Relation.name r in
   if Hashtbl.mem t.by_name name then
     invalid_arg ("Database.add: duplicate relation " ^ name);
@@ -61,6 +66,7 @@ let add_constraint t c =
   { t with version; constraints = t.constraints @ [ c ]; history }
 
 let replace t r =
+  let r = Relation.as_columns r in
   let name = Relation.name r in
   if not (Hashtbl.mem t.by_name name) then
     invalid_arg ("Database.replace: unknown relation " ^ name);
@@ -73,40 +79,59 @@ let replace t r =
      the replace to the replaced instance. *)
   { t with version = next_version (); rels; by_name; history = [] }
 
+(* [old @ fresh] as a set, and the indices into the batch [fresh] of
+   the rows it adds: those equal (class-wise, as set semantics compares)
+   to neither an old row nor an earlier batch row.  [old] is a set, so a
+   first-occurrence dedup keeps every old row.  Zero columns hold at most
+   one (empty) row. *)
+let append_new ~old ~n_old fresh ~n_fresh =
+  if Array.length old = 0 then (old, if n_old = 0 && n_fresh > 0 then [| 0 |] else [||])
+  else
+    let all = Col_ops.concat [ old; fresh ] in
+    match Col_ops.dedup_keep_first all with
+    | None -> (all, Array.init n_fresh Fun.id)
+    | Some keep ->
+        ( Col_ops.gather all keep,
+          Array.of_seq
+            (Seq.filter_map
+               (fun i -> if i >= n_old then Some (i - n_old) else None)
+               (Array.to_seq keep)) )
+
 let insert_tuples t name tuples =
   let old_r =
     match Hashtbl.find_opt t.by_name name with
     | Some r -> r
     | None -> invalid_arg ("Database.insert_tuples: unknown relation " ^ name)
   in
-  let old_set = Relation.Tuple_tbl.create (Relation.cardinality old_r) in
-  Relation.iter (fun tup -> Relation.Tuple_tbl.replace old_set tup ()) old_r;
-  let fresh =
-    List.filter
-      (fun tup ->
-        if Relation.Tuple_tbl.mem old_set tup then false
-        else begin
-          (* also dedup within the batch itself *)
-          Relation.Tuple_tbl.replace old_set tup ();
-          true
-        end)
-      tuples
+  let schema = Relation.schema old_r in
+  (* The batch is validated like any relation's rows, then interned on
+     its own; the old relation is read as the columns it is stored as and
+     is never boxed. *)
+  let batch = Relation.create ~dedup:false name schema tuples in
+  let n_old = Relation.cardinality old_r in
+  let cols, added =
+    append_new ~old:(Relation.columns old_r) ~n_old (Relation.columns batch)
+      ~n_fresh:(Relation.cardinality batch)
   in
-  if fresh = [] then t
+  if Array.length added = 0 then t
   else begin
-    (* [fresh] is disjoint from the old rows and from itself, so the
-       union is already a set. *)
     let r =
-      Relation.create ~dedup:false (Relation.name old_r) (Relation.schema old_r)
-        (Relation.tuples old_r @ fresh)
+      Relation.of_columns ~dedup:false ~allow_all_null:true
+        ~nrows:(n_old + Array.length added) name schema cols
     in
     let by_name = Hashtbl.copy t.by_name in
     Hashtbl.replace by_name name r;
     let rels =
       List.map (fun (n, old) -> if n = name then (n, r) else (n, old)) t.rels
     in
+    let rows = Relation.tuples_array batch in
     let version, history =
-      record t (Delta.Insert { relation = name; tuples = fresh })
+      record t
+        (Delta.Insert
+           {
+             relation = name;
+             tuples = Array.to_list (Array.map (fun i -> rows.(i)) added);
+           })
     in
     { t with version; rels; by_name; history }
   end
@@ -141,16 +166,24 @@ let cell_count t =
 let find_value_in r v =
   if Value.is_null v then []
   else
-    let name = Relation.name r in
-    let schema = Relation.schema r in
-    Array.to_list (Schema.attrs schema)
-    |> List.filter_map (fun a ->
-           let i = Schema.index schema a in
-           let count =
-             Relation.fold
-               (fun acc tup -> if Value.equal tup.(i) v then acc + 1 else acc)
-               0 r
-           in
-           if count > 0 then Some (name, a.Attr.name, count) else None)
+    (* Stored relations are columns: count the cells of [v]'s class in
+       place rather than box the relation.  The columns come first: a
+       relation not interned yet may hold the pool's only value of that
+       class. *)
+    let cols = Relation.columns r in
+    match Value_pool.find_class v with
+    | None -> []
+    | Some cls ->
+        let name = Relation.name r in
+        let schema = Relation.schema r in
+        Array.to_list (Schema.attrs schema)
+        |> List.filter_map (fun a ->
+               let count =
+                 Array.fold_left
+                   (fun acc id -> if Value_pool.class_of id = cls then acc + 1 else acc)
+                   0
+                   cols.(Schema.index schema a)
+               in
+               if count > 0 then Some (name, a.Attr.name, count) else None)
 
 let find_value t v = List.concat_map (fun (_, r) -> find_value_in r v) t.rels

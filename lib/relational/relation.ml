@@ -17,18 +17,21 @@
    bit-for-bit), a columnar relation renders byte-identically to its
    boxed twin.
 
-   The memo fields are written at most once per representation with a
-   single pointer store; a concurrent second computation (two Par domains
-   forcing the same view) produces an equal array and the last store
-   wins — benign. *)
+   The rows and their memo live in one [rep] record that schema-only
+   copies ([with_name], [rename_rel]) share with their source, so a base
+   relation is interned once per value, not once per alias that reads
+   it.  The memo fields are written at most once per representation with
+   a single pointer store; a concurrent second computation (two Par
+   domains forcing the same view) produces an equal array and the last
+   store wins — benign. *)
 
-type t = {
-  name : string;
-  schema : Schema.t;
+type rep = {
   nrows : int;
   mutable boxed : Tuple.t array option;
   mutable cols : int array array option;
 }
+
+type t = { name : string; schema : Schema.t; rep : rep }
 
 module Tuple_tbl = Hashtbl.Make (struct
   type t = Tuple.t
@@ -60,19 +63,25 @@ let validate ~ctor ~allow_all_null name schema tuples =
         invalid_arg (Printf.sprintf "%s %s: all-null tuple" ctor name))
     tuples
 
+let of_boxed name schema arr =
+  { name; schema; rep = { nrows = Array.length arr; boxed = Some arr; cols = None } }
+
 let create ?(dedup = true) ?(allow_all_null = false) name schema tuples =
   validate ~ctor:"Relation.create" ~allow_all_null name schema tuples;
   let tuples = if dedup then dedup_list tuples else tuples in
-  let arr = Array.of_list tuples in
-  { name; schema; nrows = Array.length arr; boxed = Some arr; cols = None }
+  of_boxed name schema (Array.of_list tuples)
 
-let of_columns ?(dedup = true) ?(allow_all_null = false) name schema cols =
+(* Column sets of no columns carry no row count, so [nrows] supplies it
+   there; the rows of such a relation are all the empty tuple, and a set
+   holds at most one. *)
+let of_columns ?(dedup = true) ?(allow_all_null = false) ?nrows name schema cols =
   let arity = Schema.arity schema in
   if Array.length cols <> arity then
     invalid_arg
       (Printf.sprintf "Relation.of_columns %s: %d columns, schema arity %d" name
          (Array.length cols) arity);
-  let n = Col_ops.nrows cols in
+  let n = match nrows with Some n -> n | None -> Col_ops.nrows cols in
+  if n < 0 then invalid_arg (Printf.sprintf "Relation.of_columns %s: %d rows" name n);
   Array.iteri
     (fun c col ->
       if Array.length col <> n then
@@ -89,59 +98,69 @@ let of_columns ?(dedup = true) ?(allow_all_null = false) name schema cols =
       if !all_null then
         invalid_arg (Printf.sprintf "Relation.of_columns %s: all-null tuple" name)
     done;
-  let cols =
-    if not dedup then cols
+  let cols, n =
+    if not dedup then (cols, n)
+    else if arity = 0 then (cols, min n 1)
     else
       match Col_ops.dedup_keep_first cols with
-      | None -> cols
-      | Some keep -> Col_ops.gather cols keep
+      | None -> (cols, n)
+      | Some keep -> (Col_ops.gather cols keep, Array.length keep)
   in
-  { name; schema; nrows = Col_ops.nrows cols; boxed = None; cols = Some cols }
+  { name; schema; rep = { nrows = n; boxed = None; cols = Some cols } }
 
 let tuples_array t =
-  match t.boxed with
+  match t.rep.boxed with
   | Some arr -> arr
   | None ->
-      let cols = Option.get t.cols in
+      let cols = Option.get t.rep.cols in
       let arity = Schema.arity t.schema in
       let arr =
-        Array.init t.nrows (fun i ->
+        Array.init t.rep.nrows (fun i ->
             Array.init arity (fun c -> Value_pool.resolve cols.(c).(i)))
       in
-      t.boxed <- Some arr;
+      t.rep.boxed <- Some arr;
       arr
 
 type view = Boxed of Tuple.t array | Columns of int array array
 
 let view t =
-  match t.boxed with Some arr -> Boxed arr | None -> Columns (Option.get t.cols)
+  match t.rep.boxed with
+  | Some arr -> Boxed arr
+  | None -> Columns (Option.get t.rep.cols)
 
 let cell t i c =
-  match t.boxed with
+  match t.rep.boxed with
   | Some arr -> arr.(i).(c)
-  | None -> Value_pool.resolve (Option.get t.cols).(c).(i)
+  | None -> Value_pool.resolve (Option.get t.rep.cols).(c).(i)
 
 let columns t =
-  match t.cols with
+  match t.rep.cols with
   | Some cols -> cols
   | None ->
-      let arr = Option.get t.boxed in
+      let arr = Option.get t.rep.boxed in
       let cols = Value_pool.intern_rows arr ~arity:(Schema.arity t.schema) in
-      t.cols <- Some cols;
+      Obs.add Obs.Names.relation_rows_interned t.rep.nrows;
+      t.rep.cols <- Some cols;
       cols
+
+let as_columns t =
+  match t.rep.boxed with
+  | None -> t
+  | Some _ ->
+      let cols = columns t in
+      { t with rep = { nrows = t.rep.nrows; boxed = None; cols = Some cols } }
 
 let name t = t.name
 let schema t = t.schema
 let tuples t = Array.to_list (tuples_array t)
-let cardinality t = t.nrows
-let is_empty t = t.nrows = 0
+let cardinality t = t.rep.nrows
+let is_empty t = t.rep.nrows = 0
 let mem t tup = Array.exists (Tuple.equal tup) (tuples_array t)
 let iter f t = Array.iter f (tuples_array t)
 let fold f init t = Array.fold_left f init (tuples_array t)
 
 let filter p t =
-  let arr = Array.of_list (List.filter p (tuples t)) in
-  { t with nrows = Array.length arr; boxed = Some arr; cols = None }
+  of_boxed t.name t.schema (Array.of_list (List.filter p (tuples t)))
 
 let with_name name t = { t with name }
 
@@ -177,7 +196,7 @@ let equal_contents a b =
    cache accounting; deterministic and O(1). *)
 let footprint_bytes t =
   let arity = Schema.arity t.schema in
-  256 + (arity * 24) + (8 * arity * t.nrows)
+  256 + (arity * 24) + (8 * arity * t.rep.nrows)
 
 let pp ppf t =
   Format.fprintf ppf "%s%a {@[<v>%a@]}" t.name Schema.pp t.schema

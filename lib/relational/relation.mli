@@ -7,6 +7,8 @@
     A relation holds up to two memoized representations of the same row
     sequence — the boxed [Tuple.t array] view and the columnar
     {!Value_pool}-id view — each materialized lazily from the other.
+    Schema-only copies ({!with_name}, {!rename_rel}) share the rows and
+    both memos with their source.
     Tuple-level accessors ({!tuples}, {!iter}, {!fold}, {!pp}, …) force
     the boxed view; the batch operator kernels ({!Algebra},
     [Fulldisj.Min_union]) work on {!columns}; {!view} and {!cell} read
@@ -33,10 +35,16 @@ val create :
 (** Columnar builder: one int array of {!Value_pool} structural ids per
     attribute, all of equal length.  Takes ownership of the arrays — do
     not mutate them afterwards.  Same validation contract as {!create}
-    ([dedup] compares rows class-wise, first occurrence wins). *)
+    ([dedup] compares rows class-wise, first occurrence wins).  [nrows]
+    is the row count, by default the columns' length; a schema of no
+    columns needs it (its rows are empty tuples, which no column
+    counts), elsewhere every column must have that length.
+    [of_columns ~nrows:(cardinality r) name schema (columns r)] rebuilds
+    [r] for every arity. *)
 val of_columns :
   ?dedup:bool ->
   ?allow_all_null:bool ->
+  ?nrows:int ->
   string ->
   Schema.t ->
   int array array ->
@@ -51,8 +59,16 @@ val tuples_array : t -> Tuple.t array
 
 (** The columnar view, memoized, no copy — read-only by contract.  One
     int array per attribute; cells are {!Value_pool} structural ids
-    (0 = null). *)
+    (0 = null).  Interning a relation that has no columns yet adds its
+    row count to the [relation.rows_interned] counter. *)
 val columns : t -> int array array
+
+(** The same relation held as id columns only: [t] itself when it has
+    no boxed view, else a relation sharing [t]'s columns (interned now if
+    [t] had none) without the boxed array.  Tuples are built again, and
+    memoized, only when a caller asks for them.  What a {!Database}
+    stores. *)
+val as_columns : t -> t
 
 (** How the relation holds its rows right now: the boxed array when it
     has one, else the id columns.  Materializes nothing; for readers
@@ -72,10 +88,12 @@ val mem : t -> Tuple.t -> bool
 val iter : (Tuple.t -> unit) -> t -> unit
 val fold : ('a -> Tuple.t -> 'a) -> 'a -> t -> 'a
 val filter : (Tuple.t -> bool) -> t -> t
+
+(** A copy under another name; shares [t]'s rows and memos. *)
 val with_name : string -> t -> t
 
 (** Rename the owning node of every attribute; used to create relation
-    copies such as [Parents2]. *)
+    copies such as [Parents2].  Shares [t]'s rows and memos. *)
 val rename_rel : t -> from:string -> into:string -> t
 
 (** Values appearing in a column, nulls excluded, deduplicated. *)

@@ -180,6 +180,9 @@ let intern_rows rows ~arity =
       Array.init arity (fun c ->
           Array.init n (fun i -> intern_locked rows.(i).(c))))
 
+let find_class v =
+  Mutex.protect pool.lock (fun () -> Value.Table.find_opt pool.class_ids v)
+
 let resolve id = pool.values.(id lsr chunk_bits).(id land chunk_mask)
 let class_of id = pool.classes.(id lsr chunk_bits).(id land chunk_mask)
 let is_null id = id = 0

@@ -41,6 +41,11 @@ val intern_tuple : Tuple.t -> int array
     [Array.length rows] ids each. *)
 val intern_rows : Tuple.t array -> arity:int -> int array array
 
+(** The class of a value already in the pool, without interning it:
+    [Some (class_of (intern v))] when some interned value is
+    {!Value.equal} to [v], else [None] (no column cell can equal [v]). *)
+val find_class : Value.t -> int option
+
 (** The value interned at this id (structural round-trip). *)
 val resolve : int -> Value.t
 

@@ -16,6 +16,10 @@ let sample_ids st ~rows ~key_space =
   end
   else List.init rows (fun i -> i mod key_space)
 
+(* Rows are drawn in order and each cell goes straight into an id
+   column: every value is interned once, on its first draw, through a
+   per-domain table (ints below [2 * key_space], each payload column's
+   1000 strings), so no boxed tuple is built. *)
 let relation st ~name ~rows ~payload_cols ~fks ~key_space =
   let cols =
     "id"
@@ -24,27 +28,35 @@ let relation st ~name ~rows ~payload_cols ~fks ~key_space =
   in
   let schema = Schema.make name cols in
   let ids = sample_ids st ~rows ~key_space in
-  let tuples =
-    List.map
-      (fun id ->
-        let payload =
-          List.init payload_cols (fun i ->
-              Value.String (Printf.sprintf "%s-%d-%d" name i (Random.State.int st 1000)))
-        in
-        let fk_vals =
-          List.map
-            (fun f ->
-              let r = Random.State.float st 1.0 in
-              if r < f.null_prob then Value.Null
-              else if r < f.null_prob +. f.orphan_prob then
-                Value.Int (key_space + Random.State.int st key_space)
-              else Value.Int (Random.State.int st key_space))
-            fks
-        in
-        Tuple.make ((Value.Int id :: payload) @ fk_vals))
-      ids
+  let memo n = Array.make n (-1) in
+  let interned table k v =
+    if table.(k) < 0 then table.(k) <- Value_pool.intern (v ());
+    table.(k)
   in
-  Relation.create name schema tuples
+  let ints = memo (2 * key_space) in
+  let int_id k = interned ints k (fun () -> Value.Int k) in
+  let payloads = Array.init payload_cols (fun _ -> memo 1000) in
+  let out = Array.init (List.length cols) (fun _ -> Array.make rows 0) in
+  List.iteri
+    (fun row id ->
+      out.(0).(row) <- int_id id;
+      for i = 0 to payload_cols - 1 do
+        let k = Random.State.int st 1000 in
+        out.(1 + i).(row) <-
+          interned payloads.(i) k (fun () ->
+              Value.String (Printf.sprintf "%s-%d-%d" name i k))
+      done;
+      List.iteri
+        (fun j f ->
+          let r = Random.State.float st 1.0 in
+          out.(1 + payload_cols + j).(row) <-
+            (if r < f.null_prob then Value_pool.null_id
+             else if r < f.null_prob +. f.orphan_prob then
+               int_id (key_space + Random.State.int st key_space)
+             else int_id (Random.State.int st key_space)))
+        fks)
+    ids;
+  Relation.of_columns name schema out
 
 let sparse_tuples st ~rows ~arity ~null_prob ~domain =
   List.init rows (fun _ ->

@@ -15,7 +15,8 @@ type fk_spec = {
     with an ["id"] key column (values [0 .. key_space-1], unique, sampled
     without replacement when [rows <= key_space]), [payload_cols] string
     columns, and one column ["fk_<target>"] per FK spec.  Orphan references
-    land outside [0 .. key_space-1]. *)
+    land outside [0 .. key_space-1].  Built as {!Value_pool} id columns
+    (the form a {!Database} stores); no boxed tuple is made. *)
 val relation :
   Random.State.t ->
   name:string ->

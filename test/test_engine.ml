@@ -120,6 +120,43 @@ let identity_mapping (inst : Synth.Gen_graph.instance) =
          aliases)
     ()
 
+(* --- relation storage: a D(G) miss reads the stored columns --- *)
+
+(* The database stores its base relations as interned columns, and the
+   aliases of a graph (a copy of R2 among them) share them, so evaluating
+   D(G) from scratch again at the same version interns no row. *)
+let test_repeated_miss_interns_nothing () =
+  let inst = chain_instance () in
+  let fk c p = Predicate.eq_cols (Attr.make c ("fk_" ^ p)) (Attr.make p "id") in
+  let g =
+    Qgraph.make
+      [ ("R1", "R1"); ("R2", "R2"); ("R3", "R3"); ("R2b", "R2") ]
+      [
+        ("R1", "R2", fk "R1" "R2");
+        ("R2", "R3", fk "R2" "R3");
+        ( "R1",
+          "R2b",
+          Predicate.eq_cols (Attr.make "R1" "fk_R2") (Attr.make "R2b" "id") );
+      ]
+  in
+  let ctx = Eval_ctx.transient inst.Synth.Gen_graph.db in
+  let was_enabled = Obs.enabled () in
+  Obs.enable ();
+  Fun.protect
+    ~finally:(fun () -> if not was_enabled then Obs.disable ())
+    (fun () ->
+      let interned () = Obs.Counter.value Obs.Names.relation_rows_interned in
+      let dg () =
+        Relation.tuples
+          (Fulldisj.Full_disjunction.to_relation (Eval_ctx.data_associations ctx g))
+      in
+      let first = dg () in
+      let before = interned () in
+      let again = dg () in
+      Alcotest.(check int) "no row interned" before (interned ());
+      Alcotest.(check bool) "same D(G)" true
+        (List.equal Tuple.equal first again))
+
 (* --- version invalidation --- *)
 
 let test_version_invalidation () =
@@ -317,6 +354,7 @@ let () =
           tc "lru eviction order" `Quick test_lru_eviction_order;
           tc "bad budget" `Quick test_cache_rejects_bad_budget;
           tc "subgraph sharing" `Quick test_subgraph_sharing;
+          tc "repeated miss interns nothing" `Quick test_repeated_miss_interns_nothing;
         ] );
       ( "properties",
         [ qtest prop_cached_equals_uncached; qtest prop_algorithms_agree_cached ] );

@@ -187,6 +187,99 @@ let test_seeded_selection_keeps_seed () =
   Alcotest.(check bool) "sufficient" true
     (Sufficiency.is_sufficient ~universe ~target_cols ill)
 
+(* The greedy selection one example at a time, as [Sufficiency.select]
+   did before it grouped examples by signature: each round scores every
+   example of the universe against the unmet requirements and takes the
+   first one of highest gain.  Also returns the rounds it took. *)
+let greedy_oracle ~seed ~universe ~target_cols =
+  let satisfies = Sufficiency.satisfies ~target_cols in
+  let unmet =
+    List.filter
+      (fun req -> not (List.exists (fun e -> satisfies e req) seed))
+      (Sufficiency.requirements ~universe ~target_cols)
+  in
+  let rounds = ref 0 in
+  let rec cover chosen unmet =
+    if unmet = [] then List.rev chosen
+    else begin
+      incr rounds;
+      let gain e = List.length (List.filter (satisfies e) unmet) in
+      let best =
+        List.fold_left
+          (fun acc e ->
+            let g = gain e in
+            match acc with
+            | Some (_, bg) when bg >= g -> acc
+            | _ when g = 0 -> acc
+            | _ -> Some (e, g))
+          None universe
+      in
+      match best with
+      | None -> Alcotest.fail "oracle: an unmet requirement no example meets"
+      | Some (e, _) ->
+          cover (e :: chosen) (List.filter (fun req -> not (satisfies e req)) unmet)
+    end
+  in
+  let chosen = seed @ cover [] unmet in
+  (chosen, !rounds)
+
+(* Universes with few coverages, few target values and many ties: each
+   example is (coverage, polarity, target cells), the association tuple
+   only tells examples apart.  Seeds are drawn from the universe. *)
+let universe_gen =
+  QCheck2.Gen.(
+    let* ncols = int_range 1 3 in
+    let coverages =
+      [ [ "A" ]; [ "A"; "B" ]; [ "A"; "B"; "C" ]; [ "B"; "C" ]; [ "C" ] ]
+    in
+    let* ncov = int_range 1 (List.length coverages) in
+    let example =
+      triple (int_bound (ncov - 1)) bool
+        (array_size (return ncols) (opt ~ratio:0.6 (int_bound 2)))
+    in
+    let* drawn = list_size (int_range 0 40) example in
+    let universe =
+      List.mapi
+        (fun i (c, positive, cells) ->
+          {
+            Example.assoc =
+              Assoc.make [| Value.Int i |] (Coverage.of_list (List.nth coverages c));
+            target_tuple =
+              Array.map (function Some v -> Value.Int v | None -> Value.Null) cells;
+            positive;
+          })
+        drawn
+    in
+    let* picks = list_size (int_range 1 3) nat in
+    let seed =
+      if universe = [] then []
+      else
+        List.fold_left
+          (fun acc k ->
+            let e = List.nth universe (k mod List.length universe) in
+            if List.memq e acc then acc else acc @ [ e ])
+          [] picks
+    in
+    return (List.init ncols (Printf.sprintf "t%d"), universe, seed))
+
+let prop_select_matches_oracle =
+  QCheck2.Test.make ~name:"signature greedy = per-example greedy" ~count:500
+    universe_gen (fun (target_cols, universe, seed) ->
+      let was_enabled = Obs.enabled () in
+      Obs.enable ();
+      Fun.protect
+        ~finally:(fun () -> if not was_enabled then Obs.disable ())
+        (fun () ->
+          let considered () =
+            Obs.Counter.value Obs.Names.illustration_candidates
+          in
+          let before = considered () in
+          let chosen = Sufficiency.select ~seed ~universe ~target_cols () in
+          let counted = considered () - before in
+          let expected, rounds = greedy_oracle ~seed ~universe ~target_cols in
+          List.equal ( == ) expected chosen
+          && counted = rounds * List.length universe))
+
 (* --- by_category / render --- *)
 
 let test_by_category_partition () =
@@ -314,6 +407,7 @@ let () =
           tc "requirements satisfiable" `Quick test_requirements_satisfiable;
           tc "seeded selection" `Quick test_seeded_selection_keeps_seed;
           tc "exact selection" `Quick test_select_exact;
+          QCheck_alcotest.to_alcotest ~long:false prop_select_matches_oracle;
         ] );
       ( "rendering",
         [

@@ -431,7 +431,11 @@ let test_database_duplicate_rejected () =
 let test_database_find_value () =
   let occs = Database.find_value db (v_int 1) in
   (* id 1 in P.id and C.pid. *)
-  Alcotest.(check int) "two occurrences" 2 (List.length occs)
+  Alcotest.(check int) "two occurrences" 2 (List.length occs);
+  Alcotest.(check bool) "an equal float finds the same cells" true
+    (Database.find_value db (Value.Float 1.0) = occs);
+  Alcotest.(check int) "a value no relation holds" 0
+    (List.length (Database.find_value db (v_str "find_value: nowhere")))
 
 (* --- the consolidated builder and the columnar twin --- *)
 
@@ -485,7 +489,99 @@ let test_of_columns_builder () =
       ignore (Relation.of_columns "A" schema [| [| 0 |]; [| 0 |] |]));
   Alcotest.(check int) "all-null allowed when asked" 1
     (Relation.cardinality
-       (Relation.of_columns ~allow_all_null:true "A" schema [| [| 0 |]; [| 0 |] |]))
+       (Relation.of_columns ~allow_all_null:true "A" schema [| [| 0 |]; [| 0 |] |]));
+  (* No column counts the rows of a zero-column relation: [nrows] does,
+     and a set keeps one empty tuple of many. *)
+  let unit = Relation.create "U" (Schema.of_attrs []) [ [||] ] in
+  let rebuilt =
+    Relation.of_columns ~nrows:(Relation.cardinality unit) "U"
+      (Relation.schema unit) (Relation.columns unit)
+  in
+  Alcotest.(check int) "zero columns keep their row" 1 (Relation.cardinality rebuilt);
+  Alcotest.(check bool) "and round-trip" true (Relation.equal_contents unit rebuilt);
+  Alcotest.(check int) "zero columns dedup to one row" 1
+    (Relation.cardinality
+       (Relation.of_columns ~nrows:3 "U" (Schema.of_attrs []) [||]));
+  Alcotest.(check int) "without dedup every row stays" 3
+    (Relation.cardinality
+       (Relation.of_columns ~dedup:false ~nrows:3 "U" (Schema.of_attrs []) [||]));
+  Alcotest.check_raises "row count checked against the columns"
+    (Invalid_argument "Relation.of_columns A: column 0 length 2, expected 5")
+    (fun () ->
+      ignore (Relation.of_columns ~nrows:5 "A" schema (Relation.columns boxed)))
+
+(* --- relation storage: shared memos, column-only base relations --- *)
+
+let interned () = Obs.Counter.value Obs.Names.relation_rows_interned
+
+let with_obs f =
+  let was_enabled = Obs.enabled () in
+  Obs.enable ();
+  Fun.protect ~finally:(fun () -> if not was_enabled then Obs.disable ()) f
+
+let is_columnar r =
+  match Relation.view r with Relation.Columns _ -> true | Relation.Boxed _ -> false
+
+let test_copies_share_columns () =
+  with_obs @@ fun () ->
+  let r =
+    Relation.create "R" (Schema.make "R" [ "a"; "b" ])
+      [ Tuple.make [ v_int 1; v_str "x" ]; Tuple.make [ v_int 2; v_str "y" ] ]
+  in
+  let named = Relation.with_name "R2" r in
+  let renamed = Relation.rename_rel r ~from:"R" ~into:"R2" in
+  let before = interned () in
+  let cols = Relation.columns renamed in
+  Alcotest.(check int) "the first use interns the rows" (before + 2) (interned ());
+  Alcotest.(check bool) "with_name shares the columns" true
+    (Relation.columns named == cols);
+  Alcotest.(check bool) "the source shares them" true (Relation.columns r == cols);
+  Alcotest.(check int) "once for all copies" (before + 2) (interned ());
+  let stored = Relation.as_columns r in
+  Alcotest.(check bool) "as_columns keeps the columns" true
+    (Relation.columns stored == cols);
+  Alcotest.(check bool) "and drops the boxed view" true (is_columnar stored);
+  Alcotest.(check bool) "same rows" true (Relation.equal_contents r stored)
+
+let test_database_stores_columns () =
+  with_obs @@ fun () ->
+  let schema = Schema.make "R" [ "a"; "b" ] in
+  let old = [ Tuple.make [ v_int 1; v_int 10 ]; Tuple.make [ v_int 2; v_int 20 ] ] in
+  let db = Database.of_relations [ Relation.create "R" schema old ] in
+  Alcotest.(check bool) "add stores columns" true (is_columnar (Database.get db "R"));
+  let before = interned () in
+  (* A fresh row, a row already stored, a batch duplicate, and a row
+     equal to a stored one only class-wise (Float 2.0 = Int 2). *)
+  let fresh = Tuple.make [ v_int 3; v_int 30 ] in
+  let db' =
+    Database.insert_tuples db "R"
+      [
+        fresh;
+        Tuple.make [ v_int 1; v_int 10 ];
+        fresh;
+        Tuple.make [ Value.Float 2.0; v_int 20 ];
+      ]
+  in
+  let r = Database.get db' "R" in
+  Alcotest.(check bool) "insert stores columns" true (is_columnar r);
+  Alcotest.(check int) "only the batch is interned" (before + 4) (interned ());
+  Alcotest.(check bool) "old tuples @ fresh, in order" true
+    (List.equal Tuple.equal (old @ [ fresh ]) (Relation.tuples r));
+  Alcotest.(check bool) "the recorded step holds the fresh row" true
+    (match Database.history db' with
+    | { Delta.kind = Delta.Insert { tuples = [ t ]; _ }; _ } :: _ -> t == fresh
+    | _ -> false);
+  let replaced = Database.replace db' (Relation.create "R" schema old) in
+  Alcotest.(check bool) "replace stores columns" true
+    (is_columnar (Database.get replaced "R"));
+  let unit = Relation.create "U" (Schema.of_attrs []) [] in
+  let db0 = Database.of_relations [ unit ] in
+  let db1 = Database.insert_tuples db0 "U" [ [||]; [||] ] in
+  Alcotest.(check int) "a zero-column relation gains its one row" 1
+    (Relation.cardinality (Database.get db1 "U"));
+  Alcotest.(check int) "and no second"
+    (Database.version db1)
+    (Database.version (Database.insert_tuples db1 "U" [ [||] ]))
 
 let test_equal_contents_order_insensitive () =
   let schema = Schema.make "A" [ "x" ] in
@@ -834,21 +930,16 @@ let test_render_edge_cases () =
 
 (* A relation held as id columns only, twin of a boxed one. *)
 let columnar_twin r =
-  Relation.of_columns ~dedup:false ~allow_all_null:true (Relation.name r)
-    (Relation.schema r)
+  Relation.of_columns ~dedup:false ~allow_all_null:true
+    ~nrows:(Relation.cardinality r) (Relation.name r) (Relation.schema r)
     (Value_pool.intern_rows (Relation.tuples_array r)
        ~arity:(Schema.arity (Relation.schema r)))
 
-let is_columnar r =
-  match Relation.view r with Relation.Columns _ -> true | Relation.Boxed _ -> false
-
 (* The writer reads id columns in place: the text is the oracle's and the
-   boxed twin's, and rendering leaves the relation unboxed.  Id columns
-   cannot hold rows of no columns, so zero-column draws are skipped. *)
+   boxed twin's, and rendering leaves the relation unboxed. *)
 let prop_columnar_matches_oracle =
   QCheck2.Test.make ~name:"columnar relation/digest = list oracle = boxed twin"
     ~count:500 render_relation_gen (fun boxed ->
-      QCheck2.assume (Schema.arity (Relation.schema boxed) > 0);
       let r = columnar_twin boxed in
       List.for_all
         (fun qualified ->
@@ -1089,6 +1180,8 @@ let () =
       ( "changelog",
         [
           tc "insert_tuples" `Quick test_insert_tuples;
+          tc "copies share columns" `Quick test_copies_share_columns;
+          tc "database stores columns" `Quick test_database_stores_columns;
           tc "replace classification" `Quick test_replace_delta_classification;
           tc "history bounded" `Quick test_history_bounded;
           tc "history eviction counted" `Quick test_history_eviction_counted;
