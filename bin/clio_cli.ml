@@ -339,7 +339,7 @@ let stats_cmd =
         (fun (label, algorithm) ->
           Obs.reset ();
           ignore (algorithm src m.Clio.Mapping.graph);
-          (label, (Obs.Metrics.snapshot ()).Obs.Metrics.counters))
+          (label, Obs.Metrics.(nonzero (snapshot ())).counters))
         algorithms
     in
     let names =
@@ -443,7 +443,7 @@ let stats_cmd =
       "Cache rollup (workspace offer/rotate/edit/confirm in one caching \
        context):";
     print_newline ();
-    let counters = (Obs.Metrics.snapshot ()).Obs.Metrics.counters in
+    let counters = Obs.Metrics.(nonzero (snapshot ())).counters in
     let prefixed p n =
       String.length n >= String.length p
       && String.equal (String.sub n 0 (String.length p)) p

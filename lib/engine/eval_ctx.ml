@@ -74,7 +74,6 @@ let with_db ?kb t db =
   { t with db; kb = (match kb with Some kb -> kb | None -> t.kb) }
 
 let with_kb t kb = { t with kb }
-let without_cache t = { t with cache = None }
 let with_jobs t jobs = { t with jobs; pool = Par.get_pool ~jobs }
 let branch_root t = t.branch_root
 let with_branch_root t v = { t with branch_root = Some v }

@@ -86,7 +86,6 @@ val version : t -> int
 val with_db : ?kb:Schemakb.Kb.t -> t -> Database.t -> t
 
 val with_kb : t -> Schemakb.Kb.t -> t
-val without_cache : t -> t
 val with_jobs : t -> int -> t
 
 (** The database version this context's branch forked from the trunk at,

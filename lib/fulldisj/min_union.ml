@@ -417,11 +417,6 @@ let minimize ?pool rel =
 
 let min_union r1 r2 = minimize (Algebra.outer_union r1 r2)
 
-let min_union_all = function
-  | [] -> None
-  | [ r ] -> Some (minimize r)
-  | r :: rest -> Some (minimize (List.fold_left Algebra.outer_union r rest))
-
 let is_minimal tuples =
   let arr = Array.of_list tuples in
   not

@@ -63,9 +63,5 @@ val minimize : ?pool:Par.Pool.t -> Relation.t -> Relation.t
     tuples removed. *)
 val min_union : Relation.t -> Relation.t -> Relation.t
 
-(** N-ary minimum union over a common schema (relations are padded to the
-    merged schema first, as in D(G) = F(J1) ⊕ ... ⊕ F(Jn)). *)
-val min_union_all : Relation.t list -> Relation.t option
-
 (** [is_minimal tuples] — no tuple strictly subsumes another (test oracle). *)
 val is_minimal : Tuple.t list -> bool

@@ -7,6 +7,7 @@ type stats = {
   p50 : float;
   p90 : float;
   p99 : float;
+  buckets : int array;
 }
 
 (* Retention bound for raw observations.  Below it percentiles are exact;
@@ -155,31 +156,34 @@ let adopt_pending () =
   in
   List.iter (fun (h, v) -> record h v) (List.rev obs)
 
-(* Nearest-rank percentile on the sorted samples: the smallest value with
-   at least q% of the observations at or below it. *)
-let percentile_of_sorted sorted n q =
+(* Nearest-rank percentile on sorted samples: the smallest value with at
+   least q% of the observations at or below it. *)
+let nearest_rank sorted q =
+  let n = Array.length sorted in
   if n = 0 then 0.
   else
     let rank = int_of_float (Float.ceil (q /. 100. *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
 
 let percentile h q =
-  let sorted, kept =
-    Mutex.protect record_mutex (fun () ->
-        let kept = retained h in
-        (Array.sub h.samples 0 kept, kept))
+  let sorted =
+    Mutex.protect record_mutex (fun () -> Array.sub h.samples 0 (retained h))
   in
   Array.sort compare sorted;
-  percentile_of_sorted sorted kept q
+  nearest_rank sorted q
 
 let stats h : stats =
-  let sorted, kept, n, sum, min_v, max_v =
+  let sorted, n, sum, min_v, max_v, buckets =
     Mutex.protect record_mutex (fun () ->
-        let kept = retained h in
-        (Array.sub h.samples 0 kept, kept, h.n, h.sum, h.min_v, h.max_v))
+        ( Array.sub h.samples 0 (retained h),
+          h.n,
+          h.sum,
+          h.min_v,
+          h.max_v,
+          Array.copy h.buckets ))
   in
   Array.sort compare sorted;
-  let p = percentile_of_sorted sorted kept in
+  let p = nearest_rank sorted in
   {
     n;
     sum;
@@ -189,10 +193,8 @@ let stats h : stats =
     p50 = p 50.;
     p90 = p 90.;
     p99 = p 99.;
+    buckets;
   }
-
-let bucket_counts h =
-  Mutex.protect record_mutex (fun () -> Array.copy h.buckets)
 
 let sample_count h = Mutex.protect record_mutex (fun () -> retained h)
 

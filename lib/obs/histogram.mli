@@ -23,6 +23,9 @@ type stats = {
   p50 : float;  (** median, nearest-rank *)
   p90 : float;
   p99 : float;
+  buckets : int array;
+      (** exact per-bucket (non-cumulative) counts aligned with
+          {!bucket_bounds}; the extra final slot is the +Inf overflow *)
 }
 
 (** Maximum raw observations retained per histogram for percentile
@@ -52,9 +55,11 @@ val stats : t -> stats
     (e.g. [percentile h 99.]).  Exact while [n <= reservoir_cap]. *)
 val percentile : t -> float -> float
 
-(** Per-bucket (non-cumulative) exact counts aligned with {!bucket_bounds};
-    the extra final slot is the +Inf overflow.  Fresh copy. *)
-val bucket_counts : t -> int array
+(** [nearest_rank sorted q] — the smallest of the ascending [sorted]
+    samples with at least [q] percent of them at or below it (0 when
+    empty).  The one percentile convention of every Obs and server
+    report. *)
+val nearest_rank : float array -> float -> float
 
 (** Number of raw samples currently retained: [min n reservoir_cap]. *)
 val sample_count : t -> int

@@ -1,6 +1,6 @@
 (** Minimal JSON: one value type, a compact and a pretty emitter, and a
     strict parser.  The single authoritative JSON implementation of the
-    observability layer — {!Trace_export}, {!Metrics_export},
+    observability layer — {!Trace_export}, {!Metrics},
     {!Bench_compare}, the bench harness and the tests all share it, so
     escaping rules cannot drift between producers and consumers.
 

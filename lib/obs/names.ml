@@ -89,26 +89,6 @@ let version_snapshot_loads = Counter.make "version.snapshot.loads"
 let version_snapshot_commits_replayed =
   Counter.make "version.snapshot.commits_replayed"
 
-(* Gauges mirroring the process-global value-intern pool ([Value_pool]):
-   distinct interned values and their approximate retained bytes.  The
-   pool never evicts, so in a long-lived server these only grow — the
-   scrape is the leak detector (docs/data-plane.md). *)
-let value_pool_count = Counter.make "value_pool.count"
-let value_pool_bytes = Counter.make "value_pool.bytes"
-
-(* --- counters: server worker plane (lib/par Workers + lib/server Loop) ---
-
-   [server.workers.dispatched] counts requests handed to the worker pool;
-   [server.workers.busy] is a gauge (workers executing right now) and
-   [server.workers.wait_ms] the cumulative queue-wait (submit-to-start)
-   in integer milliseconds — all refreshed from the executor's internal
-   atomics by the I/O loop via [Counter.set], the same single-writer gauge
-   pattern as [value_pool.*]. *)
-
-let server_workers_dispatched = Counter.make "server.workers.dispatched"
-let server_workers_busy = Counter.make "server.workers.busy"
-let server_workers_wait_ms = Counter.make "server.workers.wait_ms"
-
 (* --- counters: lineage / explanation --- *)
 
 let explain_derivations = Counter.make "explain.derivations"

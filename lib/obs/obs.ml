@@ -3,7 +3,6 @@ module Histogram = Histogram
 module Span = Span
 module Trace_export = Trace_export
 module Metrics = Metrics
-module Metrics_export = Metrics_export
 module Bench_compare = Bench_compare
 module Json = Json
 module Names = Names
@@ -44,4 +43,4 @@ let write_trace file =
   output_string oc (Trace_export.to_chrome (Span.finished ()));
   close_out oc
 
-let write_metrics = Metrics_export.write
+let write_metrics = Metrics.write

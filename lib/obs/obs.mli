@@ -22,7 +22,6 @@ module Histogram = Histogram
 module Span = Span
 module Trace_export = Trace_export
 module Metrics = Metrics
-module Metrics_export = Metrics_export
 module Bench_compare = Bench_compare
 module Json = Json
 module Names = Names
@@ -83,5 +82,5 @@ val write_trace : string -> unit
 
 (** Write the full metrics state (counters, histogram summaries, span
     duration/allocation rollups, environment) to [file] as JSON — the
-    {!Metrics_export} schema. *)
+    {!Metrics} schema. *)
 val write_metrics : string -> unit

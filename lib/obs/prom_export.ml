@@ -1,16 +1,19 @@
-(* Prometheus text exposition (format version 0.0.4) of the Obs registries.
-   Counters become [clio_<name>_total], histograms [clio_<name>_ms] with
-   cumulative [_bucket{le=...}] lines built from the exact per-bucket
-   counts maintained by {!Histogram} (independent of the percentile
-   reservoir), and caller-supplied gauges carry label sets (the server's
-   per-session stats).  Everything is emitted in registry registration
-   order so two scrapes of the same process differ only in values. *)
+(* Prometheus text exposition (format version 0.0.4) of a metrics
+   snapshot.  Counters become [clio_<name>_total], histograms
+   [clio_<name>_ms] with cumulative [_bucket{le=...}] lines built from the
+   exact per-bucket counts the snapshot carries (independent of the
+   percentile reservoir), and caller-supplied gauges carry label sets (the
+   server's per-session stats).  Everything is emitted in registry
+   registration order so two scrapes of the same process differ only in
+   values. *)
 
 type gauge = {
   gauge_name : string;
   labels : (string * string) list;
   value : float;
 }
+
+let gauge ?(labels = []) gauge_name value = { gauge_name; labels; value }
 
 let prefix = "clio_"
 
@@ -65,20 +68,18 @@ let num v =
     Printf.sprintf "%.0f" v
   else Printf.sprintf "%g" v
 
-let render_counter b c =
-  let name = sanitize_name (Counter.name c) ^ "_total" in
+let render_counter b (name, v) =
+  let name = sanitize_name name ^ "_total" in
   Printf.bprintf b "# TYPE %s counter\n" name;
-  Printf.bprintf b "%s %d\n" name (Counter.value c)
+  Printf.bprintf b "%s %d\n" name v
 
-let render_histogram b h =
-  let name = sanitize_name (Histogram.name h) ^ "_ms" in
+let render_histogram b (name, (st : Histogram.stats)) =
+  let name = sanitize_name name ^ "_ms" in
   Printf.bprintf b "# TYPE %s histogram\n" name;
-  let counts = Histogram.bucket_counts h in
-  let st = Histogram.stats h in
   let cum = ref 0 in
   Array.iteri
     (fun i le ->
-      cum := !cum + counts.(i);
+      cum := !cum + st.Histogram.buckets.(i);
       Printf.bprintf b "%s_bucket{le=\"%s\"} %d\n" name (num le) !cum)
     Histogram.bucket_bounds;
   Printf.bprintf b "%s_bucket{le=\"+Inf\"} %d\n" name st.Histogram.n;
@@ -93,10 +94,10 @@ let render_gauge_family b name gauges =
       Printf.bprintf b "%s%s %s\n" pname (render_labels g.labels) (num g.value))
     gauges
 
-let render ?(gauges = []) () =
+let render ?(gauges = []) (snap : Metrics.snapshot) =
   let b = Buffer.create 4096 in
-  List.iter (render_counter b) (Counter.all ());
-  List.iter (render_histogram b) (Histogram.all ());
+  List.iter (render_counter b) snap.Metrics.counters;
+  List.iter (render_histogram b) snap.Metrics.histograms;
   (* Group gauges by name, preserving first-appearance order, so each
      family gets exactly one TYPE line. *)
   let order : string list ref = ref [] in

@@ -1,9 +1,9 @@
-(** Prometheus text exposition (format 0.0.4) of the Obs registries.
+(** Prometheus text exposition (format 0.0.4) of a {!Metrics.snapshot}.
 
-    {!render} emits every registered counter as [clio_<name>_total], every
-    registered histogram as a [clio_<name>_ms] histogram family —
-    cumulative [_bucket{le=...}] lines from {!Histogram.bucket_counts}
-    (exact at any volume), plus [_sum] and [_count] — and any
+    {!render} emits every counter of the snapshot as [clio_<name>_total],
+    every histogram as a [clio_<name>_ms] histogram family — cumulative
+    [_bucket{le=...}] lines from the exact bucket counts
+    ([Histogram.stats.buckets]), plus [_sum] and [_count] — and any
     caller-supplied labeled gauges, all in registration order so two
     scrapes of one process differ only in values.
 
@@ -17,6 +17,9 @@ type gauge = {
   value : float;
 }
 
+(** [gauge ?labels name value] (no labels by default). *)
+val gauge : ?labels:(string * string) list -> string -> float -> gauge
+
 (** ["clio_"], prepended to every exported metric name. *)
 val prefix : string
 
@@ -28,8 +31,9 @@ val sanitize_name : string -> string
 (** Escape a label value: backslash, double quote and newline. *)
 val escape_label_value : string -> string
 
-(** The full exposition document, newline-terminated. *)
-val render : ?gauges:gauge list -> unit -> string
+(** The full exposition document, newline-terminated.  Gauges sharing a
+    name form one family (one [# TYPE] line), in first-appearance order. *)
+val render : ?gauges:gauge list -> Metrics.snapshot -> string
 
 (** Check an exposition document: metric names restricted to the legal
     charset, every sample line carries a parseable value, and each

@@ -190,16 +190,6 @@ let size () = Mutex.protect pool.lock (fun () -> pool.count)
 let count = size
 let footprint_bytes () = Mutex.protect pool.lock (fun () -> pool.bytes)
 
-(* Publish the pool gauges into the Obs registry.  The pool never evicts
-   (ids are stable for the process lifetime), so in a long-lived server
-   these readings only grow — scraping them is how a payload-churn leak is
-   seen (docs/data-plane.md). *)
-let observe () =
-  if Obs.enabled () then
-    Mutex.protect pool.lock (fun () ->
-        Obs.Counter.set Obs.Names.value_pool_count pool.count;
-        Obs.Counter.set Obs.Names.value_pool_bytes pool.bytes)
-
 let classes_trivial () = not pool.aliased
 
 let sort_key id =

@@ -55,20 +55,16 @@ val class_of : int -> int
 (** Number of distinct interned values (including [Null]). *)
 val size : unit -> int
 
-(** Alias of {!size}, matching the exported gauge name
-    [value_pool.count]. *)
+(** Alias of {!size}, matching the server gauge name
+    [server.value_pool.count]. *)
 val count : unit -> int
 
 (** Approximate retained bytes: a fixed per-id charge (chunk slots plus
     hashtable entries) plus string payload lengths.  Monotone — the pool
-    never evicts. *)
+    never evicts.  The server reads {!count} and this at every [stats] or
+    scrape as its [server.value_pool.count] / [.bytes] gauges, the leak
+    detector of a long-lived server (docs/data-plane.md). *)
 val footprint_bytes : unit -> int
-
-(** Publish {!count} and {!footprint_bytes} as the [value_pool.count] /
-    [value_pool.bytes] Obs gauges (no-op while observability is
-    disabled).  Called by stats/scrape endpoints so every reading is
-    fresh at scrape time. *)
-val observe : unit -> unit
 
 (** {!Value.compare} lifted to ids; [0] exactly for class-equal ids. *)
 val compare_resolved : int -> int -> int

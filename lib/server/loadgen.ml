@@ -195,13 +195,6 @@ let record acc ~client ~trace ~op ~latency_us (resp : P.response) =
   | Error (P.Overloaded, _) -> acc.overloads <- acc.overloads + 1
   | Error _ -> acc.errors <- acc.errors + 1
 
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let rank = int_of_float (Float.ceil (q /. 100. *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
-
 let finish spec acc ~verify ~elapsed_s =
   let pairs = Array.of_list acc.latencies in
   Array.sort (fun (_, a) (_, b) -> Float.compare a b) pairs;
@@ -220,9 +213,9 @@ let finish spec acc ~verify ~elapsed_s =
     echo_failures = acc.echo_failures;
     elapsed_s;
     throughput = (if elapsed_s > 0. then float_of_int acc.ok /. elapsed_s else 0.);
-    p50_us = percentile sorted 50.;
-    p99_us = percentile sorted 99.;
-    max_us = percentile sorted 100.;
+    p50_us = Obs.Histogram.nearest_rank sorted 50.;
+    p99_us = Obs.Histogram.nearest_rank sorted 99.;
+    max_us = Obs.Histogram.nearest_rank sorted 100.;
     latencies_us = pairs;
     digests;
     mismatches;

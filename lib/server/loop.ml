@@ -121,23 +121,15 @@ let run ?on_ready config service =
     Atomic.set conns_gauge (Hashtbl.length conns)
   in
   Service.set_extra_stats service (fun () ->
-      (* Mirror the worker-plane counters into their Obs gauges on every
-         scrape — same last-writer-wins [Counter.set] pattern as
-         [Value_pool.observe]. *)
-      Obs.Counter.set Obs.Names.server_workers_dispatched
-        (Par.Workers.dispatched workers);
-      Obs.Counter.set Obs.Names.server_workers_busy (Par.Workers.busy workers);
-      Obs.Counter.set Obs.Names.server_workers_wait_ms
-        (Par.Workers.wait_ms workers);
+      let gauge name v = Obs.Prom_export.gauge name (float_of_int v) in
       [
-        ("server.queue.depth", float_of_int (Atomic.get depth_gauge));
-        ("server.queue.capacity", float_of_int config.queue_capacity);
-        ("server.connections", float_of_int (Atomic.get conns_gauge));
-        ("server.workers", float_of_int (Par.Workers.shards workers));
-        ("server.workers.busy", float_of_int (Par.Workers.busy workers));
-        ( "server.workers.dispatched",
-          float_of_int (Par.Workers.dispatched workers) );
-        ("server.workers.wait_ms", float_of_int (Par.Workers.wait_ms workers));
+        gauge "server.queue.depth" (Atomic.get depth_gauge);
+        gauge "server.queue.capacity" config.queue_capacity;
+        gauge "server.connections" (Atomic.get conns_gauge);
+        gauge "server.workers" (Par.Workers.shards workers);
+        gauge "server.workers.busy" (Par.Workers.busy workers);
+        gauge "server.workers.dispatched" (Par.Workers.dispatched workers);
+        gauge "server.workers.wait_ms" (Par.Workers.wait_ms workers);
       ]);
   let alive conn =
     match Hashtbl.find_opt conns conn.fd with

@@ -36,8 +36,9 @@
     [conn.accept]/[conn.close]/[request.admit] at debug,
     [conn.reject]/[request.overload]/[request.parse_error] at warn,
     [server.drain]/[server.shutdown] at info.  The worker plane surfaces
-    as [server.workers]/[.busy]/[.dispatched]/[.wait_ms] stats gauges and
-    the matching [server.workers.*] Obs counters. *)
+    as the [server.workers]/[.busy]/[.dispatched]/[.wait_ms] gauges of
+    [stats] and the Prometheus scrape, beside [server.queue.*] and
+    [server.connections]. *)
 
 type address =
   | Unix_path of string

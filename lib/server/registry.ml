@@ -2,7 +2,7 @@ module J = Obs.Json
 
 type metrics = {
   (* One lock per session: [record_op] runs on the worker domain owning
-     the session's shard while [session_stats] may run on any other shard
+     the session's shard while [session_gauges] may run on any other shard
      (a sessionless [stats] scrape). *)
   mutex : Mutex.t;
   per_op : (string, int) Hashtbl.t;
@@ -224,19 +224,17 @@ let record_op ?(cache_deltas = []) s ~op ~latency_us ~ok =
   (* Off the metrics lock: reads the version store, owned by this shard. *)
   refresh_gauges s
 
-(* Nearest-rank percentile over the retained samples (same convention as
-   Obs.Histogram). *)
-let percentile sorted q =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else
-    let rank = int_of_float (Float.ceil (q /. 100. *. float_of_int n)) in
-    sorted.(max 0 (min (n - 1) (rank - 1)))
+let gauge = Obs.Prom_export.gauge
+
+(* A session's gauges are named [session.<m>] and labeled [session=<sid>];
+   [stats_key] flattens them to [sessions.<sid>.<m>].  Both directions
+   live here so the naming rule has one owner. *)
+let session_prefix = "session."
 
 (* Reads only the metrics record (under its lock) — never the version
    store, which belongs to the session's worker shard.  The workspace-shape
    gauges come from the cache [record_op] maintains. *)
-let session_stats s =
+let session_gauges s =
   let m = s.metrics in
   let sorted, ops, cache, requests, errors, latency_sum, latency_max, dbv, entries, branches
       =
@@ -244,13 +242,13 @@ let session_stats s =
         let sorted = Array.of_list m.latencies_us in
         let ops =
           Hashtbl.fold
-            (fun op n acc -> ("session.ops." ^ op, float_of_int n) :: acc)
+            (fun op n acc -> ("ops." ^ op, float_of_int n) :: acc)
             m.per_op []
           |> List.sort compare
         in
         let cache =
           Hashtbl.fold
-            (fun name d acc -> ("session." ^ name, float_of_int d) :: acc)
+            (fun name d acc -> (name, float_of_int d) :: acc)
             m.cache_deltas []
           |> List.sort compare
         in
@@ -266,91 +264,63 @@ let session_stats s =
           m.branches ))
   in
   Array.sort compare sorted;
-  [
-    ("session.requests", float_of_int requests);
-    ("session.errors", float_of_int errors);
-    ( "session.latency_us.mean",
-      if requests = 0 then 0. else latency_sum /. float_of_int requests );
-    ("session.latency_us.p50", percentile sorted 50.);
-    ("session.latency_us.p99", percentile sorted 99.);
-    ("session.latency_us.max", latency_max);
-    ("session.db_version", float_of_int dbv);
-    ("session.entries", float_of_int entries);
-    ("session.branches", float_of_int branches);
-  ]
-  @ ops @ cache
+  let p = Obs.Histogram.nearest_rank sorted in
+  List.map
+    (fun (m, v) -> gauge ~labels:[ ("session", s.sid) ] (session_prefix ^ m) v)
+    ([
+       ("requests", float_of_int requests);
+       ("errors", float_of_int errors);
+       ( "latency_us.mean",
+         if requests = 0 then 0. else latency_sum /. float_of_int requests );
+       ("latency_us.p50", p 50.);
+       ("latency_us.p99", p 99.);
+       ("latency_us.max", latency_max);
+       ("db_version", float_of_int dbv);
+       ("entries", float_of_int entries);
+       ("branches", float_of_int branches);
+     ]
+    @ ops @ cache)
 
-let server_stats t =
-  (* Refresh the value-pool gauges at scrape time: the pool is
-     process-global and never evicts, so these readings are the leak
-     detector for long-lived servers (docs/data-plane.md). *)
-  Relational.Value_pool.observe ();
+let stats_key (g : Obs.Prom_export.gauge) =
+  match g.labels with
+  | [ ("session", sid) ] ->
+      let n = String.length session_prefix in
+      Printf.sprintf "sessions.%s.%s" sid
+        (String.sub g.gauge_name n (String.length g.gauge_name - n))
+  | _ -> g.gauge_name
+
+let server_gauges t =
   [
-    ("server.sessions.open", float_of_int (session_count t));
-    ("server.sessions.opened_total", float_of_int (Atomic.get t.opened_total));
-    ("server.requests_total", float_of_int (Atomic.get t.requests_total));
-    ("server.errors_total", float_of_int (Atomic.get t.errors_total));
-    ("server.overloads_total", float_of_int (Atomic.get t.overloads_total));
-    ("server.uptime_s", Unix.gettimeofday () -. t.started_at);
-    ("server.jobs", float_of_int t.jobs);
-    ( "server.value_pool.count",
-      float_of_int (Relational.Value_pool.count ()) );
-    ( "server.value_pool.bytes",
-      float_of_int (Relational.Value_pool.footprint_bytes ()) );
+    gauge "server.sessions.open" (float_of_int (session_count t));
+    gauge "server.sessions.opened_total" (float_of_int (Atomic.get t.opened_total));
+    gauge "server.requests_total" (float_of_int (Atomic.get t.requests_total));
+    gauge "server.errors_total" (float_of_int (Atomic.get t.errors_total));
+    gauge "server.overloads_total" (float_of_int (Atomic.get t.overloads_total));
+    gauge "server.uptime_s" (Unix.gettimeofday () -. t.started_at);
+    gauge "server.jobs" (float_of_int t.jobs);
+    (* The pool is process-global and never evicts, so these readings are
+       the leak detector for long-lived servers (docs/data-plane.md). *)
+    gauge "server.value_pool.count" (float_of_int (Relational.Value_pool.count ()));
+    gauge "server.value_pool.bytes"
+      (float_of_int (Relational.Value_pool.footprint_bytes ()));
   ]
   @
   match t.cache with
-  | None -> [ ("server.cache.enabled", 0.) ]
+  | None -> [ gauge "server.cache.enabled" 0. ]
   | Some cache ->
       [
-        ("server.cache.enabled", 1.);
-        ( "server.cache.entries",
-          float_of_int (Engine.Eval_cache.entry_count cache) );
-        ( "server.cache.bytes_resident",
-          float_of_int (Engine.Eval_cache.bytes_resident cache) );
+        gauge "server.cache.enabled" 1.;
+        gauge "server.cache.entries"
+          (float_of_int (Engine.Eval_cache.entry_count cache));
+        gauge "server.cache.bytes_resident"
+          (float_of_int (Engine.Eval_cache.bytes_resident cache));
       ]
 
-(* Per-session metrics flattened under [sessions.<sid>.], appended to
-   no-session [stats] replies so one request paints the whole server —
-   what `clio_serve top` renders. *)
-let sessions_rollup t =
-  List.concat_map
-    (fun sid ->
-      match find t sid with
-      | None -> []
-      | Some s ->
-          List.map
-            (fun (k, v) ->
-              let suffix =
-                (* keys from [session_stats] all start with "session." *)
-                if String.length k > 8 && String.sub k 0 8 = "session." then
-                  String.sub k 8 (String.length k - 8)
-                else k
-              in
-              (Printf.sprintf "sessions.%s.%s" sid suffix, v))
-            (session_stats s))
-    (session_ids t)
-
-(* The same numbers shaped for Prometheus: server.* as plain gauges,
-   per-session metrics as [session_*] gauge families with a [session]
-   label instead of the sid baked into the name. *)
-let prom_gauges t =
-  List.map
-    (fun (k, v) -> { Obs.Prom_export.gauge_name = k; labels = []; value = v })
-    (server_stats t)
+let gauges t =
+  server_gauges t
   @ List.concat_map
       (fun sid ->
-        match find t sid with
-        | None -> []
-        | Some s ->
-            List.map
-              (fun (k, v) ->
-                {
-                  Obs.Prom_export.gauge_name = k;
-                  labels = [ ("session", sid) ];
-                  value = v;
-                })
-              (session_stats s))
+        match find t sid with None -> [] | Some s -> session_gauges s)
       (session_ids t)
 
 (* --- persistence: one directory per store, plus a session manifest ---- *)

@@ -12,11 +12,12 @@
     two clients collaborate on one scenario with per-branch isolation.
 
     Per-session counters and operation latencies are recorded here and
-    surfaced by the [stats] verb as [session.*] metrics.  The whole
+    surfaced, with the server totals, as one gauge list ({!gauges}) that
+    both the [stats] verb and the Prometheus scrape render.  The whole
     registry persists ({!persist}/{!restore}) so a restarted server
     resumes its sessions warm. *)
 
-(** Per-session metric accumulators (opaque; read via {!session_stats}). *)
+(** Per-session metric accumulators (opaque; read via {!session_gauges}). *)
 type metrics
 
 type session = {
@@ -82,26 +83,24 @@ val record_op :
   ok:bool ->
   unit
 
-(** The [session.*] metrics of one session: request/error totals, per-verb
-    counts, latency mean/max and nearest-rank p50/p99 (µs), database
-    version, workspace entry count, branch count of its store, and
-    accumulated [session.cache.*] deltas. *)
-val session_stats : session -> (string * float) list
+(** The [session.*] gauges of one session, each labeled
+    [session=<sid>]: request/error totals, latency mean/max and
+    nearest-rank p50/p99 (µs), database version, workspace entry count,
+    branch count of its store, then per-verb counts ([session.ops.*]) and
+    accumulated cache deltas ([session.cache.*]), each group name-sorted. *)
+val session_gauges : session -> Obs.Prom_export.gauge list
 
-(** The [server.*] metrics: sessions open/opened, requests, errors,
-    overload rejections, uptime, the shared cache's entry count and
-    resident bytes, and the value-pool retention gauges
-    ([server.value_pool.count]/[.bytes] — refreshed at scrape time). *)
-val server_stats : t -> (string * float) list
+(** Every gauge the registry reports: the unlabeled [server.*] totals —
+    sessions open/opened, requests, errors, overload rejections, uptime,
+    jobs, the value pool's size ([server.value_pool.count]/[.bytes], read
+    at call time) and the shared cache's state — then every open session's
+    {!session_gauges}, sid-sorted. *)
+val gauges : t -> Obs.Prom_export.gauge list
 
-(** Every open session's {!session_stats} flattened under
-    [sessions.<sid>.<metric>], sid-sorted — appended to no-session [stats]
-    replies. *)
-val sessions_rollup : t -> (string * float) list
-
-(** {!server_stats} as unlabeled gauges plus each session's metrics as
-    [session]-labeled gauges, for the Prometheus exposition. *)
-val prom_gauges : t -> Obs.Prom_export.gauge list
+(** The key a flat (no-session) [stats] reply gives [g]: a
+    {!session_gauges} entry [session.<m>] labeled [session=<sid>] reads
+    [sessions.<sid>.<m>]; an unlabeled gauge keeps its name. *)
+val stats_key : Obs.Prom_export.gauge -> string
 
 (** {2 Persistence} — how [clio_serve --store-dir] survives restarts. *)
 

@@ -6,7 +6,7 @@ type t = {
   (* Atomic: a worker domain executing [shutdown] flips it while the I/O
      loop polls it between selects. *)
   draining : bool Atomic.t;
-  mutable extra_stats : unit -> (string * float) list;
+  mutable extra_stats : unit -> Obs.Prom_export.gauge list;
   mutable telemetry : Telemetry.t;
 }
 
@@ -121,7 +121,11 @@ let run_session_verb t session request =
       let after = db_version ws in
       P.Inserted { fresh = after <> before; version = after }
   | P.Rank -> rank session
-  | P.Stats -> P.Stats_report (Registry.session_stats session)
+  | P.Stats ->
+      P.Stats_report
+        (List.map
+           (fun (g : Obs.Prom_export.gauge) -> (g.gauge_name, g.value))
+           (Registry.session_gauges session))
   | P.Branch { name } ->
       let ws =
         Version.Store.branch session.Registry.store
@@ -190,6 +194,10 @@ let opened_reply id (session : Registry.session) =
          version = Database.version db;
        })
 
+(* The registry's gauges and the transport's: what a no-session [stats]
+   reply and a [metrics_prom] scrape both render. *)
+let gauges t = Registry.gauges t.registry @ t.extra_stats ()
+
 (* Execute the request, returning the reply and (for session verbs) the
    session it ran against, so the caller can attribute the request's
    latency and cache deltas to it. *)
@@ -201,24 +209,19 @@ let dispatch t (env : P.envelope) =
     match env.request with
     | P.Ping -> (P.ok id P.Pong, None)
     | P.Stats when env.session = None ->
-        (* Server-wide stats: the registry's totals, every session
-           flattened under [sessions.<sid>.*], and the transport's
-           gauges. *)
         ( P.ok id
             (P.Stats_report
-               (Registry.server_stats t.registry
-               @ Registry.sessions_rollup t.registry
-               @ t.extra_stats ())),
+               (List.map
+                  (fun (g : Obs.Prom_export.gauge) ->
+                    (Registry.stats_key g, g.value))
+                  (gauges t))),
           None )
     | P.Metrics_prom ->
-        let gauges =
-          Registry.prom_gauges t.registry
-          @ List.map
-              (fun (k, v) ->
-                { Obs.Prom_export.gauge_name = k; labels = []; value = v })
-              (t.extra_stats ())
-        in
-        (P.ok id (P.Prom_text (Obs.Prom_export.render ~gauges ())), None)
+        ( P.ok id
+            (P.Prom_text
+               (Obs.Prom_export.render ~gauges:(gauges t)
+                  (Obs.Metrics.snapshot ()))),
+          None )
     | P.Shutdown ->
         Atomic.set t.draining true;
         (P.ok id P.Bye, None)
@@ -290,16 +293,15 @@ let handle t (env : P.envelope) =
       (fun () -> dispatch t env)
   in
   let ok = Stdlib.Result.is_ok reply.P.result in
+  let cache_deltas = List.filter is_cache_delta record.Obs.Scope.deltas in
   (match session with
   | Some session ->
-      Registry.record_op session
-        ~cache_deltas:(List.filter is_cache_delta record.Obs.Scope.deltas)
-        ~op
+      Registry.record_op session ~cache_deltas ~op
         ~latency_us:(record.Obs.Scope.duration_ms *. 1000.)
         ~ok
   | None -> ());
   if not ok then Registry.count_error t.registry;
-  Telemetry.request_complete t.telemetry ~record ~op ~id:env.id
+  Telemetry.request_complete t.telemetry ~record ~cache_deltas ~op ~id:env.id
     ~session:
       (match session with
       | Some s -> Some s.Registry.sid

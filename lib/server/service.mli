@@ -14,9 +14,11 @@ type t
 val create : Registry.t -> t
 val registry : t -> Registry.t
 
-(** Set once by the event loop: extra [server.*] gauges (queue depth,
-    connection count) appended to no-session [stats] replies. *)
-val set_extra_stats : t -> (unit -> (string * float) list) -> unit
+(** Set once by the event loop: extra unlabeled [server.*] gauges (queue
+    depth, connection count, worker plane) appended to the registry's
+    {!Registry.gauges} in no-session [stats] replies and [metrics_prom]
+    scrapes. *)
+val set_extra_stats : t -> (unit -> Obs.Prom_export.gauge list) -> unit
 
 (** Telemetry sinks ({!Telemetry.none} until set).  Every executed request
     runs under an {!Obs.Scope} — the client's [trace_id] when sent, a

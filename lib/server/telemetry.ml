@@ -90,8 +90,8 @@ let write_exemplar t ~trace_id root =
 let is_slow t duration_ms =
   match t.slow_ms with Some thr -> duration_ms >= thr | None -> false
 
-let request_complete t ~(record : Obs.Scope.record) ~op ~id ~session ~ok
-    ~client_traced =
+let request_complete t ~(record : Obs.Scope.record) ~cache_deltas ~op ~id
+    ~session ~ok ~client_traced =
   if t.log <> None || t.exemplar_dir <> None then begin
     let exemplar =
       if is_slow t record.Obs.Scope.duration_ms then
@@ -102,12 +102,7 @@ let request_complete t ~(record : Obs.Scope.record) ~op ~id ~session ~ok
       else None
     in
     let cache_fields =
-      match
-        List.filter
-          (fun (name, _) ->
-            String.length name > 6 && String.sub name 0 6 = "cache.")
-          record.Obs.Scope.deltas
-      with
+      match cache_deltas with
       | [] -> []
       | deltas ->
           [

@@ -32,12 +32,13 @@ val log : t -> Obs.Event_log.level -> string -> (string * Obs.Json.t) list -> un
 
 (** Called by {!Service.handle} after every executed request: writes the
     exemplar when the request qualifies, then logs [request.complete]
-    (trace id, op, request id, session, ok, latency, [cache.*] deltas,
-    exemplar path).  [client_traced] records whether the trace id came
-    from the wire. *)
+    (trace id, op, request id, session, ok, latency, the request's
+    [cache.*] counter deltas [cache_deltas], exemplar path).
+    [client_traced] records whether the trace id came from the wire. *)
 val request_complete :
   t ->
   record:Obs.Scope.record ->
+  cache_deltas:(string * int) list ->
   op:string ->
   id:int ->
   session:string option ->

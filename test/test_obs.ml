@@ -1,7 +1,7 @@
 (* Tests for lib/obs: span nesting and ordering, GC-allocation deltas,
    counter behaviour under enable/disable, histogram percentiles, trace
    export (including a real JSON parse of the Chrome trace_event output
-   with hostile attribute values), the Metrics_export round-trip, the
+   with hostile attribute values), the metrics JSON document, the
    Bench_compare regression decision, and an integration check that the
    instrumented pipeline actually emits counters on the paper database. *)
 
@@ -299,7 +299,14 @@ let test_histogram_percentiles_small =
   Obs.observe h2 3.;
   (* nearest-rank: rank ceil(0.5*2)=1 -> 1.0; ceil(0.9*2)=2 -> 3.0 *)
   Alcotest.(check (float 1e-9)) "p50 of pair" 1. (Obs.Histogram.percentile h2 50.);
-  Alcotest.(check (float 1e-9)) "p90 of pair" 3. (Obs.Histogram.percentile h2 90.)
+  Alcotest.(check (float 1e-9)) "p90 of pair" 3. (Obs.Histogram.percentile h2 90.);
+  (* The same convention on a caller's sorted samples (server latencies,
+     the load generator). *)
+  let rank = Obs.Histogram.nearest_rank in
+  Alcotest.(check (float 1e-9)) "empty" 0. (rank [||] 50.);
+  Alcotest.(check (float 1e-9)) "p50 of sorted pair" 1. (rank [| 1.; 3. |] 50.);
+  Alcotest.(check (float 1e-9)) "p100 is the max" 3. (rank [| 1.; 3. |] 100.);
+  Alcotest.(check (float 1e-9)) "p0 is the min" 1. (rank [| 1.; 3. |] 0.)
 
 (* --- histogram reservoir bounds --- *)
 
@@ -359,7 +366,7 @@ let test_histogram_bucket_counts =
   Array.iter (Obs.observe h) bounds;
   Obs.observe h (bounds.(Array.length bounds - 1) *. 10.);
   Obs.observe h infinity;
-  let counts = Obs.Histogram.bucket_counts h in
+  let counts = (Obs.Histogram.stats h).Obs.Histogram.buckets in
   Alcotest.(check int) "one slot per bound plus overflow"
     (Array.length bounds + 1)
     (Array.length counts);
@@ -408,7 +415,7 @@ let test_prom_render_validates =
       };
     ]
   in
-  let text = Obs.Prom_export.render ~gauges () in
+  let text = Obs.Prom_export.render ~gauges (Obs.Metrics.snapshot ()) in
   (match Obs.Prom_export.validate text with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "rendered exposition invalid: %s" msg);
@@ -705,9 +712,9 @@ let test_span_agg_alloc =
         (agg.Obs.Span.agg_minor_words >= 20_000.)
   | aggs -> Alcotest.failf "expected one aggregate, got %d" (List.length aggs)
 
-(* --- Metrics_export round-trip --- *)
+(* --- the metrics JSON: one snapshot, recorded entries only --- *)
 
-let test_metrics_export_roundtrip =
+let test_metrics_json_full_state =
   with_obs @@ fun () ->
   Obs.count Obs.Names.subsumption_checks;
   Obs.add Obs.Names.index_probes 41;
@@ -715,49 +722,56 @@ let test_metrics_export_roundtrip =
   List.iter (Obs.observe h) [ 1.; 2.; 3.; 10. ];
   Obs.with_span "rt.outer" (fun () ->
       Obs.with_span "rt.inner" (fun () -> churn 30_000));
-  let m = Obs.Metrics_export.current () in
-  let text = Obs.Metrics_export.to_string m in
-  match Obs.Metrics_export.of_string text with
-  | Error msg -> Alcotest.failf "round-trip parse failed: %s" msg
-  | Ok m' ->
-      Alcotest.(check (list (pair string int)))
-        "counters survive" m.Obs.Metrics_export.counters
-        m'.Obs.Metrics_export.counters;
-      Alcotest.(check (list string))
-        "histogram names survive"
-        (List.map fst m.Obs.Metrics_export.histograms)
-        (List.map fst m'.Obs.Metrics_export.histograms);
-      let s = List.assoc "test.rt" m'.Obs.Metrics_export.histograms in
-      Alcotest.(check int) "histogram n survives" 4 s.Obs.Histogram.n;
-      Alcotest.(check (float 1e-6)) "histogram p99 survives" 10.
-        s.Obs.Histogram.p99;
-      Alcotest.(check (list string))
-        "span rollups survive"
-        (List.map fst m.Obs.Metrics_export.spans)
-        (List.map fst m'.Obs.Metrics_export.spans);
-      let a = List.assoc "rt.inner" m'.Obs.Metrics_export.spans in
-      let a0 = List.assoc "rt.inner" m.Obs.Metrics_export.spans in
-      Alcotest.(check int) "span count survives" a0.Obs.Span.spans
-        a.Obs.Span.spans;
-      Alcotest.(check bool) "span alloc survives (to 9 digits)" true
-        (Float.abs
-           (a.Obs.Span.agg_minor_words -. a0.Obs.Span.agg_minor_words)
-        <= 1e-6 *. Float.max 1. a0.Obs.Span.agg_minor_words);
-      Alcotest.(check (list (pair string string)))
-        "environment of the writer is preserved verbatim"
-        m.Obs.Metrics_export.environment m'.Obs.Metrics_export.environment
-
-let test_metrics_export_rejects_garbage () =
-  List.iter
-    (fun (label, text) ->
-      match Obs.Metrics_export.of_string text with
-      | Ok _ -> Alcotest.failf "%s unexpectedly parsed" label
-      | Error _ -> ())
-    [
-      ("not json", "][");
-      ("wrong version", {|{"schema_version": 999}|});
-      ("counters not an object", {|{"schema_version": 1, "counters": []}|});
-    ]
+  let snap = Obs.Metrics.snapshot () in
+  Alcotest.(check bool) "the snapshot holds unrecorded counters too" true
+    (List.mem_assoc (Obs.Counter.name Obs.Names.assoc_kept)
+       snap.Obs.Metrics.counters);
+  let file = Filename.temp_file "clio_metrics" ".json" in
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  Obs.write_metrics file;
+  let doc =
+    let ic = open_in_bin file in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    parse_json text
+  in
+  let section k =
+    match member k doc with
+    | Some (Obj kvs) -> kvs
+    | _ -> Alcotest.failf "missing section %s" k
+  in
+  Alcotest.(check bool) "schema_version 1" true
+    (member "schema_version" doc = Some (Num 1.));
+  Alcotest.(check (list string))
+    "environment fields"
+    [ "hostname"; "ocaml_version"; "git_rev"; "timestamp"; "word_size" ]
+    (List.map fst (section "environment"));
+  Alcotest.(check (list (pair string int)))
+    "counters = the snapshot's non-zero counters, in order"
+    Obs.Metrics.(nonzero snap).counters
+    (List.map
+       (function
+         | k, Num v -> (k, int_of_float v)
+         | k, _ -> Alcotest.failf "counter %s is not a number" k)
+       (section "counters"));
+  (match List.assoc_opt "test.rt" (section "histograms") with
+  | Some s ->
+      Alcotest.(check bool) "histogram count and p99" true
+        (member "count" s = Some (Num 4.) && member "p99" s = Some (Num 10.))
+  | None -> Alcotest.fail "recorded histogram missing");
+  Alcotest.(check bool) "empty histograms are dropped" true
+    (List.for_all
+       (fun (_, s) -> member "count" s <> Some (Num 0.))
+       (section "histograms"));
+  match List.assoc_opt "rt.inner" (section "spans") with
+  | Some a ->
+      Alcotest.(check bool) "span rollup count and allocation" true
+        (member "count" a = Some (Num 1.)
+        &&
+        match member "minor_words" a with
+        | Some (Num w) -> w >= 20_000.
+        | _ -> false)
+  | None -> Alcotest.fail "span rollup missing"
 
 (* --- hostile-input fuzzing of the Json parser ---
 
@@ -1000,7 +1014,7 @@ let test_pipeline_disabled_is_silent () =
   let m = Paperdata.Running.mapping in
   ignore (Clio.Mapping_eval.examples (Clio.Eval_ctx.transient db) m);
   Alcotest.(check int) "no counters when disabled" 0
-    (List.length (Obs.Metrics.snapshot ()).Obs.Metrics.counters);
+    (List.length Obs.Metrics.(nonzero (snapshot ())).counters);
   Alcotest.(check int) "no spans when disabled" 0
     (List.length (Obs.finished_spans ()))
 
@@ -1126,8 +1140,7 @@ let () =
       ( "metrics-export",
         [
           tc "full state round-trips through JSON" `Quick
-            test_metrics_export_roundtrip;
-          tc "garbage is rejected" `Quick test_metrics_export_rejects_garbage;
+            test_metrics_json_full_state;
         ] );
       ( "bench-compare",
         [

@@ -788,6 +788,151 @@ let test_service_metrics_prom =
   Alcotest.(check (list string))
     "counter families match the golden scrape" golden counter_families
 
+(* One gauge list feeds both sinks: every key of a no-session [stats]
+   reply is exactly one gauge sample of the scrape and back — server keys
+   unlabeled, [sessions.<sid>.<m>] as [clio_session_<m>{session="<sid>"}]
+   — and no family is declared twice. *)
+let check_one_gauge_list kvs text =
+  let expected_sample key =
+    match String.split_on_char '.' key with
+    | "sessions" :: sid :: metric ->
+        Obs.Prom_export.sanitize_name (String.concat "." ("session" :: metric))
+        ^ Printf.sprintf "{session=\"%s\"}" sid
+    | _ -> Obs.Prom_export.sanitize_name key
+  in
+  let lines = String.split_on_char '\n' text in
+  let types =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ "#"; "TYPE"; name; kind ] -> Some (name, kind)
+        | _ -> None)
+      lines
+  in
+  let dups l =
+    let sorted = List.sort compare l in
+    List.filteri (fun i x -> i > 0 && List.nth sorted (i - 1) = x) sorted
+  in
+  Alcotest.(check (list string)) "no # TYPE family declared twice" []
+    (dups (List.map fst types));
+  let gauge_samples =
+    List.filter_map
+      (fun l ->
+        match String.rindex_opt l ' ' with
+        | Some sp when l.[0] <> '#' ->
+            let sample = String.sub l 0 sp in
+            let family =
+              match String.index_opt sample '{' with
+              | Some b -> String.sub sample 0 b
+              | None -> sample
+            in
+            if List.assoc_opt family types = Some "gauge" then Some sample
+            else None
+        | _ -> None)
+      lines
+  in
+  let expected = List.map (fun (k, _) -> expected_sample k) kvs in
+  Alcotest.(check (list string)) "each stats key names one sample" []
+    (dups expected);
+  Alcotest.(check (list string)) "each gauge sample is one stats key" []
+    (dups gauge_samples);
+  Alcotest.(check (list string)) "stats keys = gauge samples"
+    (List.sort compare expected)
+    (List.sort compare gauge_samples)
+
+(* The keys, in order, of a no-session [stats] reply after the loaded run
+   below.  Clients read these names (`clio_serve top`, bench/e2e), so they
+   and their order are part of the wire contract. *)
+let pinned_stats_keys =
+  [
+    "server.sessions.open";
+    "server.sessions.opened_total";
+    "server.requests_total";
+    "server.errors_total";
+    "server.overloads_total";
+    "server.uptime_s";
+    "server.jobs";
+    "server.value_pool.count";
+    "server.value_pool.bytes";
+    "server.cache.enabled";
+    "server.cache.entries";
+    "server.cache.bytes_resident";
+    "sessions.s1.requests";
+    "sessions.s1.errors";
+    "sessions.s1.latency_us.mean";
+    "sessions.s1.latency_us.p50";
+    "sessions.s1.latency_us.p99";
+    "sessions.s1.latency_us.max";
+    "sessions.s1.db_version";
+    "sessions.s1.entries";
+    "sessions.s1.branches";
+    "sessions.s1.ops.branch";
+    "sessions.s1.ops.confirm";
+    "sessions.s1.ops.evaluate";
+    "sessions.s1.ops.offer";
+    "sessions.s1.ops.rotate";
+    "sessions.s1.cache.bytes_resident";
+    "sessions.s1.cache.dg.hits";
+    "sessions.s1.cache.dg.misses";
+    "sessions.s1.cache.fj.hits";
+    "sessions.s1.cache.fj.misses";
+    "sessions.s2.requests";
+    "sessions.s2.errors";
+    "sessions.s2.latency_us.mean";
+    "sessions.s2.latency_us.p50";
+    "sessions.s2.latency_us.p99";
+    "sessions.s2.latency_us.max";
+    "sessions.s2.db_version";
+    "sessions.s2.entries";
+    "sessions.s2.branches";
+    "sessions.s2.ops.branch";
+    "sessions.s2.ops.confirm";
+    "sessions.s2.ops.evaluate";
+    "sessions.s2.ops.offer";
+    "sessions.s2.ops.rotate";
+    "sessions.s2.cache.dg.hits";
+  ]
+
+let test_service_one_gauge_list =
+  with_obs_off @@ fun () ->
+  Obs.enable ();
+  Obs.reset ();
+  let registry = Registry.create ~jobs:1 () in
+  let service = Service.create registry in
+  let spec =
+    { Loadgen.scenario = P.Paper; clients = 2; ops = 6; limit = None; keep_open = true }
+  in
+  let o = Loadgen.run_inprocess ~verify:false service spec in
+  Alcotest.(check int) "loadgen clean" 0 o.Loadgen.errors;
+  let call ?session id request =
+    (Service.handle service { P.id; session; request; trace_id = None }).P.result
+  in
+  let kvs =
+    match call 99 P.Stats with
+    | Ok (P.Stats_report kvs) -> kvs
+    | _ -> Alcotest.fail "expected Stats_report"
+  in
+  let text =
+    match call 100 P.Metrics_prom with
+    | Ok (P.Prom_text text) -> text
+    | _ -> Alcotest.fail "expected Prom_text"
+  in
+  Alcotest.(check (list string)) "stats keys and order as pinned"
+    pinned_stats_keys (List.map fst kvs);
+  check_one_gauge_list kvs text;
+  (* A session's own stats reply names the same values [session.<m>]. *)
+  match call ~session:"s1" 101 P.Stats with
+  | Ok (P.Stats_report own) ->
+      Alcotest.(check (list string)) "session stats = its sessions.s1.* keys"
+        (List.filter_map
+           (fun (k, _) ->
+             if String.starts_with ~prefix:"sessions.s1." k then
+               Some ("session." ^ String.sub k 12 (String.length k - 12))
+             else None)
+           kvs)
+        (List.map fst own)
+  | _ -> Alcotest.fail "expected Stats_report"
+
 (* --- socket integration against a spawned clio_serve --- *)
 
 (* Relative to the test binary, not the cwd, so both [dune runtest] and a
@@ -905,9 +1050,15 @@ let test_socket_session () =
         (List.mem_assoc "session.requests" kvs)
   | _ -> Alcotest.fail "expected Stats_report");
   (match rpc c { P.id = 6; session = None; request = P.Stats; trace_id = None } with
-  | { P.result = Ok (P.Stats_report kvs); _ } ->
+  | { P.result = Ok (P.Stats_report kvs); _ } -> (
       Alcotest.(check bool) "queue gauges visible" true
-        (List.mem_assoc "server.queue.capacity" kvs)
+        (List.mem_assoc "server.queue.capacity" kvs);
+      (* The transport's gauges join the registry's in both sinks. *)
+      match
+        rpc c { P.id = 8; session = None; request = P.Metrics_prom; trace_id = None }
+      with
+      | { P.result = Ok (P.Prom_text text); _ } -> check_one_gauge_list kvs text
+      | _ -> Alcotest.fail "expected Prom_text")
   | _ -> Alcotest.fail "expected server stats");
   (match rpc c { P.id = 7; session = Some sid; request = P.Close_session; trace_id = None } with
   | { P.result = Ok P.Closed; _ } -> ()
@@ -1133,10 +1284,11 @@ let test_socket_sigterm_flushes_telemetry () =
           Alcotest.(check bool) (p ^ " exists") true (Sys.file_exists p)
       | _ -> Alcotest.fail "completion line lacks its exemplar")
     completes;
-  match
-    Obs.Metrics_export.of_string (String.concat "\n" (read_lines metrics_path))
-  with
-  | Ok _ -> ()
+  match Obs.Json.parse (String.concat "\n" (read_lines metrics_path)) with
+  | Ok doc ->
+      Alcotest.(check bool) "metrics file is a schema-1 document" true
+        (Obs.Json.member "schema_version" doc = Some (Obs.Json.Num 1.)
+        && Obs.Json.member "spans" doc <> None)
   | Error msg -> Alcotest.failf "metrics file incomplete after SIGTERM: %s" msg
 
 (* Queue fairness: a connection flooding far past the queue bound must
@@ -1398,6 +1550,8 @@ let () =
             test_service_telemetry_attribution;
           tc "prometheus scrape over the protocol (golden families)" `Quick
             test_service_metrics_prom;
+          tc "one gauge list feeds stats and the scrape" `Quick
+            test_service_one_gauge_list;
         ] );
       ( "socket",
         [
