@@ -94,5 +94,5 @@ let () =
   Printf.printf
     "\nSufficient illustration: %d examples (out of %d data associations)\n"
     (List.length ill)
-    (List.length
-       (Mapping_eval.data_associations (Eval_ctx.transient db) m).Fulldisj.Full_disjunction.associations)
+    (Relation.cardinality
+       (Mapping_eval.data_associations (Eval_ctx.transient db) m).Fulldisj.Full_disjunction.rows)

@@ -1,6 +1,5 @@
 open Relational
 open Fulldisj
-module Qgraph = Querygraph.Qgraph
 
 type t = Inner_join | Rooted of string | Covering of string list | Full_disjunction
 
@@ -11,63 +10,23 @@ let pp ppf = function
       Format.fprintf ppf "associations covering {%s}" (String.concat ", " rs)
   | Full_disjunction -> Format.pp_print_string ppf "full disjunction"
 
-let associations ctx (m : Mapping.t) = function
-  | Full_disjunction -> Mapping_eval.data_associations ctx m
-  | Inner_join ->
-      (* F(G) through the context so the memoized join is shared. *)
-      let g = m.Mapping.graph in
-      let f = Engine.Eval_ctx.full_associations ctx g in
-      let scheme = Relation.schema f in
-      let cov = Coverage.of_list (Qgraph.aliases g) in
-      {
-        Full_disjunction.scheme;
-        node_positions =
-          List.map (fun a -> (a, Schema.positions_of_rel scheme a)) (Qgraph.aliases g);
-        associations =
-          List.map (fun t -> Assoc.make t cov) (Relation.tuples f);
-      }
-  | Rooted root ->
-      let fd = Mapping_eval.data_associations ctx m in
-      {
-        fd with
-        Full_disjunction.associations =
-          List.filter
-            (fun (a : Assoc.t) -> Coverage.mem root a.Assoc.coverage)
-            fd.Full_disjunction.associations;
-      }
-  | Covering required ->
-      let fd = Mapping_eval.data_associations ctx m in
-      {
-        fd with
-        Full_disjunction.associations =
-          List.filter
-            (fun (a : Assoc.t) ->
-              List.for_all (fun r -> Coverage.mem r a.Assoc.coverage) required)
-            fd.Full_disjunction.associations;
-      }
-
 let eval ctx (m : Mapping.t) interp =
-  let fd = associations ctx m interp in
-  let tr = Mapping_eval.transform fd m in
-  let src_ok =
-    let fs =
-      List.map (Predicate.compile fd.Full_disjunction.scheme) m.Mapping.source_filters
-    in
-    fun t -> List.for_all (fun f -> f t) fs
+  let covering required =
+    Full_disjunction.restrict
+      (fun c -> List.for_all (fun r -> Coverage.mem r c) required)
+      (Mapping_eval.data_associations ctx m)
   in
-  let tgt_ok =
-    let schema = Mapping.target_schema m in
-    let fs = List.map (Predicate.compile schema) m.Mapping.target_filters in
-    fun t -> List.for_all (fun f -> f t) fs
+  let fd =
+    match interp with
+    | Full_disjunction -> Mapping_eval.data_associations ctx m
+    | Inner_join ->
+        (* F(G) through the context so the memoized join is shared. *)
+        let g = m.Mapping.graph in
+        Full_disjunction.of_rows g (Engine.Eval_ctx.full_associations ctx g)
+    | Rooted root -> covering [ root ]
+    | Covering required -> covering required
   in
-  Relation.create ~allow_all_null:true m.Mapping.target (Mapping.target_schema m)
-    (List.filter_map
-       (fun (a : Assoc.t) ->
-         if src_ok a.Assoc.tuple then
-           let t = tr a.Assoc.tuple in
-           if tgt_ok t then Some t else None
-         else None)
-       fd.Full_disjunction.associations)
+  Mapping_eval.apply fd m
 
 type comparison = {
   interpretation_a : t;

@@ -47,38 +47,7 @@ let eval_pruned ctx (m : Mapping.t) =
       survivors
   in
   let kept = Min_union.remove_subsumed tuples in
-  let fd =
-    {
-      Full_disjunction.scheme;
-      node_positions =
-        List.map (fun a -> (a, Schema.positions_of_rel scheme a)) (Qgraph.aliases g);
-      associations =
-        List.map
-          (fun t ->
-            Assoc.make t
-              (Assoc.coverage_of_tuple
-                 (List.map
-                    (fun a -> (a, Schema.positions_of_rel scheme a))
-                    (Qgraph.aliases g))
-                 t))
-          kept;
-    }
-  in
-  let tr = Mapping_eval.transform fd m in
-  let src_ok =
-    let fs = List.map (Predicate.compile scheme) m.Mapping.source_filters in
-    fun t -> List.for_all (fun f -> f t) fs
-  in
-  let tgt_ok =
-    let schema = Mapping.target_schema m in
-    let fs = List.map (Predicate.compile schema) m.Mapping.target_filters in
-    fun t -> List.for_all (fun f -> f t) fs
-  in
-  Relation.create ~allow_all_null:true m.Mapping.target (Mapping.target_schema m)
-    (List.filter_map
-       (fun (a : Assoc.t) ->
-         if src_ok a.Assoc.tuple then
-           let t = tr a.Assoc.tuple in
-           if tgt_ok t then Some t else None
-         else None)
-       fd.Full_disjunction.associations)
+  Mapping_eval.apply
+    (Full_disjunction.of_rows g
+       (Relation.create ~dedup:false ~allow_all_null:true "D(G)" scheme kept))
+    m

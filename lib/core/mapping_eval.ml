@@ -17,34 +17,37 @@ let transform (fd : Full_disjunction.result) (m : Mapping.t) =
   in
   fun tuple -> Array.of_list (List.map (fun f -> f tuple) compiled)
 
-let compile_source_filters (fd : Full_disjunction.result) (m : Mapping.t) =
-  let fs =
+(* Q_M compiled once against [fd]'s scheme: the transform, and whether an
+   association tuple passes C_S and its target tuple C_T. *)
+let compile (fd : Full_disjunction.result) (m : Mapping.t) =
+  let src =
     List.map (Predicate.compile fd.Full_disjunction.scheme) m.Mapping.source_filters
   in
-  fun tuple -> List.for_all (fun f -> f tuple) fs
-
-let compile_target_filters (m : Mapping.t) =
-  let schema = Mapping.target_schema m in
-  let fs = List.map (Predicate.compile schema) m.Mapping.target_filters in
-  fun tuple -> List.for_all (fun f -> f tuple) fs
+  let tgt =
+    List.map (Predicate.compile (Mapping.target_schema m)) m.Mapping.target_filters
+  in
+  ( transform fd m,
+    fun tuple t ->
+      List.for_all (fun f -> f tuple) src && List.for_all (fun f -> f t) tgt )
 
 let examples ctx (m : Mapping.t) =
   Obs.with_span Obs.Names.sp_examples (fun () ->
       let fd = data_associations ctx m in
-      let tr = transform fd m in
-      let src_ok = compile_source_filters fd m in
-      let tgt_ok = compile_target_filters m in
-      let exs =
-        List.map
-          (fun (a : Assoc.t) ->
-            let t = tr a.Assoc.tuple in
-            {
-              Example.assoc = a;
-              target_tuple = t;
-              positive = src_ok a.Assoc.tuple && tgt_ok t;
-            })
-          fd.Full_disjunction.associations
-      in
+      let tr, ok = compile fd m in
+      let tuples = Relation.tuples_array fd.Full_disjunction.rows in
+      let exs = ref [] in
+      for i = Array.length tuples - 1 downto 0 do
+        let tuple = tuples.(i) in
+        let target_tuple = tr tuple in
+        exs :=
+          {
+            Example.assoc = Assoc.make tuple fd.Full_disjunction.coverage.(i);
+            target_tuple;
+            positive = ok tuple target_tuple;
+          }
+          :: !exs
+      done;
+      let exs = !exs in
       if Obs.enabled () then begin
         Obs.add Obs.Names.eval_examples (List.length exs);
         Obs.add Obs.Names.eval_positive
@@ -52,23 +55,22 @@ let examples ctx (m : Mapping.t) =
       end;
       exs)
 
-let apply_one (fd : Full_disjunction.result) (m : Mapping.t) (a : Assoc.t) =
-  let tr = transform fd m in
-  let src_ok = compile_source_filters fd m in
-  let tgt_ok = compile_target_filters m in
-  if src_ok a.Assoc.tuple then
-    let t = tr a.Assoc.tuple in
-    if tgt_ok t then Some t else None
-  else None
+let apply_one fd m (a : Assoc.t) =
+  let tr, ok = compile fd m in
+  let t = tr a.Assoc.tuple in
+  if ok a.Assoc.tuple t then Some t else None
 
-let eval ctx (m : Mapping.t) =
-  Obs.with_span Obs.Names.sp_eval (fun () ->
-      let exs = examples ctx m in
-      Relation.create ~allow_all_null:true m.Mapping.target
-        (Mapping.target_schema m)
-        (List.filter_map
-           (fun e ->
-             if e.Example.positive then Some e.Example.target_tuple else None)
-           exs))
+let apply fd (m : Mapping.t) =
+  let tr, ok = compile fd m in
+  Relation.create ~allow_all_null:true m.Mapping.target (Mapping.target_schema m)
+    (Array.fold_right
+       (fun tuple acc ->
+         let t = tr tuple in
+         if ok tuple t then t :: acc else acc)
+       (Relation.tuples_array fd.Full_disjunction.rows)
+       [])
+
+let eval ctx m =
+  Obs.with_span Obs.Names.sp_eval (fun () -> apply (data_associations ctx m) m)
 
 let target_view = eval

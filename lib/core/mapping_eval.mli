@@ -17,12 +17,6 @@ open Fulldisj
 (** D(G) for the mapping's query graph. *)
 val data_associations : Engine.Eval_ctx.t -> Mapping.t -> Full_disjunction.result
 
-(** Compiled transform Q_{φ(M)}: maps an association tuple (over
-    [fd.scheme]) to a target tuple.  Target columns without a
-    correspondence are null. *)
-val transform :
-  Full_disjunction.result -> Mapping.t -> Tuple.t -> Tuple.t
-
 (** All examples of the mapping: one per data association, tagged positive
     or negative (Definition 4.1). *)
 val examples : Engine.Eval_ctx.t -> Mapping.t -> Example.t list
@@ -31,6 +25,12 @@ val examples : Engine.Eval_ctx.t -> Mapping.t -> Example.t list
     passes C_T, else [None]. *)
 val apply_one :
   Full_disjunction.result -> Mapping.t -> Assoc.t -> Tuple.t option
+
+(** [apply fd m] — Q_M over the associations [fd] ([m]'s filters compiled
+    once): the target tuples of the rows that pass C_S and whose tuple
+    passes C_T, distinct, in row order.  Every evaluation of a mapping
+    over a D(G) result or one of its restrictions goes through here. *)
+val apply : Full_disjunction.result -> Mapping.t -> Relation.t
 
 (** The mapping query result: a subset of the target relation (distinct). *)
 val eval : Engine.Eval_ctx.t -> Mapping.t -> Relation.t

@@ -146,28 +146,4 @@ let rooted_equivalent ctx ~root (m : Mapping.t) =
   let fd =
     Outerjoin_plan.rooted (Engine.Eval_ctx.source ctx) ~root m.Mapping.graph
   in
-  let tr = Mapping_eval.transform fd m in
-  let src_ok =
-    let fs =
-      List.map
-        (Predicate.compile fd.Full_disjunction.scheme)
-        m.Mapping.source_filters
-    in
-    fun tuple -> List.for_all (fun f -> f tuple) fs
-  in
-  let tgt_ok =
-    let schema = Mapping.target_schema m in
-    let fs = List.map (Predicate.compile schema) m.Mapping.target_filters in
-    fun tuple -> List.for_all (fun f -> f tuple) fs
-  in
-  let rooted_result =
-    Relation.create ~allow_all_null:true m.Mapping.target (Mapping.target_schema m)
-      (List.filter_map
-         (fun (a : Assoc.t) ->
-           if src_ok a.Assoc.tuple then
-             let t = tr a.Assoc.tuple in
-             if tgt_ok t then Some t else None
-           else None)
-         fd.Full_disjunction.associations)
-  in
-  Relation.equal_contents reference rooted_result
+  Relation.equal_contents reference (Mapping_eval.apply fd m)

@@ -187,8 +187,7 @@ let illustrate_sampled ?seed ?per_relation ctx (m : Mapping.t) =
 
 let sound ctx (m : Mapping.t) ~slice_universe =
   let full = Mapping_eval.data_associations ctx m in
-  slice_universe
-  |> List.for_all (fun (e : Example.t) ->
-         List.exists
-           (fun (a : Assoc.t) -> Tuple.equal a.Assoc.tuple e.Example.assoc.Assoc.tuple)
-           full.Full_disjunction.associations)
+  List.for_all
+    (fun (e : Example.t) ->
+      Relation.mem full.Full_disjunction.rows e.Example.assoc.Assoc.tuple)
+    slice_universe

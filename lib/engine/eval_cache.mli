@@ -2,10 +2,15 @@
     approximate byte budget, holding two tiers of evaluation results.
 
     - {e F(J) tier} — the materialized join of one induced connected
-      subgraph.  Shared across different query graphs (walk/chase
-      alternatives contain mostly the same subgraphs).
+      subgraph, held as value-pool id columns and charged in those units
+      ({!Relational.Relation.footprint_bytes}).  Shared across different
+      query graphs (walk/chase alternatives contain mostly the same
+      subgraphs).
     - {e D(G) tier} — a whole {!Fulldisj.Full_disjunction.result} per
-      graph.
+      graph: its boxed rows, which the server renders as they are, and
+      their coverage array.  Charged for the tuple blocks, the two array
+      slots per row and the pooled values the cells reach, so the charge
+      tracks the entry's reachable size.
 
     Keys combine the database {e version} ({!Relational.Database.version})
     with the canonical {!Graph_key}, so a mutated database simply stops

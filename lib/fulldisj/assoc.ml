@@ -16,15 +16,5 @@ let covered_aliases node_positions tuple =
 let coverage_of_tuple node_positions tuple =
   Coverage.of_list (covered_aliases node_positions tuple)
 
-let covered_positions node_positions t =
-  List.concat_map
-    (fun (alias, positions) ->
-      if Coverage.mem alias t.coverage then positions else [])
-    node_positions
-
 let project_alias scheme t alias =
   Tuple.project t.tuple (Schema.positions_of_rel scheme alias)
-
-let pp scheme ppf t =
-  Format.fprintf ppf "[%a] %a" Coverage.pp t.coverage Tuple.pp t.tuple;
-  ignore scheme

@@ -1,5 +1,7 @@
-(** Data associations: tuples over a query graph's combined scheme, tagged
-    with their coverage (Definitions 3.5–3.6). *)
+(** One data association: a tuple over a query graph's combined scheme,
+    tagged with its coverage (Definitions 3.5–3.6) — what an example
+    carries.  A D(G) result holds its rows and their coverage side by
+    side ({!Full_disjunction.result}). *)
 
 open Relational
 
@@ -18,11 +20,6 @@ val coverage_of_tuple : (string * int list) list -> Tuple.t -> Coverage.t
     order — a cheap key for sharing one coverage value per null pattern. *)
 val covered_aliases : (string * int list) list -> Tuple.t -> string list
 
-(** Positions (in the full scheme) covered by the association's coverage. *)
-val covered_positions : (string * int list) list -> t -> int list
-
 (** [project_alias full_scheme assoc alias] — the source tuple contributed
     by one node (all of that node's columns). *)
 val project_alias : Schema.t -> t -> string -> Tuple.t
-
-val pp : Schema.t -> Format.formatter -> t -> unit

@@ -5,13 +5,39 @@ module Subgraphs = Querygraph.Subgraphs
 type result = {
   scheme : Schema.t;
   node_positions : (string * int list) list;
-  associations : Assoc.t list;
+  rows : Relation.t;
+  coverage : Coverage.t array;
 }
 
-let node_positions_of scheme g =
-  List.map (fun a -> (a, Schema.positions_of_rel scheme a)) (Qgraph.aliases g)
+(* Coverage comes back from each row's null pattern: base relations reject
+   all-null tuples, so a padded F(J) tuple is non-null somewhere in exactly
+   the aliases of J.  Rows with one pattern share one coverage value: a
+   cached D(G) holds one per category, not one per row. *)
+let of_rows g rel =
+  let scheme = Relation.schema rel in
+  let rows =
+    Relation.create ~dedup:false ~allow_all_null:true "D(G)" scheme
+      (Relation.tuples rel)
+  in
+  let node_positions =
+    List.map (fun a -> (a, Schema.positions_of_rel scheme a)) (Qgraph.aliases g)
+  in
+  let shared = Hashtbl.create 16 in
+  let coverage =
+    Array.map
+      (fun t ->
+        let aliases = Assoc.covered_aliases node_positions t in
+        match Hashtbl.find_opt shared aliases with
+        | Some coverage -> coverage
+        | None ->
+            let coverage = Coverage.of_list aliases in
+            Hashtbl.add shared aliases coverage;
+            coverage)
+      (Relation.tuples_array rows)
+  in
+  { scheme; node_positions; rows; coverage }
 
-(* Every F(J) padded to the full scheme and tagged with coverage J. *)
+(* Every F(J) padded to the full scheme, in category order. *)
 let padded_categories src g =
   Obs.with_span Obs.Names.sp_categories (fun () ->
       let scheme = Source.scheme src g in
@@ -25,91 +51,55 @@ let padded_categories src g =
         Par.map ?pool:(Source.pool src)
           (fun aliases ->
             let j = Qgraph.induced g aliases in
-            let fj = Join_eval.full_associations src j in
-            (Coverage.of_list aliases, Algebra.pad fj scheme))
+            Algebra.pad (Join_eval.full_associations src j) scheme)
           subsets
       in
       (scheme, per_category))
 
+let padded_tuples per_category = List.concat_map Relation.tuples per_category
+
+(* Categories have distinct null patterns and each F(J) is a set, so S(G)
+   is a set without a dedup pass. *)
 let possible_associations src g =
   let scheme, per_category = padded_categories src g in
-  let associations =
-    List.concat_map
-      (fun (cov, padded) ->
-        List.map (fun t -> Assoc.make t cov) (Relation.tuples padded))
-      per_category
-  in
-  { scheme; node_positions = node_positions_of scheme g; associations }
+  of_rows g
+    (Relation.create ~dedup:false ~allow_all_null:true "S(G)" scheme
+       (padded_tuples per_category))
 
-(* Dedup equal tuples across categories, keeping the larger coverage (an
-   equal tuple's smaller-coverage tag is subsumption-redundant). *)
-let dedup_assocs assocs =
+(* Dedup equal tuples across categories by hash bucket, the pairwise
+   oracle's own way (no kernel). *)
+let dedup tuples =
   let table = Hashtbl.create 256 in
   List.iter
-    (fun (a : Assoc.t) ->
-      let key = Tuple.hash a.tuple in
-      let bucket = Hashtbl.find_all table key in
-      match
-        List.find_opt (fun (b : Assoc.t) -> Tuple.equal b.tuple a.tuple) bucket
-      with
-      | Some b ->
-          if Coverage.cardinal a.coverage > Coverage.cardinal b.coverage then begin
-            let bucket' =
-              a :: List.filter (fun (c : Assoc.t) -> not (Tuple.equal c.tuple a.tuple)) bucket
-            in
-            (* Rebuild the bucket list for this key. *)
-            while Hashtbl.mem table key do
-              Hashtbl.remove table key
-            done;
-            List.iter (fun c -> Hashtbl.add table key c) bucket'
-          end
-      | None -> Hashtbl.add table key a)
-    assocs;
-  Hashtbl.fold (fun _ a acc -> a :: acc) table []
-
-(* Canonical presentation order: by tuple, then coverage.  Every D(G)
-   algorithm — and the incremental repair path — emits this order, so equal
-   association *sets* render byte-identically no matter how they were
-   computed.  Downstream greedy tie-breaks (illustration selection walks
-   associations in order) depend on this for incremental/from-scratch
-   parity.  Equal tuples imply equal coverage (a padded tuple's null
-   pattern determines its category because source relations have no
-   all-null tuples), so the order is total on deduplicated results. *)
-let compare_assoc (a : Assoc.t) (b : Assoc.t) =
-  let c = Tuple.compare a.Assoc.tuple b.Assoc.tuple in
-  if c <> 0 then c else Coverage.compare a.Assoc.coverage b.Assoc.coverage
-
-let canonical_order assocs = List.sort compare_assoc assocs
+    (fun t ->
+      let key = Tuple.hash t in
+      if not (List.exists (Tuple.equal t) (Hashtbl.find_all table key)) then
+        Hashtbl.add table key t)
+    tuples;
+  Hashtbl.fold (fun _ t acc -> t :: acc) table []
 
 let naive src g =
   Obs.with_span ~attrs:[ ("algorithm", "naive") ] Obs.Names.sp_fulldisj
     (fun () ->
-      let { scheme; node_positions; associations } =
-        possible_associations src g
-      in
+      let scheme, per_category = padded_categories src g in
       let deduped =
-        Obs.with_span Obs.Names.sp_dedup (fun () -> dedup_assocs associations)
+        Obs.with_span Obs.Names.sp_dedup (fun () ->
+            dedup (padded_tuples per_category))
       in
-      let associations =
+      let kept =
         Obs.with_span Obs.Names.sp_min_union (fun () ->
-            let tuples = List.map (fun (a : Assoc.t) -> a.tuple) deduped in
-            let kept = Min_union.remove_subsumed_naive tuples in
-            let keep_set = Hashtbl.create (List.length kept) in
-            List.iter (fun t -> Hashtbl.replace keep_set (Tuple.hash t) t) kept;
-            let kept_assocs =
-              List.filter
-                (fun (a : Assoc.t) ->
-                  Hashtbl.find_all keep_set (Tuple.hash a.tuple)
-                  |> List.exists (Tuple.equal a.tuple))
-                deduped
-            in
+            let kept = Min_union.remove_subsumed_naive deduped in
             if Obs.enabled () then begin
               Obs.add Obs.Names.assoc_considered (List.length deduped);
-              Obs.add Obs.Names.assoc_kept (List.length kept_assocs)
+              Obs.add Obs.Names.assoc_kept (List.length kept)
             end;
-            kept_assocs)
+            kept)
       in
-      { scheme; node_positions; associations = canonical_order associations })
+      (* Canonical order, sorted boxed: [Join_eval.canonical]'s order
+         without interning the rows. *)
+      of_rows g
+        (Relation.create ~dedup:false ~allow_all_null:true "D(G)" scheme
+           (List.sort Tuple.compare kept)))
 
 (* End-to-end batch evaluation of D(G) as a relation on the columnar
    kernels: each connected category's F(J) is padded to the full scheme
@@ -124,57 +114,30 @@ let compute_relation ?(name = "D(G)") src g =
       let union_all =
         Obs.with_span Obs.Names.sp_dedup (fun () ->
             if Schema.arity scheme = 0 then
-              Relation.create name scheme
-                (List.concat_map (fun (_, r) -> Relation.tuples r) per_category)
+              Relation.create name scheme (padded_tuples per_category)
             else
               Relation.of_columns ~allow_all_null:true name scheme
-                (Col_ops.concat
-                   (List.map (fun (_, r) -> Relation.columns r) per_category)))
+                (Col_ops.concat (List.map Relation.columns per_category)))
       in
       Join_eval.canonical (Min_union.minimize ?pool:(Source.pool src) union_all))
 
-(* Coverage tags come back from each association's null pattern: base
-   relations reject all-null tuples, so a padded F(J) tuple is non-null
-   somewhere in exactly the aliases of J (the invariant [canonical_order]
-   relies on too).  Associations with one pattern share one coverage
-   value: a cached D(G) holds one per category, not one per association. *)
-let compute src g =
-  let rel = compute_relation src g in
-  let node_positions = node_positions_of (Relation.schema rel) g in
-  let shared = Hashtbl.create 16 in
-  let tag t =
-    let aliases = Assoc.covered_aliases node_positions t in
-    match Hashtbl.find_opt shared aliases with
-    | Some coverage -> Assoc.make t coverage
-    | None ->
-        let coverage = Coverage.of_list aliases in
-        Hashtbl.add shared aliases coverage;
-        Assoc.make t coverage
-  in
-  let associations =
-    Array.fold_right (fun t acc -> tag t :: acc) (Relation.tuples_array rel) []
-  in
-  { scheme = Relation.schema rel; node_positions; associations }
+let compute src g = of_rows g (compute_relation src g)
 
 (* Incremental repair: after an insert-only database update, D(G)'s new
    possible associations all come from categories containing an alias over
    a touched base.  Each such category contributes its delta join (padded,
    coverage-tagged; categories have distinct null patterns, so the batch
-   is a set), which [Min_union.merge_keep_flags] merges into the old
-   associations in one pass over them: old-vs-old subsumption is never
-   re-checked, and a batch tuple equal to an old one is dropped there
-   (equal tuples carry equal coverage, see [canonical_order]).  The
-   survivors of the old result are still in canonical order, so the
-   sorted survivors of the batch merge into them linearly. *)
+   is a set), which [Min_union.merge_keep_flags] merges into the old rows
+   in one pass over them: old-vs-old subsumption is never re-checked, and
+   a batch tuple equal to an old one is dropped there (equal tuples carry
+   equal coverage).  The surviving old rows are still in canonical order,
+   so the sorted survivors of the batch merge into them linearly, each
+   row with its coverage. *)
 let delta src g ~old ~changed =
   Obs.with_span ~attrs:[ ("algorithm", "delta") ] Obs.Names.sp_fulldisj
     (fun () ->
-      let scheme = old.scheme in
-      let node_positions = old.node_positions in
       let touched_bases = List.map fst changed in
-      let touched_alias a =
-        List.mem (Qgraph.base_of g a) touched_bases
-      in
+      let touched_alias a = List.mem (Qgraph.base_of g a) touched_bases in
       let subsets =
         Subgraphs.connected_node_sets g
         |> List.filter (List.exists touched_alias)
@@ -184,71 +147,92 @@ let delta src g ~old ~changed =
           (fun aliases ->
             let j = Qgraph.induced g aliases in
             let dfj = Join_eval.full_associations_delta src j ~changed in
-            let padded = Algebra.pad dfj scheme in
-            (Coverage.of_list aliases, Relation.tuples padded))
+            let padded = Algebra.pad dfj old.scheme in
+            (Coverage.of_list aliases, Relation.tuples_array padded))
           subsets
       in
-      let batch =
-        List.concat_map
-          (fun (cov, tuples) -> List.map (fun t -> Assoc.make t cov) tuples)
-          per_category
+      let batch = Array.concat (List.map snd per_category) in
+      let batch_coverage =
+        Array.concat
+          (List.map (fun (c, ts) -> Array.make (Array.length ts) c) per_category)
       in
-      let old_arr = Array.of_list old.associations in
-      let tuples assocs = Array.map (fun (a : Assoc.t) -> a.Assoc.tuple) assocs in
+      let old_rows = Relation.tuples_array old.rows in
       let base_keep, batch_keep =
-        Min_union.merge_keep_flags ?pool:(Source.pool src)
-          ~base:(tuples old_arr) (tuples (Array.of_list batch))
+        Min_union.merge_keep_flags ?pool:(Source.pool src) ~base:old_rows batch
       in
       let added =
-        Array.of_list (List.filteri (fun j _ -> batch_keep.(j)) batch)
+        List.init (Array.length batch) Fun.id
+        |> List.filter (fun j -> batch_keep.(j))
+        |> Array.of_list
       in
-      let associations =
-        if Array.length added = 0 && Array.for_all Fun.id base_keep then
-          old.associations
+      let result =
+        if Array.length added = 0 && Array.for_all Fun.id base_keep then old
         else begin
-          Array.sort compare_assoc added;
-          (* Merge from the back, so the list is built by consing. *)
-          let out = ref [] and i = ref (Array.length old_arr - 1)
+          Array.sort (fun j k -> Tuple.compare batch.(j) batch.(k)) added;
+          (* Merge from the back, so the lists are built by consing. *)
+          let rows = ref [] and coverage = ref [] in
+          let keep t c =
+            rows := t :: !rows;
+            coverage := c :: !coverage
+          in
+          let i = ref (Array.length old_rows - 1)
           and j = ref (Array.length added - 1) in
           while !i >= 0 || !j >= 0 do
             if !i >= 0 && not base_keep.(!i) then decr i
             else if
               !j < 0
-              || (!i >= 0 && compare_assoc old_arr.(!i) added.(!j) > 0)
+              || (!i >= 0 && Tuple.compare old_rows.(!i) batch.(added.(!j)) > 0)
             then begin
-              out := old_arr.(!i) :: !out;
+              keep old_rows.(!i) old.coverage.(!i);
               decr i
             end
             else begin
-              out := added.(!j) :: !out;
+              keep batch.(added.(!j)) batch_coverage.(added.(!j));
               decr j
             end
           done;
-          !out
+          {
+            old with
+            rows =
+              Relation.create ~dedup:false ~allow_all_null:true "D(G)" old.scheme
+                !rows;
+            coverage = Array.of_list !coverage;
+          }
         end
       in
-      if Obs.enabled () && batch <> [] then begin
+      if Obs.enabled () && Array.length batch > 0 then begin
         Obs.add Obs.Names.assoc_considered
-          (Array.length old_arr + Array.length batch_keep);
-        Obs.add Obs.Names.assoc_kept (List.length associations)
+          (Array.length old_rows + Array.length batch);
+        Obs.add Obs.Names.assoc_kept (Array.length result.coverage)
       end;
-      { scheme; node_positions; associations })
+      result)
 
-(* Every algorithm above emits a set under [Tuple.equal] (categories are
-   deduplicated, and [delta] filters against the old result), so the
-   relation is built without a second dedup pass. *)
-let to_relation ?(name = "D(G)") r =
-  Relation.create ~dedup:false ~allow_all_null:true name r.scheme
-    (List.map (fun (a : Assoc.t) -> a.Assoc.tuple) r.associations)
+let to_relation r = r.rows
+
+let restrict p r =
+  let rows = ref [] and coverage = ref [] in
+  let tuples = Relation.tuples_array r.rows in
+  for i = Array.length tuples - 1 downto 0 do
+    if p r.coverage.(i) then begin
+      rows := tuples.(i) :: !rows;
+      coverage := r.coverage.(i) :: !coverage
+    end
+  done;
+  {
+    r with
+    rows = Relation.create ~dedup:false ~allow_all_null:true "D(G)" r.scheme !rows;
+    coverage = Array.of_list !coverage;
+  }
 
 let categories r =
   let groups = Hashtbl.create 16 in
   let order = ref [] in
-  List.iter
-    (fun (a : Assoc.t) ->
-      let key = Coverage.to_list a.coverage in
-      if not (Hashtbl.mem groups key) then order := (key, a.coverage) :: !order;
-      Hashtbl.add groups key a)
-    r.associations;
+  Array.iteri
+    (fun i t ->
+      let c = r.coverage.(i) in
+      let key = Coverage.to_list c in
+      if not (Hashtbl.mem groups key) then order := (key, c) :: !order;
+      Hashtbl.add groups key (Assoc.make t c))
+    (Relation.tuples_array r.rows);
   List.rev !order
   |> List.map (fun (key, cov) -> (cov, List.rev (Hashtbl.find_all groups key)))

@@ -165,7 +165,9 @@ let merge_keep_flags ?pool ~base delta =
   if nd = 0 then (Array.make nb true, [||])
   else begin
     let counting = Obs.enabled () in
-    let arity = Tuple.arity delta.(0) in
+    let arity = Tuple.arity (if nb > 0 then base.(0) else delta.(0)) in
+    if Array.exists (fun t -> Tuple.arity t <> arity) delta then
+      invalid_arg "Min_union.merge_keep_flags: delta tuple arity mismatch";
     let dmask = Array.map null_pattern delta in
     let dcount = Array.map nonnull_count delta in
     let patterns = Hashtbl.create 8 in
@@ -275,35 +277,6 @@ let merge_keep_flags ?pool ~base delta =
     in
     ( Array.sub keep 0 nb,
       Array.init nd (fun j -> keep.(nb + j) && not covered.(j)) )
-  end
-
-let merge_minimal ?pool rel delta_tuples =
-  let schema = Relation.schema rel in
-  let arity = Relational.Schema.arity schema in
-  List.iter
-    (fun t ->
-      if Tuple.arity t <> arity then
-        invalid_arg "Min_union.merge_minimal: delta tuple arity mismatch")
-    delta_tuples;
-  let base = Relation.tuples_array rel in
-  let delta = Array.of_list delta_tuples in
-  let base_keep, delta_keep = merge_keep_flags ?pool ~base delta in
-  if Array.for_all Fun.id base_keep && not (Array.exists Fun.id delta_keep)
-  then rel
-  else begin
-    let out = ref [] in
-    for j = Array.length delta - 1 downto 0 do
-      if delta_keep.(j) then out := delta.(j) :: !out
-    done;
-    for i = Array.length base - 1 downto 0 do
-      if base_keep.(i) then out := base.(i) :: !out
-    done;
-    if Obs.enabled () then begin
-      Obs.add Obs.Names.assoc_considered (Array.length base + Array.length delta);
-      Obs.add Obs.Names.assoc_kept (List.length !out)
-    end;
-    Relation.create ~dedup:false ~allow_all_null:true (Relation.name rel) schema
-      !out
   end
 
 let remove_subsumed ?pool tuples = remove_subsumed_indexed ?pool ~selective:true tuples

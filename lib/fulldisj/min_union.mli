@@ -32,20 +32,14 @@ val remove_subsumed_first_probe : Tuple.t list -> Tuple.t list
     probes only tables built from [delta], and base-vs-base checks are
     never re-run: the cost is one pass over the base plus work in the
     size of the batch.  [?pool] chunks the pass as in
-    {!remove_subsumed}; the flags are identical either way. *)
+    {!remove_subsumed}; the flags are identical either way.  Raises
+    [Invalid_argument] when a delta tuple's arity differs from the
+    base's. *)
 val merge_keep_flags :
   ?pool:Par.Pool.t ->
   base:Tuple.t array ->
   Tuple.t array ->
   bool array * bool array
-
-(** [merge_minimal ?pool rel batch] — minimum union of an already minimal
-    relation with a batch of candidate tuples, via {!merge_keep_flags}:
-    [rel]'s surviving tuples, then the batch's, in their orders.  [rel]
-    itself when the batch changes nothing.  Equivalent to re-minimizing
-    [rel]'s tuples together with the batch, assuming [rel] was minimal.
-    Raises [Invalid_argument] on an arity mismatch. *)
-val merge_minimal : ?pool:Par.Pool.t -> Relation.t -> Tuple.t list -> Relation.t
 
 (** [sweep ?pool rel] — [rel] minus its strictly subsumed rows, row order
     preserved.  Runs on the columnar bitmask/class-id kernel; a scheme

@@ -47,17 +47,7 @@ let cascade ~lookup ~join g root =
         rest;
       Join_eval.reorder !acc (Qgraph.scheme ~lookup g)
 
-let tag_result ~lookup g rel =
-  let scheme = Qgraph.scheme ~lookup g in
-  let node_positions =
-    List.map (fun a -> (a, Schema.positions_of_rel scheme a)) (Qgraph.aliases g)
-  in
-  let associations =
-    Relation.tuples rel
-    |> List.map (fun t -> Assoc.make t (Assoc.coverage_of_tuple node_positions t))
-    |> Full_disjunction.canonical_order
-  in
-  { Full_disjunction.scheme; node_positions; associations }
+let tag_result g rel = Full_disjunction.of_rows g (Join_eval.canonical rel)
 
 (* The cascade joins base relations node by node — there is no per-subgraph
    F(J) request to intercept, so only the source's lookup is used. *)
@@ -74,18 +64,18 @@ let full_disjunction src g =
             Min_union.sweep ?pool:(Source.pool src)
               (Relation.with_name "D(G)" fused))
       in
-      tag_result ~lookup g minimal)
+      tag_result g minimal)
 
 let full_disjunction_no_sweep src g =
   let lookup = Source.lookup src in
   if not (is_tree g) then
     invalid_arg "Outerjoin_plan.full_disjunction_no_sweep: not a tree";
   let root = List.hd (Qgraph.aliases g) in
-  tag_result ~lookup g (cascade ~lookup ~join:Algebra.full_outer_join g root)
+  tag_result g (cascade ~lookup ~join:Algebra.full_outer_join g root)
 
 let rooted src ~root g =
   let lookup = Source.lookup src in
   if not (is_tree g) then invalid_arg "Outerjoin_plan.rooted: not a tree";
   if not (Qgraph.mem_node g root) then invalid_arg ("Outerjoin_plan.rooted: " ^ root);
   let rel = cascade ~lookup ~join:Algebra.left_outer_join g root in
-  tag_result ~lookup g rel
+  tag_result g rel

@@ -122,7 +122,6 @@ let sp_request = "server.request"
 let sp_engine_fj = "engine.fj"
 let sp_engine_dg = "engine.dg"
 
-(* The rest of an evaluate reply: D(G) turned into a relation, and the
-   relation rendered and hashed into the reply digest. *)
-let sp_to_relation = "fulldisj.to_relation"
+(* The rest of an evaluate reply: the relation rendered and hashed into
+   the reply digest. *)
 let sp_render_digest = "render.digest"

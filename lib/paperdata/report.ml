@@ -163,9 +163,10 @@ let fig7 () =
 
 let render_fd fd =
   let rows =
-    List.map
-      (fun (a : Assoc.t) -> (Coverage.label ~short a.Assoc.coverage, a.Assoc.tuple))
-      fd.Full_disjunction.associations
+    Array.to_list
+      (Array.mapi
+         (fun i t -> (Coverage.label ~short fd.Full_disjunction.coverage.(i), t))
+         (Relation.tuples_array fd.Full_disjunction.rows))
   in
   let rows = List.sort (fun (a, t1) (b, t2) ->
       match compare (String.length b) (String.length a) with

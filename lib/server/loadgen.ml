@@ -111,9 +111,9 @@ let replay_digests spec =
                 match what with
                 | P.Target -> Clio.Workspace.target_view !ws
                 | P.Dg ->
-                    Fulldisj.Full_disjunction.to_relation
-                      (Clio.Mapping_eval.data_associations
-                         (Clio.Workspace.ctx !ws) (active_mapping ()))
+                    (Clio.Mapping_eval.data_associations
+                       (Clio.Workspace.ctx !ws) (active_mapping ()))
+                      .Fulldisj.Full_disjunction.rows
                 | P.Fj ->
                     Clio.Eval_ctx.full_associations (Clio.Workspace.ctx !ws)
                       (active_mapping ()).Clio.Mapping.graph

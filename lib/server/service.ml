@@ -63,9 +63,8 @@ let evaluate session what limit =
     match what with
     | P.Target -> Clio.Workspace.target_view ws
     | P.Dg ->
-        let fd = Clio.Mapping_eval.data_associations ctx mapping in
-        Obs.with_span Obs.Names.sp_to_relation (fun () ->
-            Fulldisj.Full_disjunction.to_relation fd)
+        (Clio.Mapping_eval.data_associations ctx mapping)
+          .Fulldisj.Full_disjunction.rows
     | P.Fj -> Clio.Eval_ctx.full_associations ctx mapping.Clio.Mapping.graph
   in
   P.Evaluated

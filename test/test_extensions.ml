@@ -376,12 +376,8 @@ let test_no_sweep_superset () =
   (* Every swept association appears in the raw cascade. *)
   Alcotest.(check bool) "subset" true
     (List.for_all
-       (fun (a : Fulldisj.Assoc.t) ->
-         List.exists
-           (fun (b : Fulldisj.Assoc.t) ->
-             Tuple.equal a.Fulldisj.Assoc.tuple b.Fulldisj.Assoc.tuple)
-           raw.Fulldisj.Full_disjunction.associations)
-       swept.Fulldisj.Full_disjunction.associations)
+       (Relation.mem raw.Fulldisj.Full_disjunction.rows)
+       (Relation.tuples swept.Fulldisj.Full_disjunction.rows))
 
 let () =
   let tc = Alcotest.test_case in

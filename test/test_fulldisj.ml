@@ -129,18 +129,19 @@ let prop_every_dropped_is_subsumed =
 
 (* --- incremental merge: minimum union of a minimal base with a batch --- *)
 
-let test_merge_minimal_unit () =
-  let schema = Schema.make "B" [ "x"; "y"; "z" ] in
+(* The merge the flags describe: the kept base rows, then the kept batch
+   rows, each in their order. *)
+let merge_by_flags ?pool base batch =
+  let base = Array.of_list base and batch = Array.of_list batch in
+  let base_keep, batch_keep = Min_union.merge_keep_flags ?pool ~base batch in
+  let kept flags rows = List.filteri (fun i _ -> flags.(i)) (Array.to_list rows) in
+  kept base_keep base @ kept batch_keep batch
+
+let test_merge_keep_flags_unit () =
   let t a b c = Tuple.make [ a; b; c ] in
-  let base =
-    Relation.create "B" schema
-      [
-        t (v_int 1) (v_int 2) Value.Null;
-        t (v_int 9) Value.Null Value.Null;
-      ]
-  in
-  let merged =
-    Min_union.merge_minimal base
+  let base = [ t (v_int 1) (v_int 2) Value.Null; t (v_int 9) Value.Null Value.Null ] in
+  let kept =
+    merge_by_flags base
       [
         (* Strictly subsumes the first base tuple: replaces it. *)
         t (v_int 1) (v_int 2) (v_int 3);
@@ -152,22 +153,27 @@ let test_merge_minimal_unit () =
         t (v_int 7) (v_int 8) Value.Null;
       ]
   in
-  let kept = Relation.tuples merged in
   Alcotest.(check int) "kept count" 3 (List.length kept);
   Alcotest.(check bool) "subsumed base tuple gone" false
     (List.exists (Tuple.equal (t (v_int 1) (v_int 2) Value.Null)) kept);
   Alcotest.(check bool) "result minimal" true (Min_union.is_minimal kept);
   Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Min_union.merge_minimal: delta tuple arity mismatch")
-    (fun () -> ignore (Min_union.merge_minimal base [ Tuple.make [ v_int 1; v_int 2 ] ]))
+    (Invalid_argument "Min_union.merge_keep_flags: delta tuple arity mismatch")
+    (fun () ->
+      ignore
+        (Min_union.merge_keep_flags ~base:(Array.of_list base)
+           [| Tuple.make [ v_int 1; v_int 2 ] |]))
 
-let test_merge_minimal_noop () =
-  let schema = Schema.make "B" [ "x" ] in
-  let base = Relation.create "B" schema [ Tuple.make [ v_int 1 ] ] in
-  let same = Min_union.merge_minimal base [ Tuple.make [ v_int 1 ] ] in
-  Alcotest.(check bool) "all-duplicate batch returns the base" true (base == same)
+let test_merge_keep_flags_noop () =
+  let base_keep, batch_keep =
+    Min_union.merge_keep_flags ~base:[| Tuple.make [ v_int 1 ] |]
+      [| Tuple.make [ v_int 1 ] |]
+  in
+  Alcotest.(check (pair (array bool) (array bool)))
+    "all-duplicate batch keeps the base and nothing else" ([| true |], [| false |])
+    (base_keep, batch_keep)
 
-(* Base and batch share one arity (merge_minimal validates it).  Batch
+(* Base and batch share one arity (merge_keep_flags validates it).  Batch
    rows are drawn to hit every repair case: fresh rows; copies of base
    rows; base rows with nulls filled in (they subsume a base row) or with
    cells nulled out (a base row subsumes them); and repeats within the
@@ -210,26 +216,24 @@ let merge_gen =
 
 let sorted_tuples ts = List.sort Tuple.compare ts
 
-let check_merge_equals_reminimize ?pool (arity, base_raw, batch) =
-  let schema = Schema.make "B" (List.init arity (Printf.sprintf "c%d")) in
+let check_merge_equals_reminimize ?pool (_arity, base_raw, batch) =
   let base_minimal = Min_union.remove_subsumed (dedup_tuples base_raw) in
-  let rel = Relation.create ~allow_all_null:true "B" schema base_minimal in
-  let merged = Min_union.merge_minimal ?pool rel batch in
+  let merged = merge_by_flags ?pool base_minimal batch in
   let reference =
     Min_union.remove_subsumed (dedup_tuples (base_minimal @ batch))
   in
-  let a = sorted_tuples (Relation.tuples merged) in
+  let a = sorted_tuples merged in
   let b = sorted_tuples reference in
   List.length a = List.length b && List.for_all2 Tuple.equal a b
 
 let prop_merge_equals_reminimize =
   QCheck2.Test.make
-    ~name:"merge_minimal base batch = re-minimize (base ∪ batch)" ~count:300
+    ~name:"merge_keep_flags base batch = re-minimize (base ∪ batch)" ~count:300
     merge_gen check_merge_equals_reminimize
 
 let prop_merge_equals_reminimize_pooled =
   QCheck2.Test.make
-    ~name:"merge_minimal with a Par pool gives the identical result" ~count:100
+    ~name:"merge_keep_flags with a Par pool gives the identical result" ~count:100
     merge_gen
     (check_merge_equals_reminimize ?pool:(Par.get_pool ~jobs:4))
 
@@ -325,17 +329,11 @@ let test_rooted_is_root_covering_subset () =
   let rooted =
     Outerjoin_plan.rooted (Source.of_fn (Database.find small_db)) ~root:"A" small_graph
   in
-  let covers_a (a : Assoc.t) = Coverage.mem "A" a.Assoc.coverage in
   let expected =
-    List.filter covers_a fd.Full_disjunction.associations
-    |> List.map (fun (a : Assoc.t) -> a.Assoc.tuple)
+    Relation.tuples (Full_disjunction.restrict (Coverage.mem "A") fd).Full_disjunction.rows
     |> List.sort Tuple.compare
   in
-  let got =
-    rooted.Full_disjunction.associations
-    |> List.map (fun (a : Assoc.t) -> a.Assoc.tuple)
-    |> List.sort Tuple.compare
-  in
+  let got = Relation.tuples rooted.Full_disjunction.rows |> List.sort Tuple.compare in
   Alcotest.(check int) "size" (List.length expected) (List.length got);
   Alcotest.(check bool) "same tuples" true (List.for_all2 Tuple.equal expected got)
 
@@ -346,11 +344,8 @@ let test_possible_associations_superset () =
   let fd = Full_disjunction.compute (Source.of_db small_db) small_graph in
   Alcotest.(check bool) "D(G) ⊆ S(G)" true
     (List.for_all
-       (fun (a : Assoc.t) ->
-         List.exists
-           (fun (p : Assoc.t) -> Tuple.equal a.Assoc.tuple p.Assoc.tuple)
-           poss.Full_disjunction.associations)
-       fd.Full_disjunction.associations)
+       (Relation.mem poss.Full_disjunction.rows)
+       (Relation.tuples fd.Full_disjunction.rows))
 
 (* QCheck: all three algorithms agree on random tree instances. *)
 let tree_instance_gen =
@@ -386,9 +381,7 @@ let prop_fd_is_minimal =
         Full_disjunction.compute (Source.of_fn (Database.find inst.Synth.Gen_graph.db))
           inst.Synth.Gen_graph.graph
       in
-      Min_union.is_minimal
-        (List.map (fun (a : Assoc.t) -> a.Assoc.tuple)
-           fd.Full_disjunction.associations))
+      Min_union.is_minimal (Relation.tuples fd.Full_disjunction.rows))
 
 let prop_coverage_matches_nullness =
   QCheck2.Test.make ~name:"coverage tag matches null pattern" ~count:60
@@ -401,11 +394,12 @@ let prop_coverage_matches_nullness =
         Full_disjunction.compute (Source.of_fn (Database.find inst.Synth.Gen_graph.db))
           inst.Synth.Gen_graph.graph
       in
-      fd.Full_disjunction.associations
-      |> List.for_all (fun (a : Assoc.t) ->
-             Coverage.equal a.Assoc.coverage
-               (Assoc.coverage_of_tuple fd.Full_disjunction.node_positions
-                  a.Assoc.tuple)))
+      Relation.tuples_array fd.Full_disjunction.rows
+      |> Array.for_all2
+           (fun c t ->
+             Coverage.equal c
+               (Assoc.coverage_of_tuple fd.Full_disjunction.node_positions t))
+           fd.Full_disjunction.coverage)
 
 (* --- Plan / explain --- *)
 
@@ -438,13 +432,13 @@ let test_plan_render () =
 (* Same tuples (byte for byte, so an Int 1 may not stand in for a
    Float 1.0), same coverage tags, same order. *)
 let same_associations (a : Full_disjunction.result) (b : Full_disjunction.result) =
-  List.length a.Full_disjunction.associations
-  = List.length b.Full_disjunction.associations
-  && List.for_all2
-       (fun (x : Assoc.t) (y : Assoc.t) ->
-         String.equal (Tuple.to_string x.Assoc.tuple) (Tuple.to_string y.Assoc.tuple)
-         && Coverage.equal x.Assoc.coverage y.Assoc.coverage)
-       a.Full_disjunction.associations b.Full_disjunction.associations
+  let rows r = Relation.tuples_array r.Full_disjunction.rows in
+  Array.length (rows a) = Array.length (rows b)
+  && Array.for_all2
+       (fun x y -> String.equal (Tuple.to_string x) (Tuple.to_string y))
+       (rows a) (rows b)
+  && Array.for_all2 Coverage.equal a.Full_disjunction.coverage
+       b.Full_disjunction.coverage
 
 (* Null-heavy cells drawn from values that are equal but spelled apart
    (Int 1 / Float 1.0, 0 / -0.) or that misbehave under IEEE comparison
@@ -586,7 +580,7 @@ let test_wide_scheme_matches_naive () =
   Alcotest.(check bool) "wider than a bitmask" true
     (Schema.arity fd.Full_disjunction.scheme > Col_ops.mask_arity_limit);
   (* W1 1,3 and W2 6 dangle; 2 and 4 join. *)
-  Alcotest.(check int) "associations" 5 (List.length fd.Full_disjunction.associations);
+  Alcotest.(check int) "associations" 5 (Relation.cardinality fd.Full_disjunction.rows);
   Alcotest.(check bool) "= naive" true
     (same_associations fd (Full_disjunction.naive src g))
 
@@ -608,8 +602,8 @@ let () =
           tc "all-null tuple" `Quick test_remove_subsumed_all_null;
           tc "commutative contents" `Quick test_min_union_not_commutative_content;
           tc "is_minimal" `Quick test_is_minimal;
-          tc "merge_minimal" `Quick test_merge_minimal_unit;
-          tc "merge_minimal no-op" `Quick test_merge_minimal_noop;
+          tc "merge_keep_flags" `Quick test_merge_keep_flags_unit;
+          tc "merge_keep_flags no-op" `Quick test_merge_keep_flags_noop;
         ] );
       ( "full_disjunction",
         [

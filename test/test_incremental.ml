@@ -46,12 +46,19 @@ let subgraph g a b =
   let e = Option.get (Qgraph.find_edge g a b) in
   Qgraph.make [ (a, a); (b, b) ] [ (a, b, e.Qgraph.pred) ]
 
+(* Same scheme, same rows in the same order, and the same coverage row by
+   row. *)
 let assocs_equal (x : Fulldisj.Full_disjunction.result)
     (y : Fulldisj.Full_disjunction.result) =
+  let rows r = Relation.tuples_array r.Fulldisj.Full_disjunction.rows in
   Schema.attrs x.Fulldisj.Full_disjunction.scheme
   = Schema.attrs y.Fulldisj.Full_disjunction.scheme
-  && List.equal Fulldisj.Assoc.equal x.Fulldisj.Full_disjunction.associations
-       y.Fulldisj.Full_disjunction.associations
+  && Array.length (rows x) = Array.length (rows y)
+  && Array.for_all2 Tuple.equal (rows x) (rows y)
+  && Array.length x.Fulldisj.Full_disjunction.coverage
+     = Array.length y.Fulldisj.Full_disjunction.coverage
+  && Array.for_all2 Fulldisj.Coverage.equal x.Fulldisj.Full_disjunction.coverage
+       y.Fulldisj.Full_disjunction.coverage
 
 (* D(G) by the two independent algorithms the served path is held to. *)
 let oracles db g =
@@ -382,8 +389,8 @@ let prop_incremental_equals_scratch =
 
 (* --- property: D(G) results are already sets --- *)
 
-(* [to_relation] builds its relation without a dedup pass, which is sound
-   only if no D(G) result emits two associations equal under [Value.equal].
+(* A result's rows are built without a dedup pass, which is sound only if
+   no D(G) algorithm emits two associations equal under [Value.equal].
    Adversarial twists make equal values differ in representation: ints
    turned into floats (Int 1 vs Float 1.0, 0 vs -0.), payload strings
    turned into NaN or infinity, and every relation carrying a float copy
@@ -411,11 +418,12 @@ let to_relation_is_exact (r : Fulldisj.Full_disjunction.result) =
   let rel = Fulldisj.Full_disjunction.to_relation r in
   let deduped =
     Relation.create ~allow_all_null:true "D(G)" r.Fulldisj.Full_disjunction.scheme
-      (List.map (fun (a : Fulldisj.Assoc.t) -> a.Fulldisj.Assoc.tuple)
-         r.Fulldisj.Full_disjunction.associations)
+      (Relation.tuples r.Fulldisj.Full_disjunction.rows)
   in
-  List.length r.Fulldisj.Full_disjunction.associations
-  = Relation.cardinality deduped
+  (* The served relation is the cached rows themselves, not a copy. *)
+  rel == r.Fulldisj.Full_disjunction.rows
+  && Relation.cardinality rel = Relation.cardinality deduped
+  && Array.length r.Fulldisj.Full_disjunction.coverage = Relation.cardinality rel
   && String.equal (Render.relation rel) (Render.relation deduped)
 
 let prop_associations_are_sets =

@@ -178,12 +178,10 @@ let test_apply_one () =
       (Predicate.Is_not_null (Expr.col "Out" "eid"))
   in
   let fd = Mapping_eval.data_associations (Eval_ctx.transient db) m in
-  let assocs = fd.Fulldisj.Full_disjunction.associations in
   let pos =
-    List.filter
-      (fun (a : Fulldisj.Assoc.t) ->
-        Fulldisj.Coverage.mem "Emp" a.Fulldisj.Assoc.coverage)
-      assocs
+    Fulldisj.Full_disjunction.categories fd
+    |> List.concat_map (fun (c, assocs) ->
+           if Fulldisj.Coverage.mem "Emp" c then assocs else [])
   in
   Alcotest.(check int) "3 emp assocs" 3 (List.length pos);
   List.iter
@@ -194,10 +192,7 @@ let test_apply_one () =
     pos
 
 (* Q_M over a D(G) computed outside the engine. *)
-let eval_over (fd : Fulldisj.Full_disjunction.result) (m : Mapping.t) =
-  Relation.create ~allow_all_null:true m.Mapping.target (Mapping.target_schema m)
-    (List.filter_map (Mapping_eval.apply_one fd m)
-       fd.Fulldisj.Full_disjunction.associations)
+let eval_over fd m = Mapping_eval.apply fd m
 
 let test_algorithms_agree_on_eval () =
   let served = Mapping_eval.eval (Eval_ctx.transient db) base_mapping in

@@ -11,8 +11,10 @@ module Subgraphs = Querygraph.Subgraphs
 let db = Paperdata.Figure1.database
 let lookup = Database.find db
 
-let coverage_label (a : Assoc.t) =
-  Coverage.label ~short:Paperdata.Figure1.short a.Assoc.coverage
+let coverage_labels fd =
+  Array.to_list
+    (Array.map (Coverage.label ~short:Paperdata.Figure1.short)
+       fd.Full_disjunction.coverage)
 
 let sorted_counts fd =
   Full_disjunction.categories fd
@@ -158,12 +160,12 @@ let test_figure8_categories () =
     (List.sort compare [ ("C", 1); ("P", 1); ("Ph", 1); ("PPh", 5); ("CPPh", 3) ])
     (sorted_counts fd);
   Alcotest.(check int) "11 data associations" 11
-    (List.length fd.Full_disjunction.associations)
+    (Relation.cardinality fd.Full_disjunction.rows)
 
 (* Empty categories: CP is empty because no mother lacks a phone. *)
 let test_figure8_empty_categories () =
   let fd = Full_disjunction.compute (Source.of_fn lookup) Paperdata.Running.graph_g in
-  let labels = List.map coverage_label fd.Full_disjunction.associations in
+  let labels = coverage_labels fd in
   Alcotest.(check bool) "no CP association" false (List.mem "CP" labels)
 
 (* --- Figure 9 / Example 4.3: the running mapping's categories --- *)
@@ -180,7 +182,7 @@ let test_figure9_categories () =
 
 let test_figure9_no_C_CP_CPS () =
   let fd = Lazy.force fig9_fd in
-  let labels = List.map coverage_label fd.Full_disjunction.associations in
+  let labels = coverage_labels fd in
   List.iter
     (fun l ->
       Alcotest.(check bool) ("no " ^ l ^ " association") false (List.mem l labels))

@@ -85,8 +85,11 @@ let test_nested_map () =
 
 let fd_equal (a : Fulldisj.Full_disjunction.result) (b : Fulldisj.Full_disjunction.result) =
   Schema.equal a.Fulldisj.Full_disjunction.scheme b.Fulldisj.Full_disjunction.scheme
-  && List.equal Fulldisj.Assoc.equal a.Fulldisj.Full_disjunction.associations
-       b.Fulldisj.Full_disjunction.associations
+  && List.equal Tuple.equal
+       (Relation.tuples a.Fulldisj.Full_disjunction.rows)
+       (Relation.tuples b.Fulldisj.Full_disjunction.rows)
+  && Array.for_all2 Fulldisj.Coverage.equal a.Fulldisj.Full_disjunction.coverage
+       b.Fulldisj.Full_disjunction.coverage
 
 let paper_ctx ~jobs =
   Eval_ctx.create ~jobs ~kb:Paperdata.Figure1.kb Paperdata.Figure1.database

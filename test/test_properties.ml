@@ -65,12 +65,7 @@ let prop_eval_algorithms_agree =
       let g = inst.Synth.Gen_graph.graph in
       let src = Fulldisj.Source.of_db db in
       (* Q_M over a D(G) computed outside the engine. *)
-      let eval_over (fd : Fulldisj.Full_disjunction.result) =
-        Relation.create ~allow_all_null:true m.Mapping.target
-          (Mapping.target_schema m)
-          (List.filter_map (Mapping_eval.apply_one fd m)
-             fd.Fulldisj.Full_disjunction.associations)
-      in
+      let eval_over fd = Mapping_eval.apply fd m in
       let served = Mapping_eval.eval (Eval_ctx.transient db) m in
       Relation.equal_contents served
         (eval_over (Fulldisj.Full_disjunction.naive src g))

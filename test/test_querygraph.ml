@@ -4,7 +4,6 @@
 open Relational
 module Qgraph = Querygraph.Qgraph
 module Subgraphs = Querygraph.Subgraphs
-module Paths = Querygraph.Paths
 module Dot = Querygraph.Dot
 
 let eq r1 c1 r2 c2 = Predicate.eq_cols (Attr.make r1 c1) (Attr.make r2 c2)
@@ -176,38 +175,35 @@ let test_subgraphs_matches_bruteforce () =
   Alcotest.(check int) "same count" (List.length brute) (List.length fast);
   Alcotest.(check bool) "same sets" true (brute = fast)
 
-(* --- paths --- *)
+(* --- paths: the data walk's path enumeration --- *)
 
-let kb_neighbours node =
-  (* tiny KB graph: A-B (two labels), B-C, A-C *)
-  match node with
-  | "A" -> [ ("B", "ab1"); ("B", "ab2"); ("C", "ac") ]
-  | "B" -> [ ("A", "ab1"); ("A", "ab2"); ("C", "bc") ]
-  | "C" -> [ ("A", "ac"); ("B", "bc") ]
-  | _ -> []
+(* A tiny KB: A-B under two join labels, B-C, A-C. *)
+let kb =
+  List.fold_left
+    (fun kb (r1, r2, col) ->
+      Schemakb.Kb.add kb
+        { Schemakb.Kb.r1; r2; atoms = [ (col, col) ]; origin = Schemakb.Kb.Asserted })
+    Schemakb.Kb.empty
+    [ ("A", "B", "ab1"); ("A", "B", "ab2"); ("B", "C", "bc"); ("A", "C", "ac") ]
+
+let walks ~max_len =
+  Clio.Op_walk.walks ~kb ~graph:(Qgraph.singleton ~alias:"A" ~base:"A") ~start:"A"
+    ~goal:"C" ~max_len ()
 
 let test_simple_paths () =
-  let paths = Paths.simple_paths ~neighbours:kb_neighbours ~max_len:2 "A" "C" in
   (* A-C, A-B(ab1)-C, A-B(ab2)-C *)
-  Alcotest.(check int) "three paths" 3 (List.length paths)
+  Alcotest.(check int) "three paths" 3 (List.length (walks ~max_len:2))
 
 let test_simple_paths_max_len () =
-  let paths = Paths.simple_paths ~neighbours:kb_neighbours ~max_len:1 "A" "C" in
-  Alcotest.(check int) "direct only" 1 (List.length paths)
+  Alcotest.(check int) "direct only" 1 (List.length (walks ~max_len:1))
 
-let test_paths_from () =
-  let paths = Paths.paths_from ~neighbours:kb_neighbours ~max_len:1 "A" in
-  (* A->B twice, A->C once *)
-  Alcotest.(check int) "three one-step walks" 3 (List.length paths)
-
+(* A path graph repeats no node: one edge fewer than nodes, so no step
+   returns to a node already on it. *)
 let test_paths_are_simple () =
-  let paths = Paths.simple_paths ~neighbours:kb_neighbours ~max_len:3 "A" "C" in
   List.iter
     (fun p ->
-      let nodes = "A" :: List.map snd p in
-      Alcotest.(check int) "no repeats" (List.length nodes)
-        (List.length (List.sort_uniq compare nodes)))
-    paths
+      Alcotest.(check int) "no repeats" (Qgraph.node_count p - 1) (Qgraph.edge_count p))
+    (walks ~max_len:3)
 
 (* --- dot --- *)
 
@@ -249,7 +245,6 @@ let () =
         [
           tc "simple paths" `Quick test_simple_paths;
           tc "max len" `Quick test_simple_paths_max_len;
-          tc "paths from" `Quick test_paths_from;
           tc "simple" `Quick test_paths_are_simple;
         ] );
       ("dot", [ tc "output" `Quick test_dot_output ]);

@@ -1195,7 +1195,7 @@ let test_socket_evaluate_exemplar_spans () =
   List.iter
     (fun span ->
       Alcotest.(check bool) (span ^ " in the exemplar") true (List.mem span names))
-    [ Obs.Names.sp_to_relation; Obs.Names.sp_render_digest ]
+    [ Obs.Names.sp_render_digest ]
 
 let test_socket_sigterm_flushes_telemetry () =
   let tmp = Filename.get_temp_dir_name () in
@@ -1563,7 +1563,7 @@ let () =
             test_socket_sigterm_flushes_telemetry;
           tc "chain loadgen with 60 ops stays valid" `Quick
             test_socket_loadgen_long_chain;
-          tc "evaluate exemplar shows to_relation and digest spans" `Quick
+          tc "evaluate exemplar shows the digest span" `Quick
             test_socket_evaluate_exemplar_spans;
           tc "numeric flags below 1 exit 124" `Quick
             test_serve_rejects_nonpositive_flags;
