@@ -11,7 +11,7 @@
    2. Performance benchmarks (experiments B1-B17) for the algorithms whose
       cost the paper alludes to ("we make use of evaluation and
       optimization techniques for the minimal union operator to
-      efficiently compute D(G)"): minimum union naive vs indexed, full
+      efficiently compute D(G)"): minimum union naive vs sweep, full
       disjunction naive vs indexed vs outer-join plan, sufficient
       illustration selection, walk enumeration, chase scans, end-to-end
       mapping evaluation, FK mining, illustration evolution, and the
@@ -70,59 +70,54 @@ let out_file = flag_value "--out"
 
 let seeded seed = Random.State.make [| seed |]
 
-(* --- B1: minimum union — naive vs indexed subsumption removal --- *)
+(* --- B1: minimum union — pairwise oracle vs the columnar sweep --- *)
 
 let minunion_input size =
   (* Sparse tuples over a tiny domain maximize subsumption pressure. *)
   Synth.Gen_db.sparse_tuples (seeded 42) ~rows:size ~arity:6 ~null_prob:0.45 ~domain:8
   |> List.filteri (fun _ t -> not (Tuple.all_null t))
 
+(* The sweep's input: the tuples as one relation, interned up front so the
+   timed call measures the kernel, not the columns' first build. *)
+let minunion_relation tuples =
+  let rel =
+    Relation.create ~allow_all_null:true "R"
+      (Schema.make "R" (List.init 6 (Printf.sprintf "c%d")))
+      tuples
+  in
+  ignore (Relation.columns rel);
+  rel
+
 let minunion_sizes = if quick then [ 100; 400 ] else [ 100; 400; 1600 ]
 
 let minunion_tests =
-  let input = minunion_input in
-  let sizes = minunion_sizes in
   List.concat_map
     (fun size ->
-      let tuples = input size in
+      let tuples = minunion_input size in
+      let rel = minunion_relation tuples in
       [
         Test.make
           ~name:(Printf.sprintf "minunion/naive/%d" size)
           (Staged.stage (fun () ->
                ignore (Fulldisj.Min_union.remove_subsumed_naive tuples)));
         Test.make
-          ~name:(Printf.sprintf "minunion/indexed/%d" size)
-          (Staged.stage (fun () ->
-               ignore (Fulldisj.Min_union.remove_subsumed tuples)));
-        (* Ablation: probe the first non-null column instead of the most
-           selective one. *)
-        Test.make
-          ~name:(Printf.sprintf "minunion/first-probe/%d" size)
-          (Staged.stage (fun () ->
-               ignore (Fulldisj.Min_union.remove_subsumed_first_probe tuples)));
+          ~name:(Printf.sprintf "minunion/sweep/%d" size)
+          (Staged.stage (fun () -> ignore (Fulldisj.Min_union.sweep rel)));
       ])
-    sizes
+    minunion_sizes
   @
-  (* Skewed values (Zipf): a few huge buckets — where selectivity-aware
-     probing should pay off. *)
-  let skewed size =
-    Synth.Gen_db.skewed_tuples (seeded 43) ~rows:size ~arity:6 ~null_prob:0.45
+  (* Skewed values (Zipf): a few huge buckets, where the sweep's
+     most-selective-column probe pays off. *)
+  let skewed =
+    Synth.Gen_db.skewed_tuples (seeded 43) ~rows:1600 ~arity:6 ~null_prob:0.45
       ~domain:64 ()
     |> List.filter (fun t -> not (Tuple.all_null t))
+    |> minunion_relation
   in
-  List.concat_map
-    (fun size ->
-      let tuples = skewed size in
-      [
-        Test.make
-          ~name:(Printf.sprintf "minunion/skew-selective/%d" size)
-          (Staged.stage (fun () -> ignore (Fulldisj.Min_union.remove_subsumed tuples)));
-        Test.make
-          ~name:(Printf.sprintf "minunion/skew-first-probe/%d" size)
-          (Staged.stage (fun () ->
-               ignore (Fulldisj.Min_union.remove_subsumed_first_probe tuples)));
-      ])
-    [ 1600 ]
+  [
+    Test.make ~name:"minunion/skew-sweep/1600"
+      (Staged.stage (fun () -> ignore (Fulldisj.Min_union.sweep skewed)));
+  ]
 
 (* --- B2: full disjunction — naive vs indexed vs outer-join plan --- *)
 
@@ -147,11 +142,6 @@ let fulldisj_tests =
         Test.make ~name:(tag "outerjoin")
           (Staged.stage (fun () ->
                ignore (Fulldisj.Outerjoin_plan.full_disjunction (Fulldisj.Source.of_fn lookup) g)));
-        (* Ablation: the cascade without the final subsumption sweep,
-           isolating the sweep's cost. *)
-        Test.make ~name:(tag "oj-no-sweep")
-          (Staged.stage (fun () ->
-               ignore (Fulldisj.Outerjoin_plan.full_disjunction_no_sweep (Fulldisj.Source.of_fn lookup) g)));
       ])
     configs
 
@@ -202,7 +192,7 @@ let walk_tests =
                   ~goal ~max_len ()))))
     [ (4, 2); (8, 2); (8, 3) ]
 
-(* --- B5: chase scans (full scan vs prebuilt inverted index) --- *)
+(* --- B5: chase scans over the interned id columns --- *)
 
 let chase_sizes = if quick then [ 500; 2000 ] else [ 500; 2000; 8000 ]
 
@@ -211,7 +201,6 @@ let chase_tests =
     (fun rows ->
       let inst = Synth.Gen_graph.chain (seeded 13) ~n:4 ~rows () in
       let db = inst.Synth.Gen_graph.db in
-      let index = Value_index.build db in
       let m =
         Clio.Mapping.make
           ~graph:(Qgraph.singleton ~alias:"R1" ~base:"R1")
@@ -224,15 +213,6 @@ let chase_tests =
                ignore
                  (Clio.Op_chase.chase (Clio.Eval_ctx.transient db) m ~attr:(Attr.make "R1" "id")
                     ~value:(Value.Int (rows / 2)))));
-        Test.make
-          ~name:(Printf.sprintf "chase/indexed/rows%d" rows)
-          (Staged.stage (fun () ->
-               ignore
-                 (Clio.Op_chase.chase ~index (Clio.Eval_ctx.transient db) m ~attr:(Attr.make "R1" "id")
-                    ~value:(Value.Int (rows / 2)))));
-        Test.make
-          ~name:(Printf.sprintf "chase/index-build/rows%d" rows)
-          (Staged.stage (fun () -> ignore (Value_index.build db)));
       ])
     chase_sizes
 
@@ -665,7 +645,8 @@ let sampling_tests =
            ignore (Clio.Sampling.illustrate_sampled ~seed:3 ~per_relation:12 (Clio.Eval_ctx.transient db) m)));
   ]
 
-(* --- B12: join implementations and attribute matching --- *)
+(* --- B12: the hash join against its nested-loop oracle, and attribute
+   matching --- *)
 
 let join_impl_tests =
   let st = seeded 29 in
@@ -680,8 +661,6 @@ let join_impl_tests =
   [
     Test.make ~name:"join/hash/3000"
       (Staged.stage (fun () -> ignore (Algebra.join p l r)));
-    Test.make ~name:"join/sort-merge/3000"
-      (Staged.stage (fun () -> ignore (Algebra.join_sort_merge p l r)));
     Test.make ~name:"join/nested-loop/600"
       (let l = mk "L2" 600 and r = mk "R2" 600 in
        let p = Predicate.eq_cols (Attr.make "L2" "k") (Attr.make "R2" "k") in
@@ -781,7 +760,9 @@ let b17_instance =
 
 let b17_eval () =
   let db, g = Lazy.force b17_instance in
-  ignore (Fulldisj.Full_disjunction.compute_relation (Fulldisj.Source.of_db db) g)
+  ignore
+    (Fulldisj.Full_disjunction.compute_relation (Fulldisj.Source.of_db db) g
+       ~categories:(Querygraph.Subgraphs.connected_node_sets g))
 
 let colplane_tests =
   [ Test.make ~name:"colplane/columnar" (Staged.stage b17_eval) ]
@@ -1094,14 +1075,13 @@ let workloads : (string * (unit -> unit)) list =
   List.concat_map
     (fun size ->
       let tuples = minunion_input size in
-      List.map
-        (fun (name, f) ->
-          (Printf.sprintf "minunion/%s/%d" name size, fun () -> ignore (f tuples)))
-        [
-          ("naive", Fulldisj.Min_union.remove_subsumed_naive);
-          ("indexed", fun ts -> Fulldisj.Min_union.remove_subsumed ts);
-          ("first-probe", Fulldisj.Min_union.remove_subsumed_first_probe);
-        ])
+      let rel = minunion_relation tuples in
+      [
+        ( Printf.sprintf "minunion/naive/%d" size,
+          fun () -> ignore (Fulldisj.Min_union.remove_subsumed_naive tuples) );
+        ( Printf.sprintf "minunion/sweep/%d" size,
+          fun () -> ignore (Fulldisj.Min_union.sweep rel) );
+      ])
     minunion_sizes
   (* B2: full disjunction, per algorithm and chain shape. *)
   @ List.concat_map

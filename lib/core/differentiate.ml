@@ -9,17 +9,11 @@ let target_diff ctx (m1 : Mapping.t) (m2 : Mapping.t) =
   let r1 = Mapping_eval.eval ctx m1 and r2 = Mapping_eval.eval ctx m2 in
   if not (Schema.equal (Relation.schema r1) (Relation.schema r2)) then
     invalid_arg "Differentiate.target_diff: target schemas differ";
-  let only_left =
-    Relation.tuples r1
-    |> List.filter (fun t -> not (Relation.mem r2 t))
-    |> List.map (fun tuple -> { tuple; side = Only_left })
+  let only a b side =
+    Relation.tuples (Algebra.difference a b)
+    |> List.map (fun tuple -> { tuple; side })
   in
-  let only_right =
-    Relation.tuples r2
-    |> List.filter (fun t -> not (Relation.mem r1 t))
-    |> List.map (fun tuple -> { tuple; side = Only_right })
-  in
-  only_left @ only_right
+  only r1 r2 Only_left @ only r2 r1 Only_right
 
 let equivalent_on ctx m1 m2 = target_diff ctx m1 m2 = []
 

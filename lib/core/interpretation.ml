@@ -40,8 +40,8 @@ let compare_under ctx m a b =
   {
     interpretation_a = a;
     interpretation_b = b;
-    only_a = Relation.tuples ra |> List.filter (fun t -> not (Relation.mem rb t));
-    only_b = Relation.tuples rb |> List.filter (fun t -> not (Relation.mem ra t));
+    only_a = Relation.tuples (Algebra.difference ra rb);
+    only_b = Relation.tuples (Algebra.difference rb ra);
   }
 
 let no_effect ctx m a b =

@@ -1,6 +1,5 @@
 open Relational
 open Fulldisj
-module Qgraph = Querygraph.Qgraph
 module Subgraphs = Querygraph.Subgraphs
 
 type verdict = Always_negative of string list | Possibly_positive
@@ -28,26 +27,13 @@ let possibly_positive_categories (m : Mapping.t) =
   Subgraphs.connected_node_sets m.Mapping.graph
   |> List.filter (fun aliases -> List.for_all (fun r -> List.mem r aliases) required)
 
-(* D(G) restricted to the possibly-positive categories: compute F(J) per
-   surviving category, then indexed subsumption removal among them.  This
-   is exactly the restriction of D(G) (subsumers live in superset
-   categories, and required aliases are inherited by supersets). *)
+(* D(G) restricted to the possibly-positive categories.  This is exactly
+   the restriction of D(G) (subsumers live in superset categories, and
+   required aliases are inherited by supersets). *)
 let eval_pruned ctx (m : Mapping.t) =
-  let lookup = Engine.Eval_ctx.lookup ctx in
   let g = m.Mapping.graph in
-  let scheme = Qgraph.scheme ~lookup g in
-  let survivors = possibly_positive_categories m in
-  let tuples =
-    List.concat_map
-      (fun aliases ->
-        let j = Qgraph.induced g aliases in
-        (* per-category F(J) through the context's memo cache *)
-        let fj = Engine.Eval_ctx.full_associations ctx j in
-        Relation.tuples (Algebra.pad fj scheme))
-      survivors
-  in
-  let kept = Min_union.remove_subsumed tuples in
   Mapping_eval.apply
     (Full_disjunction.of_rows g
-       (Relation.create ~dedup:false ~allow_all_null:true "D(G)" scheme kept))
+       (Full_disjunction.compute_relation (Engine.Eval_ctx.source ctx) g
+          ~categories:(possibly_positive_categories m)))
     m

@@ -11,33 +11,26 @@ type alternative = {
   description : string;
 }
 
-let occurrences_anywhere ?index ctx v =
-  let db = Engine.Eval_ctx.db ctx in
-  match index with
-  | Some idx ->
-      Value_index.find idx v
-      |> List.map (fun (o : Value_index.occurrence) ->
-             { rel = o.Value_index.rel; column = o.Value_index.column; count = o.Value_index.count })
-  | None ->
-      (* Index-less chase = a full scan of every relation; the per-relation
-         scans are independent, so they fan out over the context's pool.
-         Relation order is preserved, so the result equals
-         [Database.find_value db v] exactly. *)
-      Par.map
-        ?pool:(Engine.Eval_ctx.pool ctx)
-        (fun r -> Database.find_value_in r v)
-        (Database.relations db)
-      |> List.concat
-      |> List.map (fun (rel, column, count) -> { rel; column; count })
+(* The chase scans every relation's id columns; the per-relation scans are
+   independent, so they fan out over the context's pool.  Relation order
+   is preserved, so the result equals [Database.find_value db v]
+   exactly. *)
+let occurrences_anywhere ctx v =
+  Par.map
+    ?pool:(Engine.Eval_ctx.pool ctx)
+    (fun r -> Database.find_value_in r v)
+    (Database.relations (Engine.Eval_ctx.db ctx))
+  |> List.concat
+  |> List.map (fun (rel, column, count) -> { rel; column; count })
 
-let occurrences ?index ctx (m : Mapping.t) v =
+let occurrences ctx (m : Mapping.t) v =
   let bases =
     Qgraph.nodes m.Mapping.graph |> List.map (fun n -> n.Qgraph.base)
   in
-  occurrences_anywhere ?index ctx v
+  occurrences_anywhere ctx v
   |> List.filter (fun o -> not (List.mem o.rel bases))
 
-let chase ?illustration ?index ctx (m : Mapping.t) ~attr ~value =
+let chase ?illustration ctx (m : Mapping.t) ~attr ~value =
   Obs.with_span Obs.Names.sp_chase @@ fun () ->
   if Obs.enabled () then begin
     Obs.set_attr "attr" (Attr.to_string attr);
@@ -61,7 +54,7 @@ let chase ?illustration ?index ctx (m : Mapping.t) ~attr ~value =
         invalid_arg
           (Printf.sprintf "Op_chase.chase: value %s not visible in %s of the illustration"
              (Value.to_string value) (Attr.to_string attr)));
-  let occs = occurrences ?index ctx m value in
+  let occs = occurrences ctx m value in
   if Obs.enabled () then begin
     (* occurrences = tuples carrying the value; alternatives = extension
        sites offered to the user (one per relation.column). *)

@@ -19,21 +19,15 @@ type alternative = {
 }
 
 (** Occurrences of the value in relations not referenced by the mapping
-    (Section 5.2 restricts the chase to new relations).  Pass a prebuilt
-    [index] ({!Relational.Value_index}) to avoid the full scan — bench B5
-    compares both paths. *)
-val occurrences :
-  ?index:Value_index.t ->
-  Engine.Eval_ctx.t ->
-  Mapping.t ->
-  Value.t ->
-  occurrence list
+    (Section 5.2 restricts the chase to new relations).  One scan of every
+    relation's interned id columns ({!Relational.Database.find_value_in}),
+    fanned out over the context's pool. *)
+val occurrences : Engine.Eval_ctx.t -> Mapping.t -> Value.t -> occurrence list
 
 (** All chase occurrences of a value anywhere in the database, including
     mapped relations — the Figure 5 display ("002 appears in one attribute
     of SBPS and in two attributes of XmasBar"). *)
-val occurrences_anywhere :
-  ?index:Value_index.t -> Engine.Eval_ctx.t -> Value.t -> occurrence list
+val occurrences_anywhere : Engine.Eval_ctx.t -> Value.t -> occurrence list
 
 (** The operator.  [attr] is Q[A] (Q an alias of the mapping's graph);
     raises [Invalid_argument] if Q is not in the graph.  The optional
@@ -41,7 +35,6 @@ val occurrences_anywhere :
     chases start from data the user can see. *)
 val chase :
   ?illustration:Example.t list ->
-  ?index:Value_index.t ->
   Engine.Eval_ctx.t ->
   Mapping.t ->
   attr:Attr.t ->

@@ -2,12 +2,7 @@ open Relational
 open Fulldisj
 module Qgraph = Querygraph.Qgraph
 
-module Tuple_tbl = Hashtbl.Make (struct
-  type t = Tuple.t
-
-  let equal = Tuple.equal
-  let hash = Tuple.hash
-end)
+module Tuple_tbl = Relation.Tuple_tbl
 
 (* Per base relation: the selected tuples (as a hashed set preserving
    insertion order through a list ref). *)
@@ -186,8 +181,9 @@ let illustrate_sampled ?seed ?per_relation ctx (m : Mapping.t) =
   (universe, illustration)
 
 let sound ctx (m : Mapping.t) ~slice_universe =
-  let full = Mapping_eval.data_associations ctx m in
+  let rows = (Mapping_eval.data_associations ctx m).Full_disjunction.rows in
+  let full = Tuple_tbl.create (Relation.cardinality rows) in
+  Relation.iter (fun t -> Tuple_tbl.replace full t ()) rows;
   List.for_all
-    (fun (e : Example.t) ->
-      Relation.mem full.Full_disjunction.rows e.Example.assoc.Assoc.tuple)
+    (fun (e : Example.t) -> Tuple_tbl.mem full e.Example.assoc.Assoc.tuple)
     slice_universe

@@ -19,7 +19,4 @@ let assemble ctx mappings =
     (Mapping.target_schema first)
     (List.concat_map Relation.tuples results)
 
-let assemble_min ctx mappings =
-  let r = assemble ctx mappings in
-  Relation.create ~allow_all_null:true (Relation.name r) (Relation.schema r)
-    (Fulldisj.Min_union.remove_subsumed (Relation.tuples r))
+let assemble_min ctx mappings = Fulldisj.Min_union.sweep (assemble ctx mappings)

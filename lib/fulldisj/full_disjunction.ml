@@ -37,11 +37,11 @@ let of_rows g rel =
   in
   { scheme; node_positions; rows; coverage }
 
-(* Every F(J) padded to the full scheme, in category order. *)
-let padded_categories src g =
+(* The F(J) of every category in [subsets] (connected alias sets of [g]),
+   padded to the full scheme, in order. *)
+let padded_categories src g subsets =
   Obs.with_span Obs.Names.sp_categories (fun () ->
       let scheme = Source.scheme src g in
-      let subsets = Subgraphs.connected_node_sets g in
       Obs.add Obs.Names.categories (List.length subsets);
       (* The dominant fan-out: each connected subset's F(J) is independent
          of the others, so they evaluate across the source's pool; results
@@ -61,7 +61,9 @@ let padded_tuples per_category = List.concat_map Relation.tuples per_category
 (* Categories have distinct null patterns and each F(J) is a set, so S(G)
    is a set without a dedup pass. *)
 let possible_associations src g =
-  let scheme, per_category = padded_categories src g in
+  let scheme, per_category =
+    padded_categories src g (Subgraphs.connected_node_sets g)
+  in
   of_rows g
     (Relation.create ~dedup:false ~allow_all_null:true "S(G)" scheme
        (padded_tuples per_category))
@@ -81,7 +83,9 @@ let dedup tuples =
 let naive src g =
   Obs.with_span ~attrs:[ ("algorithm", "naive") ] Obs.Names.sp_fulldisj
     (fun () ->
-      let scheme, per_category = padded_categories src g in
+      let scheme, per_category =
+        padded_categories src g (Subgraphs.connected_node_sets g)
+      in
       let deduped =
         Obs.with_span Obs.Names.sp_dedup (fun () ->
             dedup (padded_tuples per_category))
@@ -102,18 +106,18 @@ let naive src g =
            (List.sort Tuple.compare kept)))
 
 (* End-to-end batch evaluation of D(G) as a relation on the columnar
-   kernels: each connected category's F(J) is padded to the full scheme
-   (shared columns + null fills), the categories are vertically
-   concatenated and set-deduplicated in one pass, the subsumption sweep
-   runs on bitmask/class-id kernels, and the survivors come out in
-   canonical [Tuple.compare] order. *)
-let compute_relation ?(name = "D(G)") src g =
+   kernels: each category's F(J) is padded to the full scheme (shared
+   columns + null fills), the categories are vertically concatenated and
+   set-deduplicated in one pass, the subsumption sweep runs on
+   bitmask/class-id kernels, and the survivors come out in canonical
+   [Tuple.compare] order. *)
+let compute_relation ?(name = "D(G)") src g ~categories =
   Obs.with_span ~attrs:[ ("algorithm", "columnar") ] Obs.Names.sp_fulldisj
     (fun () ->
-      let scheme, per_category = padded_categories src g in
+      let scheme, per_category = padded_categories src g categories in
       let union_all =
         Obs.with_span Obs.Names.sp_dedup (fun () ->
-            if Schema.arity scheme = 0 then
+            if Schema.arity scheme = 0 || per_category = [] then
               Relation.create name scheme (padded_tuples per_category)
             else
               Relation.of_columns ~allow_all_null:true name scheme
@@ -121,7 +125,9 @@ let compute_relation ?(name = "D(G)") src g =
       in
       Join_eval.canonical (Min_union.minimize ?pool:(Source.pool src) union_all))
 
-let compute src g = of_rows g (compute_relation src g)
+let compute src g =
+  of_rows g
+    (compute_relation src g ~categories:(Subgraphs.connected_node_sets g))
 
 (* Incremental repair: after an insert-only database update, D(G)'s new
    possible associations all come from categories containing an alias over

@@ -39,7 +39,8 @@ val of_rows : Qgraph.t -> Relation.t -> result
 
 val naive : Source.t -> Qgraph.t -> result
 
-(** [compute src g] — {!compute_relation} through {!of_rows}. *)
+(** [compute src g] — {!compute_relation} over every category of [g],
+    through {!of_rows}. *)
 val compute : Source.t -> Qgraph.t -> result
 
 (** [delta src g ~old ~changed] — repair a previously computed D(G) after
@@ -59,11 +60,21 @@ val delta :
   changed:(string * Relational.Tuple.t list) list ->
   result
 
-(** [compute_relation src g] — D(G) directly as a relation, evaluated on
-    the columnar batch kernels end to end (concatenated padded
-    categories, one-pass set dedup, bitmask subsumption sweep, canonical
-    sort).  The rows of [compute src g], in the same order. *)
-val compute_relation : ?name:string -> Source.t -> Qgraph.t -> Relation.t
+(** [compute_relation src g ~categories] — the minimum union of the
+    padded F(J) of each category in [categories] (connected alias sets
+    of [g]), as a relation, evaluated on the columnar batch kernels end
+    to end (concatenated padded categories, one-pass set dedup, bitmask
+    subsumption sweep, canonical sort).  Over every connected node set
+    ({!Querygraph.Subgraphs.connected_node_sets}) it is D(G): the rows of
+    [compute src g], in the same order.  A category list closed under
+    supersets gives exactly D(G)'s rows whose coverage is in the list,
+    since a subsumer's coverage contains its victim's. *)
+val compute_relation :
+  ?name:string ->
+  Source.t ->
+  Qgraph.t ->
+  categories:string list list ->
+  Relation.t
 
 (** D(G) as a relation: the [rows] field, no copy. *)
 val to_relation : result -> Relation.t

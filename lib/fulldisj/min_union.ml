@@ -16,76 +16,6 @@ let remove_subsumed_naive tuples =
                  Tuple.strictly_subsumes other t))
               arr))
 
-(* Per-column index: column position -> value -> tuple indices having that
-   value there.  A subsumer of [t] must carry t's exact value at every
-   non-null position of [t], so probing one such column yields a complete
-   candidate set; [selective] picks the smallest bucket instead of the first
-   non-null column. *)
-let remove_subsumed_indexed ?pool ~selective tuples =
-  match tuples with
-  | [] -> []
-  | first :: _ ->
-      let counting = Obs.enabled () in
-      let arity = Tuple.arity first in
-      let arr = Array.of_list tuples in
-      let index = Array.init arity (fun _ -> Value.Table.create 64) in
-      (* Bucket sizes kept separately: probing selectivity must not pay to
-         materialize the bucket it is sizing up. *)
-      let counts = Array.init arity (fun _ -> Value.Table.create 64) in
-      Array.iteri
-        (fun id t ->
-          for p = 0 to arity - 1 do
-            if not (Value.is_null t.(p)) then begin
-              Value.Table.add index.(p) t.(p) id;
-              Value.Table.replace counts.(p) t.(p)
-                (1 + Option.value (Value.Table.find_opt counts.(p) t.(p)) ~default:0)
-            end
-          done)
-        arr;
-      let probe_position t =
-        if selective then begin
-          let best = ref (-1) and best_count = ref max_int in
-          for p = 0 to arity - 1 do
-            if not (Value.is_null t.(p)) then begin
-              let c = Option.value (Value.Table.find_opt counts.(p) t.(p)) ~default:0 in
-              if c < !best_count then begin
-                best := p;
-                best_count := c
-              end
-            end
-          done;
-          !best
-        end
-        else
-          let rec first_non_null p =
-            if p >= arity then -1
-            else if Value.is_null t.(p) then first_non_null (p + 1)
-            else p
-          in
-          first_non_null 0
-      in
-      let subsumed id t =
-        match probe_position t with
-        | -1 ->
-            (* All-null tuple: strictly subsumed by any other tuple. *)
-            Array.length arr > 1
-        | p ->
-            if counting then Obs.Counter.bump Obs.Names.index_probes;
-            Value.Table.find_all index.(p) t.(p)
-            |> List.exists (fun oid ->
-                   oid <> id
-                   &&
-                   (if counting then
-                      Obs.Counter.bump Obs.Names.subsumption_checks;
-                    Tuple.strictly_subsumes arr.(oid) t))
-      in
-      (* The per-tuple checks only read [arr]/[index], so they chunk across
-         the pool; list assembly stays sequential and ordered. *)
-      let keep =
-        Par.init ?pool (Array.length arr) (fun id -> not (subsumed id arr.(id)))
-      in
-      Array.to_list arr |> List.filteri (fun id _ -> keep.(id))
-
 (* Incremental repair: merge a batch [delta] into a mutually minimal
    [base] in one chunked pass over the base that probes only tables built
    from the delta side.  Their size is O(|Δ|); nothing is indexed per base
@@ -279,17 +209,16 @@ let merge_keep_flags ?pool ~base delta =
       Array.init nd (fun j -> keep.(nb + j) && not covered.(j)) )
   end
 
-let remove_subsumed ?pool tuples = remove_subsumed_indexed ?pool ~selective:true tuples
-let remove_subsumed_first_probe tuples = remove_subsumed_indexed ~selective:false tuples
-
 (* Columnar subsumption sweep over a relation's rows: per-row non-null
    bitmasks plus per-column class-id buckets, probed at each row's most
    selective non-null column.  A subsumer of row [j] must be non-null
-   wherever [j] is ([mask_j] a subset of [mask_i]) and class-equal there;
-   strictness is automatic on a deduplicated relation (a class-equal
-   subsumer with the same mask would be the same row).  Returns keep
-   flags in row order; the arity must be 1 .. [Col_ops.mask_arity_limit]
-   so a row's null pattern fits an int bitmask. *)
+   wherever [j] is and class-equal there; strictness is automatic on a
+   deduplicated relation (a class-equal subsumer with the same null
+   pattern would be the same row).  The masks fold column [p] onto bit
+   [p mod fold_bits], as [merge_keep_flags] does: up to [fold_bits]
+   columns they are the null pattern, beyond it a sound subset
+   prefilter, and the cell-by-cell agreement check decides.  Returns keep
+   flags in row order. *)
 let columnar_keep_flags ?pool rel =
   let arity = Relational.Schema.arity (Relation.schema rel) in
   let counting = Obs.enabled () in
@@ -316,29 +245,36 @@ let columnar_keep_flags ?pool rel =
     &&
     let rec agree p =
       p = arity
-      || ((masks.(j) land (1 lsl p) = 0 || cls.(p).(i) = cls.(p).(j))
-         && agree (p + 1))
+      || ((cls.(p).(j) = 0 || cls.(p).(i) = cls.(p).(j)) && agree (p + 1))
     in
     agree 0
   in
-  (* A row can only be strictly subsumed by a row whose non-null mask is
-     a *strict* superset of its own (equal mask + class-equal cells is
+  (* A row can only be strictly subsumed by a row whose null pattern is a
+     *strict* superset of its own (equal pattern + class-equal cells is
      the same row on a deduplicated input).  Masks take few distinct
-     patterns — category null-shapes, essentially — so precomputing
-     which patterns have a strict superset lets every maximal-pattern
-     row (the bulk of the survivors) skip probing entirely. *)
-  let patterns = Hashtbl.create 16 in
-  Array.iter (fun m -> Hashtbl.replace patterns m ()) masks;
-  let distinct = Hashtbl.fold (fun m () acc -> m :: acc) patterns [] in
-  let has_strict_superset = Hashtbl.create 16 in
-  List.iter
-    (fun m ->
-      Hashtbl.replace has_strict_superset m
-        (List.exists (fun m' -> m' <> m && m land lnot m' = 0) distinct))
-    distinct;
+     patterns — category null-shapes, essentially — so while the masks
+     are exact, precomputing which patterns have a strict superset lets
+     every maximal-pattern row (the bulk of the survivors) skip probing
+     entirely.  Folded masks cannot tell a strict superset apart, so wider
+     schemes probe every row. *)
+  let may_be_subsumed =
+    if arity > fold_bits then fun _ -> true
+    else begin
+      let patterns = Hashtbl.create 16 in
+      Array.iter (fun m -> Hashtbl.replace patterns m ()) masks;
+      let distinct = Hashtbl.fold (fun m () acc -> m :: acc) patterns [] in
+      let has_strict_superset = Hashtbl.create 16 in
+      List.iter
+        (fun m ->
+          Hashtbl.replace has_strict_superset m
+            (List.exists (fun m' -> m' <> m && m land lnot m' = 0) distinct))
+        distinct;
+      Hashtbl.find has_strict_superset
+    end
+  in
   let subsumed j =
-    if not (Hashtbl.find has_strict_superset masks.(j)) then false
-    else
+    may_be_subsumed masks.(j)
+    &&
     match probe_position j with
     | -1 -> n > 1
     | p ->
@@ -359,17 +295,11 @@ let columnar_keep_flags ?pool rel =
   in
   Par.init ?pool n (fun j -> not (subsumed j))
 
-(* The bitmask kernel covers every scheme up to [Col_ops.mask_arity_limit]
-   columns; only wider ones take the boxed indexed sweep.  A zero-arity
-   relation holds at most the empty tuple, which nothing subsumes. *)
+(* A zero-arity relation holds at most the empty tuple, which nothing
+   subsumes. *)
 let sweep ?pool rel =
-  let arity = Relational.Schema.arity (Relation.schema rel) in
   let out =
-    if arity = 0 then rel
-    else if arity > Col_ops.mask_arity_limit then
-      Relation.create ~allow_all_null:true (Relation.name rel)
-        (Relation.schema rel)
-        (remove_subsumed ?pool (Relation.tuples rel))
+    if Relational.Schema.arity (Relation.schema rel) = 0 then rel
     else begin
       let keep = columnar_keep_flags ?pool rel in
       let rows = Col_ops.Ibuf.create 256 in

@@ -1,27 +1,18 @@
 (** Subsumption and the minimum union operator ⊕ (Definitions 3.8–3.9).
 
-    Two implementations of subsumed-tuple removal are provided: the naive
-    quadratic scan and a per-column hash-indexed variant; bench [B1]
-    compares them.  Both require input deduplicated to set semantics (every
-    caller here goes through {!Relational.Relation.create}, which dedups). *)
+    One kernel removes strictly subsumed rows, {!sweep}, on the columnar
+    bitmask/class-id representation; {!merge_keep_flags} repairs a
+    minimal set after a batch of inserts.  The pairwise
+    {!remove_subsumed_naive} and {!is_minimal} are the test oracles.
+    Every input must be deduplicated to set semantics (every caller here
+    goes through {!Relational.Relation.create}, which dedups). *)
 
 open Relational
 
 (** [remove_subsumed_naive tuples] — keep tuples not strictly subsumed by
-    any other, via pairwise scan.  O(n² · arity). *)
+    any other, via pairwise scan.  O(n² · arity).  The test oracle for
+    {!sweep} and the naive D(G) algorithm's subsumption pass. *)
 val remove_subsumed_naive : Tuple.t list -> Tuple.t list
-
-(** Indexed variant: candidates that could subsume [t] are found through a
-    per-column value index (a subsumer must agree with [t] on each of [t]'s
-    non-null columns), probing [t]'s most selective non-null column.
-    [?pool] chunks the (read-only) per-tuple checks across a [Par] pool;
-    the result is identical either way. *)
-val remove_subsumed : ?pool:Par.Pool.t -> Tuple.t list -> Tuple.t list
-
-(** Ablation of {!remove_subsumed}: probes the {e first} non-null column
-    instead of the most selective one.  Same result, used by bench B1 to
-    measure the value of selectivity-aware probing. *)
-val remove_subsumed_first_probe : Tuple.t list -> Tuple.t list
 
 (** [merge_keep_flags ?pool ~base delta] — keep flags for merging a
     batch [delta] into a mutually minimal [base]: a base tuple survives
@@ -31,10 +22,9 @@ val remove_subsumed_first_probe : Tuple.t list -> Tuple.t list
     batch may repeat itself and the base.  One chunked pass over [base]
     probes only tables built from [delta], and base-vs-base checks are
     never re-run: the cost is one pass over the base plus work in the
-    size of the batch.  [?pool] chunks the pass as in
-    {!remove_subsumed}; the flags are identical either way.  Raises
-    [Invalid_argument] when a delta tuple's arity differs from the
-    base's. *)
+    size of the batch.  [?pool] chunks the pass as in {!sweep}; the
+    flags are identical either way.  Raises [Invalid_argument] when a
+    delta tuple's arity differs from the base's. *)
 val merge_keep_flags :
   ?pool:Par.Pool.t ->
   base:Tuple.t array ->
@@ -42,10 +32,12 @@ val merge_keep_flags :
   bool array * bool array
 
 (** [sweep ?pool rel] — [rel] minus its strictly subsumed rows, row order
-    preserved.  Runs on the columnar bitmask/class-id kernel; a scheme
-    wider than {!Relational.Col_ops.mask_arity_limit} columns, whose null
-    pattern no int bitmask holds, takes {!remove_subsumed} instead, with
-    the same result. *)
+    preserved, on the columnar bitmask/class-id kernel: each row probes
+    the per-column class buckets at its most selective non-null column.
+    Any arity: up to {!Relational.Col_ops.mask_arity_limit} columns the
+    row bitmasks are exact null patterns, beyond they fold and only
+    prefilter.  [?pool] chunks the per-row checks across a [Par] pool;
+    the result is identical either way. *)
 val sweep : ?pool:Par.Pool.t -> Relation.t -> Relation.t
 
 (** {!sweep} wrapped in the [min_union] telemetry span, with

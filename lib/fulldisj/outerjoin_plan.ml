@@ -66,13 +66,6 @@ let full_disjunction src g =
       in
       tag_result g minimal)
 
-let full_disjunction_no_sweep src g =
-  let lookup = Source.lookup src in
-  if not (is_tree g) then
-    invalid_arg "Outerjoin_plan.full_disjunction_no_sweep: not a tree";
-  let root = List.hd (Qgraph.aliases g) in
-  tag_result g (cascade ~lookup ~join:Algebra.full_outer_join g root)
-
 let rooted src ~root g =
   let lookup = Source.lookup src in
   if not (is_tree g) then invalid_arg "Outerjoin_plan.rooted: not a tree";

@@ -20,11 +20,6 @@ val is_tree : Qgraph.t -> bool
     not a tree. *)
 val full_disjunction : Source.t -> Qgraph.t -> Full_disjunction.result
 
-(** Ablation: the raw cascade without the final subsumption sweep — bench
-    B2 measures the sweep's cost.  On path graphs this equals
-    {!full_disjunction}; on branching trees it may retain subsumed rows. *)
-val full_disjunction_no_sweep : Source.t -> Qgraph.t -> Full_disjunction.result
-
 (** Associations covering [root], by left-outer-join cascade from [root].
     Equals the subset of D(G) whose coverage contains [root] (tested).
     Raises [Invalid_argument] if [g] is not a tree. *)

@@ -215,63 +215,6 @@ let join p l r =
         cols
   | None -> join_nested_loop p l r
 
-let join_sort_merge p l r =
-  let l_schema = Relation.schema l and r_schema = Relation.schema r in
-  let schema = Schema.append l_schema r_schema in
-  match hashable_atoms l_schema r_schema p with
-  | None | Some [] ->
-      invalid_arg "Algebra.join_sort_merge: predicate is not a cross-side equi-join"
-  | Some pairs ->
-      let l_pos = List.map fst pairs and r_pos = List.map snd pairs in
-      let key positions t = List.map (fun i -> t.(i)) positions in
-      let cmp_key a b =
-        let rec go = function
-          | [], [] -> 0
-          | x :: xs, y :: ys ->
-              let c = Value.compare x y in
-              if c <> 0 then c else go (xs, ys)
-          | _ -> assert false
-        in
-        go (a, b)
-      in
-      let non_null k = not (List.exists Value.is_null k) in
-      let sorted positions rel =
-        Relation.tuples rel
-        |> List.filter_map (fun t ->
-               let k = key positions t in
-               if non_null k then Some (k, t) else None)
-        |> List.sort (fun (a, _) (b, _) -> cmp_key a b)
-      in
-      let ls = sorted l_pos l and rs = sorted r_pos r in
-      (* Merge, pairing equal-key groups. *)
-      let out = ref [] in
-      let rec take_group k acc = function
-        | (k', t) :: rest when cmp_key k k' = 0 -> take_group k (t :: acc) rest
-        | rest -> (List.rev acc, rest)
-      in
-      let rec merge ls rs =
-        match (ls, rs) with
-        | [], _ | _, [] -> ()
-        | (lk, lt) :: ltail, (rk, rt) :: rtail ->
-            let c = cmp_key lk rk in
-            if c < 0 then merge ltail rs
-            else if c > 0 then merge ls rtail
-            else begin
-              let lgroup, lrest = take_group lk [ lt ] ltail in
-              let rgroup, rrest = take_group rk [ rt ] rtail in
-              List.iter
-                (fun tl ->
-                  List.iter (fun tr -> out := Tuple.concat tl tr :: !out) rgroup)
-                lgroup;
-              merge lrest rrest
-            end
-      in
-      merge ls rs;
-      if Obs.enabled () then Obs.add Obs.Names.join_rows_out (List.length !out);
-      Relation.create ~allow_all_null:true
-        (Relation.name l ^ "*" ^ Relation.name r)
-        schema (List.rev !out)
-
 let left_outer_join p l r =
   match col_join_applicable l r p with
   | Some pairs ->

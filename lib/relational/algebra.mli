@@ -17,12 +17,6 @@ val product : Relation.t -> Relation.t -> Relation.t
     hash join is used; otherwise falls back to filtered product. *)
 val join : Predicate.t -> Relation.t -> Relation.t -> Relation.t
 
-(** Sort-merge implementation of the inner equi-join; requires [p] to be a
-    conjunction of cross-side equality atoms (raises [Invalid_argument]
-    otherwise).  Same result as {!join}; bench ablation compares hash,
-    sort-merge and nested-loop execution. *)
-val join_sort_merge : Predicate.t -> Relation.t -> Relation.t -> Relation.t
-
 (** Nested-loop implementation of the inner join (any predicate). *)
 val join_nested_loop : Predicate.t -> Relation.t -> Relation.t -> Relation.t
 

@@ -304,8 +304,9 @@ module Buckets = struct
 end
 
 (* Per-row non-null bitmask over class/structural columns (null iff cell
-   0, in either representation).  Only valid for arity <= bits available;
-   callers gate on [mask_arity_limit]. *)
+   0, in either representation).  Column [c] sets bit [c mod
+   mask_arity_limit]: the exact null pattern up to that many columns, a
+   folded one (sound as a subset prefilter) beyond. *)
 let mask_arity_limit = Sys.int_size - 2
 
 let nonnull_masks cols =
@@ -313,7 +314,7 @@ let nonnull_masks cols =
   let arity = Array.length cols in
   let masks = Array.make n 0 in
   for c = 0 to arity - 1 do
-    let col = cols.(c) and bit = 1 lsl c in
+    let col = cols.(c) and bit = 1 lsl (c mod mask_arity_limit) in
     for i = 0 to n - 1 do
       if col.(i) <> 0 then masks.(i) <- masks.(i) lor bit
     done

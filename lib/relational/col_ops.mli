@@ -63,8 +63,12 @@ module Buckets : sig
   val rows : t -> int array
 end
 
-(** Largest arity [nonnull_masks] supports. *)
+(** Largest arity whose null pattern [nonnull_masks] holds exactly. *)
 val mask_arity_limit : int
 
-(** Per-row bitmask with bit [c] set iff column [c] is non-null. *)
+(** Per-row bitmask with bit [c mod mask_arity_limit] set iff some such
+    column [c] is non-null: up to {!mask_arity_limit} columns, bit [c]
+    iff column [c] is non-null; beyond, a folded pattern, so mask
+    containment is only a necessary condition for null-pattern
+    containment. *)
 val nonnull_masks : int array array -> int array

@@ -387,7 +387,10 @@ let prop_parity_fulldisj =
       let db = inst.Synth.Gen_graph.db in
       let src = Fulldisj.Source.of_db db in
       let g = inst.Synth.Gen_graph.graph in
-      let direct = Fulldisj.Full_disjunction.compute_relation src g in
+      let direct =
+        Fulldisj.Full_disjunction.compute_relation src g
+          ~categories:(Querygraph.Subgraphs.connected_node_sets g)
+      in
       let via_compute =
         Fulldisj.Full_disjunction.to_relation (Fulldisj.Full_disjunction.compute src g)
       in

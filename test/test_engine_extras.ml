@@ -1,9 +1,9 @@
-(* Tests for the engine-level extras: the inverted value index (chase
-   acceleration), alternative join implementations (sort-merge /
-   nested-loop vs hash), the automatic attribute matcher, and
-   target-constraint-derived filters.  QCheck properties check the join
-   implementations against each other and the parser against the SQL
-   printer. *)
+(* Tests for the engine-level extras: the chase's value lookup
+   ([Database.find_value] over interned columns), the hash join against
+   its nested-loop oracle, the automatic attribute matcher, and
+   target-constraint-derived filters.  QCheck properties check the value
+   lookup against a boxed count, the join against the nested loop and the
+   parser against the SQL printer. *)
 
 open Relational
 module Qgraph = Querygraph.Qgraph
@@ -12,59 +12,37 @@ let db = Paperdata.Figure1.database
 let v_int i = Value.Int i
 let mk name cols rows = Relation.create name (Schema.make name cols) rows
 
-(* --- Value_index --- *)
+(* --- Database.find_value --- *)
 
-let test_index_matches_scan_paper_db () =
-  let idx = Value_index.build db in
-  List.iter
-    (fun v ->
-      Alcotest.(check bool)
-        ("scan agreement for " ^ Value.to_string v)
-        true
-        (Value_index.agrees_with_scan idx db v))
-    [
-      Value.String "002";
-      Value.String "101";
-      Value.String "IBM";
-      Value.String "absent-value";
-      Value.Int 60000;
-    ]
+(* Oracle: box every stored tuple and count the [Value.equal] cells per
+   column, in relation-then-column order. *)
+let boxed_count db v =
+  if Value.is_null v then []
+  else
+    List.concat_map
+      (fun r ->
+        let schema = Relation.schema r in
+        Array.to_list (Schema.attrs schema)
+        |> List.filter_map (fun a ->
+               let p = Schema.index schema a in
+               let count =
+                 Relation.fold
+                   (fun acc t -> if Value.equal t.(p) v then acc + 1 else acc)
+                   0 r
+               in
+               if count > 0 then Some (Relation.name r, a.Attr.name, count)
+               else None))
+      (Database.relations db)
 
-let test_index_chase_integration () =
-  let idx = Value_index.build db in
-  let m = Paperdata.Running.mapping_g1 in
-  let with_index =
-    Clio.Op_chase.chase ~index:idx (Clio.Eval_ctx.transient db) m ~attr:(Attr.make "Children" "ID")
-      ~value:(Value.String "002")
-  in
-  let without =
-    Clio.Op_chase.chase (Clio.Eval_ctx.transient db) m ~attr:(Attr.make "Children" "ID")
-      ~value:(Value.String "002")
-  in
-  Alcotest.(check int) "same alternatives" (List.length without)
-    (List.length with_index)
-
-let test_index_distinct_values () =
-  let small =
-    Database.of_relations
-      [ mk "R" [ "a"; "b" ]
-          [ Tuple.make [ v_int 1; v_int 1 ]; Tuple.make [ v_int 2; Value.Null ] ] ]
-  in
-  let idx = Value_index.build small in
-  Alcotest.(check int) "nulls not indexed" 2 (Value_index.distinct_values idx);
-  Alcotest.(check int) "1 appears in two columns" 2
-    (List.length (Value_index.find idx (v_int 1)))
-
-(* QCheck: index always agrees with scanning on random databases. *)
-let prop_index_agrees =
-  QCheck2.Test.make ~name:"value index = full scan" ~count:40
+let prop_find_value_agrees =
+  QCheck2.Test.make ~name:"Database.find_value = boxed count" ~count:40
     QCheck2.Gen.(pair (int_range 0 10000) (int_range 1 30))
     (fun (seed, rows) ->
       let st = Random.State.make [| seed |] in
       let inst = Synth.Gen_graph.chain st ~n:3 ~rows () in
-      let idx = Value_index.build inst.Synth.Gen_graph.db in
+      let db = inst.Synth.Gen_graph.db in
       List.for_all
-        (fun v -> Value_index.agrees_with_scan idx inst.Synth.Gen_graph.db v)
+        (fun v -> Database.find_value db v = boxed_count db v)
         [ Value.Int 0; Value.Int (rows / 2); Value.Int (rows * 2); Value.Null ])
 
 (* --- join implementations --- *)
@@ -88,23 +66,15 @@ let right =
 
 let kpred = Predicate.eq_cols (Attr.make "L" "k") (Attr.make "R" "k")
 
-let test_sort_merge_matches_hash () =
+let test_join_impls_agree () =
   let h = Algebra.join kpred left right in
-  let s = Algebra.join_sort_merge kpred left right in
   let n = Algebra.join_nested_loop kpred left right in
-  Alcotest.(check bool) "sm = hash" true (Relation.equal_contents h s);
   Alcotest.(check bool) "nl = hash" true (Relation.equal_contents h n);
   (* two L rows with k=1 × one R row. *)
   Alcotest.(check int) "cardinality" 2 (Relation.cardinality h)
 
-let test_sort_merge_rejects_non_equi () =
-  let p = Predicate.Cmp (Predicate.Lt, Expr.col "L" "k", Expr.col "R" "k") in
-  Alcotest.check_raises "non equi"
-    (Invalid_argument "Algebra.join_sort_merge: predicate is not a cross-side equi-join")
-    (fun () -> ignore (Algebra.join_sort_merge p left right))
-
 let prop_join_impls_agree =
-  QCheck2.Test.make ~name:"hash = sort-merge = nested-loop" ~count:60
+  QCheck2.Test.make ~name:"hash = nested-loop" ~count:60
     QCheck2.Gen.(triple (int_range 0 10000) (int_range 0 25) (int_range 0 25))
     (fun (seed, nl, nr) ->
       let st = Random.State.make [| seed |] in
@@ -120,9 +90,7 @@ let prop_join_impls_agree =
       in
       let l = tuples nl "L" and r = tuples nr "R" in
       let p = Predicate.eq_cols (Attr.make "L" "k") (Attr.make "R" "k") in
-      let h = Algebra.join p l r in
-      Relation.equal_contents h (Algebra.join_sort_merge p l r)
-      && Relation.equal_contents h (Algebra.join_nested_loop p l r))
+      Relation.equal_contents (Algebra.join p l r) (Algebra.join_nested_loop p l r))
 
 (* --- Match --- *)
 
@@ -280,17 +248,10 @@ let () =
   let tc = Alcotest.test_case in
   Alcotest.run "engine_extras"
     [
-      ( "value_index",
-        [
-          tc "matches scan" `Quick test_index_matches_scan_paper_db;
-          tc "chase integration" `Quick test_index_chase_integration;
-          tc "distinct values" `Quick test_index_distinct_values;
-          qtest prop_index_agrees;
-        ] );
+      ("find_value", [ qtest prop_find_value_agrees ]);
       ( "joins",
         [
-          tc "implementations agree" `Quick test_sort_merge_matches_hash;
-          tc "sort-merge rejects non-equi" `Quick test_sort_merge_rejects_non_equi;
+          tc "implementations agree" `Quick test_join_impls_agree;
           qtest prop_join_impls_agree;
         ] );
       ( "match",

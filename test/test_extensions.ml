@@ -1,7 +1,6 @@
 (* Tests for the surrounding tooling: column profiling, universal-relation
-   style suggestion, session undo/redo, mapping projects, lineage, the
-   multi-relation correspondence workflow, and the bench ablation
-   variants. *)
+   style suggestion, session undo/redo, mapping projects, lineage and the
+   multi-relation correspondence workflow. *)
 
 open Relational
 open Clio
@@ -349,36 +348,6 @@ let test_html_cyclic_graph_uses_canonical_sql () =
   let html = Report_html.page (Eval_ctx.transient db) m in
   Alcotest.(check bool) "canonical form" true (contains html "from D(G)")
 
-(* --- ablation variants agree with their reference implementations --- *)
-
-let test_first_probe_agrees () =
-  let st = Random.State.make [| 99 |] in
-  let tuples =
-    Synth.Gen_db.sparse_tuples st ~rows:300 ~arity:5 ~null_prob:0.4 ~domain:6
-    |> List.filter (fun t -> not (Relational.Tuple.all_null t))
-    |> List.sort_uniq Tuple.compare
-  in
-  let a = Fulldisj.Min_union.remove_subsumed tuples |> List.sort Tuple.compare in
-  let b =
-    Fulldisj.Min_union.remove_subsumed_first_probe tuples |> List.sort Tuple.compare
-  in
-  Alcotest.(check int) "same size" (List.length a) (List.length b);
-  Alcotest.(check bool) "same" true (List.for_all2 Tuple.equal a b)
-
-let test_no_sweep_superset () =
-  let st = Random.State.make [| 5 |] in
-  let inst = Synth.Gen_graph.random_tree st ~n:4 ~rows:30 () in
-  let lookup = Database.find inst.Synth.Gen_graph.db in
-  let swept = Fulldisj.Outerjoin_plan.full_disjunction (Fulldisj.Source.of_fn lookup) inst.Synth.Gen_graph.graph in
-  let raw =
-    Fulldisj.Outerjoin_plan.full_disjunction_no_sweep (Fulldisj.Source.of_fn lookup) inst.Synth.Gen_graph.graph
-  in
-  (* Every swept association appears in the raw cascade. *)
-  Alcotest.(check bool) "subset" true
-    (List.for_all
-       (Relation.mem raw.Fulldisj.Full_disjunction.rows)
-       (Relation.tuples swept.Fulldisj.Full_disjunction.rows))
-
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "extensions"
@@ -422,10 +391,5 @@ let () =
           tc "report" `Quick test_html_report;
           tc "short badges" `Quick test_html_table_short_badges;
           tc "cyclic canonical" `Quick test_html_cyclic_graph_uses_canonical_sql;
-        ] );
-      ( "ablations",
-        [
-          tc "first probe agrees" `Quick test_first_probe_agrees;
-          tc "no-sweep superset" `Quick test_no_sweep_superset;
         ] );
     ]

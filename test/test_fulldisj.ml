@@ -1,6 +1,6 @@
 (* Tests for subsumption, minimum union and full disjunction, including
-   QCheck properties checking the indexed and columnar algorithms against
-   naive oracles and the outer-join plan against the per-subgraph
+   QCheck properties checking the columnar sweep and D(G) algorithms
+   against naive oracles and the outer-join plan against the per-subgraph
    definition. *)
 
 open Relational
@@ -43,11 +43,22 @@ let test_coverage_of_tuple () =
 
 (* --- Min union --- *)
 
+(* [Min_union.sweep] over the tuples as one relation (deduplicated on the
+   way in, first occurrence kept). *)
+let sweep_tuples = function
+  | [] -> []
+  | t :: _ as tuples ->
+      let schema =
+        Schema.make "R" (List.init (Tuple.arity t) (Printf.sprintf "c%d"))
+      in
+      Relation.tuples
+        (Min_union.sweep (Relation.create ~allow_all_null:true "R" schema tuples))
+
 let test_remove_subsumed_simple () =
   let full = Tuple.make [ v_int 1; v_int 2 ] in
   let partial = Tuple.make [ v_int 1; Value.Null ] in
   let other = Tuple.make [ v_int 9; Value.Null ] in
-  let kept = Min_union.remove_subsumed [ full; partial; other ] in
+  let kept = sweep_tuples [ full; partial; other ] in
   Alcotest.(check int) "two kept" 2 (List.length kept);
   Alcotest.(check bool) "partial removed" false
     (List.exists (Tuple.equal partial) kept);
@@ -56,11 +67,10 @@ let test_remove_subsumed_simple () =
 let test_remove_subsumed_all_null () =
   let full = Tuple.make [ v_int 1; v_int 2 ] in
   let empty = Tuple.nulls 2 in
-  let kept = Min_union.remove_subsumed [ full; empty ] in
+  let kept = sweep_tuples [ full; empty ] in
   Alcotest.(check int) "all-null removed" 1 (List.length kept);
   (* Alone, the all-null tuple is maximal. *)
-  Alcotest.(check int) "alone kept" 1
-    (List.length (Min_union.remove_subsumed [ empty ]))
+  Alcotest.(check int) "alone kept" 1 (List.length (sweep_tuples [ empty ]))
 
 let test_min_union_not_commutative_content () =
   (* ⊕ is commutative on contents (schema order may differ). *)
@@ -78,7 +88,7 @@ let test_is_minimal () =
     (Min_union.is_minimal
        [ Tuple.make [ v_int 1; v_int 2 ]; Tuple.make [ v_int 1; Value.Null ] ])
 
-(* QCheck: indexed removal ≡ naive removal, and the result is minimal. *)
+(* QCheck: the sweep ≡ naive removal, and the result is minimal. *)
 let tuple_list_gen =
   QCheck2.Gen.(
     let* rows = int_range 0 40 in
@@ -98,34 +108,117 @@ let prop_indexed_equals_naive =
   QCheck2.Test.make ~name:"remove_subsumed indexed = naive" ~count:300 tuple_list_gen
     (fun tuples ->
       let tuples = dedup_tuples tuples in
-      let naive =
-        Min_union.remove_subsumed_naive tuples |> List.sort Tuple.compare
-      in
-      let indexed = Min_union.remove_subsumed tuples |> List.sort Tuple.compare in
-      List.length naive = List.length indexed
-      && List.for_all2 Tuple.equal naive indexed)
+      let naive = Min_union.remove_subsumed_naive tuples in
+      let swept = sweep_tuples tuples in
+      List.length naive = List.length swept
+      && List.for_all2 Tuple.equal naive swept)
 
 let prop_result_minimal =
   QCheck2.Test.make ~name:"remove_subsumed result is minimal" ~count:300 tuple_list_gen
     (fun tuples ->
-      Min_union.is_minimal (Min_union.remove_subsumed (dedup_tuples tuples)))
+      Min_union.is_minimal (sweep_tuples (dedup_tuples tuples)))
 
 let prop_kept_subset =
   QCheck2.Test.make ~name:"remove_subsumed keeps only inputs" ~count:100 tuple_list_gen
     (fun tuples ->
       let tuples = dedup_tuples tuples in
-      Min_union.remove_subsumed tuples
+      sweep_tuples tuples
       |> List.for_all (fun t -> List.exists (Tuple.equal t) tuples))
 
 let prop_every_dropped_is_subsumed =
   QCheck2.Test.make ~name:"dropped tuples are subsumed by a kept one" ~count:200
     tuple_list_gen (fun tuples ->
       let tuples = dedup_tuples tuples in
-      let kept = Min_union.remove_subsumed tuples in
+      let kept = sweep_tuples tuples in
       tuples
       |> List.for_all (fun t ->
              List.exists (Tuple.equal t) kept
              || List.exists (fun k -> Tuple.strictly_subsumes k t) kept))
+
+(* The sweep at every width: narrow schemes and schemes around the int
+   bitmask's width, where columns [p] and [p + fold] share a mask bit.
+   Rows are drawn fresh or derived from drawn rows: with nulls filled in
+   or cells nulled out (so wide rows still subsume each other); with
+   cells [p] and [p + fold] swapped (the same folded mask, another null
+   pattern); or as a fold pair, two rows non-null at [p] that differ only
+   in [p + fold], null in one of them (the same folded mask, one strictly
+   subsuming the other).  Values include Int/Float twins, and an
+   all-null row may join.  Kept rows must match the pairwise oracle's,
+   in order and byte for byte. *)
+let wide_sweep_gen =
+  QCheck2.Gen.(
+    let fold = Col_ops.mask_arity_limit in
+    let* arity = frequency [ (1, int_range 1 8); (1, int_range 55 70) ] in
+    let cell_gen =
+      frequency
+        [
+          (3, map (fun i -> Value.Int i) (int_range 0 3));
+          (1, map (fun i -> Value.Float (float_of_int i)) (int_range 0 3));
+        ]
+    in
+    let value_gen = frequency [ (1, return Value.Null); (2, cell_gen) ] in
+    let tuple_gen = array_repeat arity value_gen in
+    let* drawn = list_size (int_range 0 12) tuple_gen in
+    let derive f =
+      match drawn with [] -> map (fun t -> [ t ]) tuple_gen | _ -> oneofl drawn >>= f
+    in
+    let extend t =
+      map
+        (fun fills -> [ Array.mapi (fun i v -> if Value.is_null v then fills.(i) else v) t ])
+        (array_repeat arity value_gen)
+    in
+    let cut t =
+      map
+        (fun drops -> [ Array.mapi (fun i v -> if drops.(i) then Value.Null else v) t ])
+        (array_repeat arity (frequency [ (4, return false); (1, return true) ]))
+    in
+    let folded p = int_range 0 (arity - fold - 1) >>= p in
+    let fold_swap t =
+      if arity <= fold then return [ t ]
+      else
+        folded (fun p ->
+            let t = Array.copy t in
+            let v = t.(p) in
+            t.(p) <- t.(p + fold);
+            t.(p + fold) <- v;
+            return [ t ])
+    in
+    let fold_pair t =
+      if arity <= fold then return [ t ]
+      else
+        folded (fun p ->
+            map2
+              (fun v w ->
+                let full = Array.copy t in
+                full.(p) <- v;
+                full.(p + fold) <- w;
+                let part = Array.copy full in
+                part.(p + fold) <- Value.Null;
+                [ full; part ])
+              cell_gen cell_gen)
+    in
+    let* derived =
+      list_size (int_range 0 30)
+        (frequency
+           [ (2, derive extend); (2, derive cut); (1, derive fold_swap); (1, derive fold_pair) ])
+    in
+    let* all_null = bool in
+    let* rows =
+      shuffle_l
+        (drawn @ List.concat derived @ if all_null then [ Tuple.nulls arity ] else [])
+    in
+    return (arity, rows))
+
+let prop_sweep_equals_naive =
+  QCheck2.Test.make ~name:"sweep = naive at every width" ~count:300 wide_sweep_gen
+    (fun (arity, rows) ->
+      let schema = Schema.make "R" (List.init arity (Printf.sprintf "c%d")) in
+      let rel = Relation.create ~allow_all_null:true "R" schema rows in
+      let swept = Relation.tuples (Min_union.sweep rel) in
+      let naive = Min_union.remove_subsumed_naive (Relation.tuples rel) in
+      List.equal
+        (fun a b -> String.equal (Tuple.to_string a) (Tuple.to_string b))
+        swept naive)
 
 (* --- incremental merge: minimum union of a minimal base with a batch --- *)
 
@@ -217,10 +310,10 @@ let merge_gen =
 let sorted_tuples ts = List.sort Tuple.compare ts
 
 let check_merge_equals_reminimize ?pool (_arity, base_raw, batch) =
-  let base_minimal = Min_union.remove_subsumed (dedup_tuples base_raw) in
+  let base_minimal = Min_union.remove_subsumed_naive (dedup_tuples base_raw) in
   let merged = merge_by_flags ?pool base_minimal batch in
   let reference =
-    Min_union.remove_subsumed (dedup_tuples (base_minimal @ batch))
+    Min_union.remove_subsumed_naive (dedup_tuples (base_minimal @ batch))
   in
   let a = sorted_tuples merged in
   let b = sorted_tuples reference in
@@ -560,9 +653,9 @@ let prop_compute_equals_naive =
       let src = Source.of_db db in
       same_associations (Full_disjunction.compute src g) (Full_disjunction.naive src g))
 
-(* A scheme wider than an int bitmask: the one input that takes the boxed
-   subsumption sweep.  W1 rows that join W2 are subsumed by their joined
-   image; dangling rows on either side survive padded. *)
+(* A scheme wider than an int bitmask, where the sweep's null masks fold.
+   W1 rows that join W2 are subsumed by their joined image; dangling rows
+   on either side survive padded. *)
 let test_wide_scheme_matches_naive () =
   let width1 = 40 and width2 = 30 in
   let cols prefix n = List.init n (Printf.sprintf "%s%d" prefix) in
@@ -627,6 +720,7 @@ let () =
           prop_result_minimal;
           prop_kept_subset;
           prop_every_dropped_is_subsumed;
+          prop_sweep_equals_naive;
           prop_merge_equals_reminimize;
           prop_merge_equals_reminimize_pooled;
         ];

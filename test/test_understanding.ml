@@ -282,6 +282,61 @@ let test_min_union_associative_property () =
     Alcotest.(check bool) "associative" true (Relation.equal_contents l r)
   done
 
+(* --- differences against the list-filter oracle --- *)
+
+(* Left rows absent from the right, in left order, by a linear
+   [Relation.mem] per row: the form [target_diff] and [compare_under]
+   had before they went through [Algebra.difference]. *)
+let only_filter a b =
+  Relation.tuples a |> List.filter (fun t -> not (Relation.mem b t))
+
+let same_tuples a b =
+  List.equal (fun x y -> String.equal (Tuple.to_string x) (Tuple.to_string y)) a b
+
+(* Two mappings over a random chain that each keep rows the other drops
+   (one requires the first alias, the other the last), and two rooted
+   interpretations that differ the same way. *)
+let prop_differences_match_filter =
+  QCheck2.Test.make ~name:"differences = list-filter oracle on random chains"
+    ~count:40
+    QCheck2.Gen.(pair (int_range 0 10000) (int_range 1 25))
+    (fun (seed, rows) ->
+      let inst =
+        Synth.Gen_graph.chain (Random.State.make [| seed |]) ~n:3 ~rows
+          ~null_prob:0.3 ~orphan_prob:0.3 ()
+      in
+      let g = inst.Synth.Gen_graph.graph in
+      let aliases = Qgraph.aliases g in
+      let first = List.hd aliases and last = List.nth aliases 2 in
+      let requiring alias =
+        Mapping.make ~graph:g ~target:"T"
+          ~target_cols:(List.map (fun a -> "c_" ^ a) aliases)
+          ~correspondences:
+            (List.map
+               (fun a -> Correspondence.identity ("c_" ^ a) (Attr.make a "id"))
+               aliases)
+          ~target_filters:[ Predicate.Is_not_null (Expr.col "T" ("c_" ^ alias)) ]
+          ()
+      in
+      let m1 = requiring first and m2 = requiring last in
+      let ctx = Eval_ctx.transient inst.Synth.Gen_graph.db in
+      let r1 = Mapping_eval.eval ctx m1 and r2 = Mapping_eval.eval ctx m2 in
+      let diff = Differentiate.target_diff ctx m1 m2 in
+      let on side =
+        List.filter_map
+          (fun d -> if d.Differentiate.side = side then Some d.Differentiate.tuple else None)
+          diff
+      in
+      let a = Interpretation.Rooted first and b = Interpretation.Rooted last in
+      let c = Interpretation.compare_under ctx m1 a b in
+      let ra = Interpretation.eval ctx m1 a and rb = Interpretation.eval ctx m1 b in
+      same_tuples
+        (List.map (fun d -> d.Differentiate.tuple) diff)
+        (only_filter r1 r2 @ only_filter r2 r1)
+      && same_tuples (on Differentiate.Only_left) (only_filter r1 r2)
+      && same_tuples c.Interpretation.only_a (only_filter ra rb)
+      && same_tuples c.Interpretation.only_b (only_filter rb ra))
+
 let () =
   let tc = Alcotest.test_case in
   Alcotest.run "understanding"
@@ -315,4 +370,6 @@ let () =
           tc "FOJ not associative" `Quick test_full_outer_join_not_associative;
           tc "min union associative" `Quick test_min_union_associative_property;
         ] );
+      ( "differences",
+        [ QCheck_alcotest.to_alcotest ~long:false prop_differences_match_filter ] );
     ]
