@@ -184,7 +184,7 @@ let occurrences_cmd =
   in
   let run data value =
     let db = database data in
-    let v = Value.of_csv_cell value in
+    let v = Database.value_of_text db value in
     match Database.find_value db v with
     | [] -> Printf.printf "value %s not found\n" (Value.to_string v)
     | occs ->

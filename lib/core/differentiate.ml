@@ -35,7 +35,7 @@ let targets_by_focus ctx (m : Mapping.t) rel =
   List.iter
     (fun (e : Example.t) ->
       if e.Example.positive && Coverage.mem rel (Example.coverage e) then begin
-        let key = Tuple.project e.Example.assoc.Assoc.tuple positions in
+        let key = Tuple.project e.Example.tuple positions in
         let existing = Option.value (Hashtbl.find_opt groups key) ~default:[] in
         if not (List.exists (Tuple.equal e.Example.target_tuple) existing) then
           Hashtbl.replace groups key (existing @ [ e.Example.target_tuple ])

@@ -1,5 +1,4 @@
 open Relational
-open Fulldisj
 
 (* Where each old-scheme attribute sits in the new scheme; computed once
    per evolution step, then every candidate is tested in place. *)
@@ -9,8 +8,8 @@ let old_to_new ~old_scheme ~new_scheme =
 (* [new_e]'s tuple, read at [positions], subsumes [old_e]'s: it agrees
    with every non-null field the user saw. *)
 let continues_at positions old_e new_e =
-  let old_t = old_e.Example.assoc.Assoc.tuple
-  and new_t = new_e.Example.assoc.Assoc.tuple in
+  let old_t = old_e.Example.tuple
+  and new_t = new_e.Example.tuple in
   let n = Array.length positions in
   Array.length old_t = n
   &&

@@ -9,7 +9,12 @@
 open Relational
 open Fulldisj
 
-type t = { assoc : Assoc.t; target_tuple : Tuple.t; positive : bool }
+type t = {
+  tuple : Tuple.t;  (** the data association d, over D(G)'s scheme *)
+  coverage : Coverage.t;  (** d's coverage (Definition 3.6) *)
+  target_tuple : Tuple.t;
+  positive : bool;
+}
 
 val coverage : t -> Coverage.t
 val is_positive : t -> bool
@@ -19,6 +24,11 @@ val is_negative : t -> bool
 val polarity : t -> string
 
 val equal : t -> t -> bool
+
+(** [project_alias scheme e alias] — the source tuple one node contributes
+    to [e]'s association (all of that node's columns); [scheme] is D(G)'s
+    scheme. *)
+val project_alias : Schema.t -> t -> string -> Tuple.t
 
 (** Row label in the Figure 8/9 style: coverage tag plus polarity,
     e.g. ["CPPhS +"].  [short] abbreviates aliases as in

@@ -21,7 +21,7 @@ let provenance_of_example sch (e : Example.t) =
     List.map
       (fun alias ->
         if Coverage.mem alias (Example.coverage e) then
-          (alias, Some (Assoc.project_alias sch e.Example.assoc alias))
+          (alias, Some (Example.project_alias sch e alias))
         else (alias, None))
       aliases
   in

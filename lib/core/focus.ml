@@ -1,5 +1,4 @@
 open Relational
-open Fulldisj
 module Qgraph = Querygraph.Qgraph
 
 let focus_set ~universe ~scheme ~rel ~tuples =
@@ -7,7 +6,7 @@ let focus_set ~universe ~scheme ~rel ~tuples =
   if positions = [] then invalid_arg ("Focus: unknown relation " ^ rel);
   List.filter
     (fun e ->
-      let proj = Tuple.project e.Example.assoc.Assoc.tuple positions in
+      let proj = Tuple.project e.Example.tuple positions in
       List.exists (Tuple.equal proj) tuples)
     universe
 

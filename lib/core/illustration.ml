@@ -30,7 +30,7 @@ let render ?short ?columns ~scheme exs =
   let rows =
     List.map
       (fun e ->
-        (Example.tag ?short e, Tuple.project e.Example.assoc.Assoc.tuple positions))
+        (Example.tag ?short e, Tuple.project e.Example.tuple positions))
       exs
   in
   Render.annotated ~annot_header:"coverage" rows shown_schema
@@ -51,7 +51,7 @@ let render_source_tables ~lookup ~graph ~scheme exs =
          let involved =
            exs
            |> List.filter (fun e -> Coverage.mem alias (Example.coverage e))
-           |> List.map (fun e -> Assoc.project_alias scheme e.Example.assoc alias)
+           |> List.map (fun e -> Example.project_alias scheme e alias)
          in
          let rows =
            Relation.tuples rel

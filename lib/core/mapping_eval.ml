@@ -41,7 +41,8 @@ let examples ctx (m : Mapping.t) =
         let target_tuple = tr tuple in
         exs :=
           {
-            Example.assoc = Assoc.make tuple fd.Full_disjunction.coverage.(i);
+            Example.tuple;
+            coverage = fd.Full_disjunction.coverage.(i);
             target_tuple;
             positive = ok tuple target_tuple;
           }
@@ -55,10 +56,10 @@ let examples ctx (m : Mapping.t) =
       end;
       exs)
 
-let apply_one fd m (a : Assoc.t) =
+let apply_one fd m tuple =
   let tr, ok = compile fd m in
-  let t = tr a.Assoc.tuple in
-  if ok a.Assoc.tuple t then Some t else None
+  let t = tr tuple in
+  if ok tuple t then Some t else None
 
 let apply fd (m : Mapping.t) =
   let tr, ok = compile fd m in

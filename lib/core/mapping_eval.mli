@@ -21,10 +21,9 @@ val data_associations : Engine.Eval_ctx.t -> Mapping.t -> Full_disjunction.resul
     or negative (Definition 4.1). *)
 val examples : Engine.Eval_ctx.t -> Mapping.t -> Example.t list
 
-(** Q_M(d) for a single association: [Some t] if [d] passes C_S and [t]
-    passes C_T, else [None]. *)
-val apply_one :
-  Full_disjunction.result -> Mapping.t -> Assoc.t -> Tuple.t option
+(** Q_M(d) for a single association tuple: [Some t] if [d] passes C_S and
+    [t] passes C_T, else [None]. *)
+val apply_one : Full_disjunction.result -> Mapping.t -> Tuple.t -> Tuple.t option
 
 (** [apply fd m] — Q_M over the associations [fd] ([m]'s filters compiled
     once): the target tuples of the rows that pass C_S and whose tuple

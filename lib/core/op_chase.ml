@@ -47,7 +47,7 @@ let chase ?illustration ctx (m : Mapping.t) ~attr ~value =
       let pos = Schema.index scheme attr in
       let shown =
         List.exists
-          (fun e -> Value.equal e.Example.assoc.Assoc.tuple.(pos) value)
+          (fun e -> Value.equal e.Example.tuple.(pos) value)
           exs
       in
       if not shown then

@@ -11,20 +11,21 @@ type change = {
 let diff ctx old_m new_m =
   let old_exs = Mapping_eval.examples ctx old_m in
   let new_exs = Mapping_eval.examples ctx new_m in
-  let old_polarity a =
-    List.find_opt (fun e -> Fulldisj.Assoc.equal e.Example.assoc a) old_exs
+  let old_polarity (e : Example.t) =
+    List.find_opt
+      (fun (o : Example.t) ->
+        Tuple.equal o.tuple e.tuple && Fulldisj.Coverage.equal o.coverage e.coverage)
+      old_exs
     |> Option.map Example.is_positive
   in
   let became_negative =
     List.filter
-      (fun e ->
-        Example.is_negative e && old_polarity e.Example.assoc = Some true)
+      (fun e -> Example.is_negative e && old_polarity e = Some true)
       new_exs
   in
   let became_positive =
     List.filter
-      (fun e ->
-        Example.is_positive e && old_polarity e.Example.assoc = Some false)
+      (fun e -> Example.is_positive e && old_polarity e = Some false)
       new_exs
   in
   { mapping = new_m; became_negative; became_positive }

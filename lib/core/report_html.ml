@@ -105,7 +105,7 @@ let page ?title ?short ?root ctx (m : Mapping.t) =
       ill
   in
   add "%s"
-    (table ~badges ~headers (List.map (fun e -> e.Example.assoc.Assoc.tuple) ill));
+    (table ~badges ~headers (List.map (fun e -> e.Example.tuple) ill));
 
   add "<h2>Induced target tuples</h2>%s"
     (table ~badges ~headers:m.Mapping.target_cols

@@ -185,5 +185,5 @@ let sound ctx (m : Mapping.t) ~slice_universe =
   let full = Tuple_tbl.create (Relation.cardinality rows) in
   Relation.iter (fun t -> Tuple_tbl.replace full t ()) rows;
   List.for_all
-    (fun (e : Example.t) -> Tuple_tbl.mem full e.Example.assoc.Assoc.tuple)
+    (fun (e : Example.t) -> Tuple_tbl.mem full e.Example.tuple)
     slice_universe

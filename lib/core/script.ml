@@ -234,13 +234,7 @@ let exec_line st ln raw =
           try Attr.of_string attr_text
           with Invalid_argument e -> fail ln "chase: %s" e
         in
-        (* Try the literal interpretation first ("002" is usually a string
-           key despite looking numeric), falling back to the parsed one. *)
-        let value =
-          let as_string = Value.String value_text in
-          if Database.find_value (Eval_ctx.db st.ctx) as_string <> [] then as_string
-          else Value.of_csv_cell value_text
-        in
+        let value = Database.value_of_text (Eval_ctx.db st.ctx) value_text in
         match Op_chase.chase st.ctx m ~attr ~value with
         | exception Invalid_argument e -> fail ln "chase: %s" e
         | alts ->

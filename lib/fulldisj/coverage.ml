@@ -12,6 +12,16 @@ let equal = Sset.equal
 let compare = Sset.compare
 let cardinal = Sset.cardinal
 
+let covered_aliases node_positions tuple =
+  List.filter_map
+    (fun (alias, positions) ->
+      if List.exists (fun i -> not (Relational.Value.is_null tuple.(i))) positions
+      then Some alias
+      else None)
+    node_positions
+
+let of_tuple node_positions tuple = of_list (covered_aliases node_positions tuple)
+
 let label ?(short = fun _ -> None) t =
   let names = Sset.elements t in
   let abbreviated = List.map (fun n -> match short n with Some s -> s | None -> n) names in

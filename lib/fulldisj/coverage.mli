@@ -13,6 +13,17 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 val cardinal : t -> int
 
+(** [of_tuple node_positions tuple] — infer coverage from the null
+    pattern: a node participates iff at least one of its columns is
+    non-null.  Sound because source relations contain no all-null tuples.
+    [node_positions] maps each alias to its column positions in the
+    tuple's scheme. *)
+val of_tuple : (string * int list) list -> Relational.Tuple.t -> t
+
+(** The aliases {!of_tuple} would cover, in [node_positions] order — a
+    cheap key for sharing one coverage value per null pattern. *)
+val covered_aliases : (string * int list) list -> Relational.Tuple.t -> string list
+
 (** Human-readable tag.  [short] maps an alias to its abbreviation (the
     paper tags rows "CPPhS"); defaults to the alias' first letter sequence
     fallback of the full name. Unmapped aliases print in full. *)

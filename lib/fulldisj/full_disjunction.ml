@@ -26,7 +26,7 @@ let of_rows g rel =
   let coverage =
     Array.map
       (fun t ->
-        let aliases = Assoc.covered_aliases node_positions t in
+        let aliases = Coverage.covered_aliases node_positions t in
         match Hashtbl.find_opt shared aliases with
         | Some coverage -> coverage
         | None ->
@@ -238,7 +238,7 @@ let categories r =
       let c = r.coverage.(i) in
       let key = Coverage.to_list c in
       if not (Hashtbl.mem groups key) then order := (key, c) :: !order;
-      Hashtbl.add groups key (Assoc.make t c))
+      Hashtbl.add groups key t)
     (Relation.tuples_array r.rows);
   List.rev !order
   |> List.map (fun (key, cov) -> (cov, List.rev (Hashtbl.find_all groups key)))

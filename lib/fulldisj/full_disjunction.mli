@@ -83,9 +83,10 @@ val to_relation : result -> Relation.t
     their coverage. *)
 val restrict : (Coverage.t -> bool) -> result -> result
 
-(** Associations partitioned by coverage — the {e categories} of Section 4.2.
-    Only non-empty categories appear. *)
-val categories : result -> (Coverage.t * Assoc.t list) list
+(** Association tuples partitioned by coverage — the {e categories} of
+    Section 4.2, in order of first appearance.  Only non-empty categories
+    appear. *)
+val categories : result -> (Coverage.t * Tuple.t list) list
 
 (** The possible data associations S(G) (Definition 3.6): every F(J) padded,
     {e without} subsumption removal, in category order.  Exposed for

@@ -1,8 +1,9 @@
-(* A minimal JSON value type with an emitter and a parser.  The single
-   authoritative JSON implementation of the observability layer: the trace
-   exporter, the metrics exporter, the bench harness and the compare tool
-   all go through it, so string escaping cannot drift between emitters and
-   a file one tool writes always parses in another. *)
+(* A minimal JSON value type with an emitter, a parser and field
+   readers.  The single authoritative JSON implementation: the trace and
+   metrics exporters, the wire protocol, the version store, the bench
+   harness and the compare tool all go through it, so string escaping
+   cannot drift between emitters and a file one tool writes always parses
+   in another. *)
 
 type t =
   | Null
@@ -328,3 +329,36 @@ let to_float = function Num f -> Some f | _ -> None
 let to_str = function Str s -> Some s | _ -> None
 let obj_fields = function Obj fields -> fields | _ -> []
 let arr_items = function Arr items -> items | _ -> []
+
+(* --- field readers ---
+
+   One rule per field type, one error: every decoder of a JSON object
+   (wire frames, changelog lines, snapshots, manifests) reads through
+   these, so "an integer field" means the same thing everywhere. *)
+
+let to_int = function
+  | Num f when Float.is_integer f && Float.abs f <= 1e15 -> Some (int_of_float f)
+  | _ -> None
+
+let read what extract name j =
+  match member name j with
+  | Some v -> (
+      match extract v with
+      | Some x -> x
+      | None -> raise (Bad (Printf.sprintf "field %S must be %s" name what)))
+  | None -> raise (Bad (Printf.sprintf "missing field %S" name))
+
+let field = read "present" Option.some
+let str = read "a string" to_str
+let bool = read "a boolean" (function Bool b -> Some b | _ -> None)
+let arr = read "an array" (function Arr items -> Some items | _ -> None)
+
+let int ?default name j =
+  match (default, member name j) with
+  | Some d, None -> d
+  | _ -> read "an integer" to_int name j
+
+let opt read name j =
+  match member name j with None | Some Null -> None | Some _ -> Some (read name j)
+
+let decode f j = try Ok (f j) with Bad msg -> Error msg

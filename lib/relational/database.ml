@@ -187,3 +187,7 @@ let find_value_in r v =
                if count > 0 then Some (name, a.Attr.name, count) else None)
 
 let find_value t v = List.concat_map (fun (_, r) -> find_value_in r v) t.rels
+
+let value_of_text t text =
+  let literal = Value.String text in
+  if find_value t literal <> [] then literal else Value.of_csv_cell text

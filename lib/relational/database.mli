@@ -68,6 +68,11 @@ val cell_count : t -> int
     occurrences ([find_value db Null = []]). *)
 val find_value : t -> Value.t -> (string * string * int) list
 
+(** A value typed by a user: the literal string when the database holds
+    it (["002"] is usually a string key despite looking numeric), else
+    {!Value.of_csv_cell}'s reading. *)
+val value_of_text : t -> string -> Value.t
+
 (** The per-relation unit of {!find_value} ([(rel, column, count)] rows for
     one relation), exposed so callers can fan the whole-database scan out
     across relations.  [find_value t v] is exactly

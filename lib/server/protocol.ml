@@ -9,8 +9,6 @@ type scenario = Version.Scenario.t =
   | Chain of { n : int; rows : int; seed : int }
   | Star of { leaves : int; rows : int; seed : int }
 
-let scenario_to_string = Version.Scenario.to_string
-
 type what = Dg | Fj | Target
 
 let what_name = function Dg -> "dg" | Fj -> "fj" | Target -> "target"
@@ -106,68 +104,81 @@ type response = {
   trace_id : string option;
 }
 
-(* --- value <-> JSON ---
+(* --- op verbs ---
 
-   Integral numbers decode to [Int]; [Value.equal] treats numerically
-   equal [Int]/[Float] as equal, so the coercion is invisible to the
-   relational layer.  Non-finite floats would emit as [null] (Json's
-   rule) and are rejected on encode instead of silently becoming nulls. *)
+   The six state-changing verbs are {!Version.Op}s: their frames carry
+   exactly the fields of the changelog's op line, encoded and decoded by
+   [Op] alone. *)
 
-let json_of_value = Version.Op.json_of_value
-let value_of_json = Version.Op.value_of_json
+module Op = Version.Op
+
+let op_of_request = function
+  | Offer { start; goal; max_len } -> Some (Op.Offer { start; goal; max_len })
+  | Rotate -> Some Op.Rotate
+  | Select { entry } -> Some (Op.Select { entry })
+  | Delete { entry } -> Some (Op.Delete { entry })
+  | Confirm -> Some Op.Confirm
+  | Insert { relation; rows } -> Some (Op.Insert { relation; rows })
+  | Ping | Open_session _ | Close_session | Evaluate _ | Rank | Branch _
+  | Checkout _ | Merge _ | Diff _ | Branches | Open_branch _ | Stats
+  | Metrics_prom | Shutdown ->
+      None
+
+let request_of_op = function
+  | Op.Offer { start; goal; max_len } -> Offer { start; goal; max_len }
+  | Op.Rotate -> Rotate
+  | Op.Select { entry } -> Select { entry }
+  | Op.Delete { entry } -> Delete { entry }
+  | Op.Confirm -> Confirm
+  | Op.Insert { relation; rows } -> Insert { relation; rows }
 
 (* --- encoding: requests --- *)
 
-let scenario_json = Version.Scenario.to_json
+let verb_name request =
+  match op_of_request request with
+  | Some op -> Op.name op
+  | None -> (
+      match request with
+      | Ping -> "ping"
+      | Open_session _ -> "open"
+      | Close_session -> "close"
+      | Evaluate _ -> "evaluate"
+      | Rank -> "rank"
+      | Branch _ -> "branch"
+      | Checkout _ -> "checkout"
+      | Merge _ -> "merge"
+      | Diff _ -> "diff"
+      | Branches -> "branches"
+      | Open_branch _ -> "open_branch"
+      | Stats -> "stats"
+      | Metrics_prom -> "metrics_prom"
+      | Shutdown -> "shutdown"
+      | Offer _ | Rotate | Select _ | Delete _ | Confirm | Insert _ ->
+          assert false (* op verbs, named above *))
 
-let request_fields = function
-  | Ping -> ("ping", [])
-  | Open_session sc -> ("open", [ ("scenario", scenario_json sc) ])
-  | Close_session -> ("close", [])
-  | Evaluate { what; limit } ->
-      ( "evaluate",
-        ("what", J.Str (what_name what))
-        ::
-        (match limit with
-        | None -> []
-        | Some k -> [ ("limit", J.Num (float_of_int k)) ]) )
-  | Offer { start; goal; max_len } ->
-      ( "offer",
-        [
-          ("start", J.Str start);
-          ("goal", J.Str goal);
-          ("max_len", J.Num (float_of_int max_len));
-        ] )
-  | Rotate -> ("rotate", [])
-  | Select { entry } -> ("select", [ ("entry", J.Num (float_of_int entry)) ])
-  | Delete { entry } -> ("delete", [ ("entry", J.Num (float_of_int entry)) ])
-  | Confirm -> ("confirm", [])
-  | Insert { relation; rows } ->
-      ( "insert",
-        [
-          ("relation", J.Str relation);
-          ( "rows",
-            J.Arr
-              (List.map
-                 (fun row ->
-                   J.Arr (Array.to_list (Array.map json_of_value row)))
-                 rows) );
-        ] )
-  | Rank -> ("rank", [])
-  | Branch { name } -> ("branch", [ ("name", J.Str name) ])
-  | Checkout { name } -> ("checkout", [ ("name", J.Str name) ])
-  | Merge { from_ } -> ("merge", [ ("from", J.Str from_) ])
-  | Diff { other } -> ("diff", [ ("other", J.Str other) ])
-  | Branches -> ("branches", [])
-  | Open_branch { of_session; branch } ->
-      ( "open_branch",
-        [ ("of_session", J.Str of_session); ("branch", J.Str branch) ] )
-  | Stats -> ("stats", [])
-  | Metrics_prom -> ("metrics_prom", [])
-  | Shutdown -> ("shutdown", [])
+let request_fields request =
+  match op_of_request request with
+  | Some op -> Op.fields op
+  | None -> (
+      match request with
+      | Open_session sc -> [ ("scenario", Version.Scenario.to_json sc) ]
+      | Evaluate { what; limit } ->
+          ("what", J.Str (what_name what))
+          ::
+          (match limit with
+          | None -> []
+          | Some k -> [ ("limit", J.Num (float_of_int k)) ])
+      | Branch { name } | Checkout { name } -> [ ("name", J.Str name) ]
+      | Merge { from_ } -> [ ("from", J.Str from_) ]
+      | Diff { other } -> [ ("other", J.Str other) ]
+      | Open_branch { of_session; branch } ->
+          [ ("of_session", J.Str of_session); ("branch", J.Str branch) ]
+      | Ping | Close_session | Rank | Branches | Stats | Metrics_prom | Shutdown
+      | Offer _ | Rotate | Select _ | Delete _ | Confirm | Insert _ ->
+          [])
 
 let encode_request { id; session; request; trace_id } =
-  let op, fields = request_fields request in
+  let op = verb_name request and fields = request_fields request in
   let session_field =
     match session with None -> [] | Some s -> [ ("session", J.Str s) ]
   in
@@ -324,257 +335,131 @@ let encode_response { id; result; trace_id } =
 let ok ?trace_id id r = { id = Some id; result = Ok r; trace_id }
 let error ?trace_id id code message = { id; result = Error (code, message); trace_id }
 
-(* --- parsing helpers --- *)
+(* --- parsing ---
 
-exception Reject of string
+   Fields are read through {!Obs.Json}'s readers; a malformed frame
+   raises [J.Bad], which becomes the error reply. *)
 
-let reject fmt = Printf.ksprintf (fun m -> raise (Reject m)) fmt
+let reject fmt = Printf.ksprintf (fun m -> raise (J.Bad m)) fmt
+let ok_or_reject = function Ok v -> v | Error msg -> raise (J.Bad msg)
 
-let str_field name j =
-  match J.member name j with
-  | Some (J.Str s) -> s
-  | Some _ -> reject "field %S must be a string" name
-  | None -> reject "missing field %S" name
-
-let int_field ?default name j =
-  match (J.member name j, default) with
-  | Some (J.Num f), _ when Float.is_integer f && Float.abs f <= 1e15 ->
-      int_of_float f
-  | Some _, _ -> reject "field %S must be an integer" name
-  | None, Some d -> d
-  | None, None -> reject "missing field %S" name
-
-let opt_int_field name j =
-  match J.member name j with
-  | None -> None
-  | Some (J.Num f) when Float.is_integer f && Float.abs f <= 1e15 ->
-      Some (int_of_float f)
-  | Some _ -> reject "field %S must be an integer" name
-
-(* --- parsing: requests --- *)
-
-let scenario_of_json j =
-  match Version.Scenario.of_json j with
-  | Ok sc -> sc
-  | Error msg -> reject "%s" msg
+let what_of_name = function
+  | "dg" -> Dg
+  | "fj" -> Fj
+  | "target" -> Target
+  | w -> reject "unknown evaluate target %S" w
 
 let request_of_json j =
-  match str_field "op" j with
+  match J.str "op" j with
   | "ping" -> Ping
-  | "open" -> (
-      match J.member "scenario" j with
-      | Some sc -> Open_session (scenario_of_json sc)
-      | None -> reject "missing field \"scenario\"")
+  | "open" ->
+      Open_session (ok_or_reject (Version.Scenario.of_json (J.field "scenario" j)))
   | "close" -> Close_session
   | "evaluate" ->
-      let what =
-        match str_field "what" j with
-        | "dg" -> Dg
-        | "fj" -> Fj
-        | "target" -> Target
-        | w -> reject "unknown evaluate target %S" w
-      in
-      Evaluate { what; limit = opt_int_field "limit" j }
-  | "offer" ->
-      Offer
-        {
-          start = str_field "start" j;
-          goal = str_field "goal" j;
-          max_len = int_field ~default:2 "max_len" j;
-        }
-  | "rotate" -> Rotate
-  | "select" -> Select { entry = int_field "entry" j }
-  | "delete" -> Delete { entry = int_field "entry" j }
-  | "confirm" -> Confirm
-  | "insert" ->
-      let rows =
-        match J.member "rows" j with
-        | Some (J.Arr rows) ->
-            List.map
-              (fun row ->
-                match row with
-                | J.Arr cells ->
-                    Array.of_list
-                      (List.map
-                         (fun c ->
-                           match value_of_json c with
-                           | Ok v -> v
-                           | Error m -> reject "%s" m)
-                         cells)
-                | _ -> reject "each row must be an array of cells")
-              rows
-        | Some _ -> reject "field \"rows\" must be an array"
-        | None -> reject "missing field \"rows\""
-      in
-      Insert { relation = str_field "relation" j; rows }
+      let what = what_of_name (J.str "what" j) in
+      Evaluate { what; limit = J.opt J.int "limit" j }
   | "rank" -> Rank
-  | "branch" -> Branch { name = str_field "name" j }
-  | "checkout" -> Checkout { name = str_field "name" j }
-  | "merge" -> Merge { from_ = str_field "from" j }
-  | "diff" -> Diff { other = str_field "other" j }
+  | "branch" -> Branch { name = J.str "name" j }
+  | "checkout" -> Checkout { name = J.str "name" j }
+  | "merge" -> Merge { from_ = J.str "from" j }
+  | "diff" -> Diff { other = J.str "other" j }
   | "branches" -> Branches
   | "open_branch" ->
-      Open_branch
-        {
-          of_session = str_field "of_session" j;
-          branch = str_field "branch" j;
-        }
+      let branch = J.str "branch" j in
+      Open_branch { of_session = J.str "of_session" j; branch }
   | "stats" -> Stats
   | "metrics_prom" -> Metrics_prom
   | "shutdown" -> Shutdown
-  | op -> reject "unknown op %S" op
-
-let trace_id_of_json j =
-  match J.member "trace_id" j with
-  | Some (J.Str s) -> Some s
-  | Some J.Null | None -> None
-  | Some _ -> reject "field \"trace_id\" must be a string"
+  | _ -> request_of_op (ok_or_reject (Op.of_json j))
 
 let parse_request line =
   match J.parse line with
   | Error msg -> Error (None, Parse_error, msg)
   | Ok j -> (
-      let id =
-        match J.member "id" j with
-        | Some (J.Num f) when Float.is_integer f && f >= 0. && f <= 1e15 ->
-            Some (int_of_float f)
-        | _ -> None
-      in
-      match id with
-      | None ->
-          Error (None, Bad_request, "\"id\" must be a non-negative integer")
-      | Some id -> (
+      match Option.bind (J.member "id" j) J.to_int with
+      | Some id when id >= 0 -> (
           try
-            let session =
-              match J.member "session" j with
-              | Some (J.Str s) -> Some s
-              | Some J.Null | None -> None
-              | Some _ -> reject "field \"session\" must be a string"
-            in
-            let trace_id = trace_id_of_json j in
+            let session = J.opt J.str "session" j in
+            let trace_id = J.opt J.str "trace_id" j in
             Ok { id; session; request = request_of_json j; trace_id }
-          with Reject msg -> Error (Some id, Bad_request, msg)))
+          with J.Bad msg -> Error (Some id, Bad_request, msg))
+      | _ -> Error (None, Bad_request, "\"id\" must be a non-negative integer"))
 
 (* --- parsing: responses --- *)
 
+let strings what =
+  List.map (function J.Str s -> s | _ -> reject "%s must be strings" what)
+
 let result_of_json j =
-  match str_field "kind" j with
+  match J.str "kind" j with
   | "pong" -> Pong
   | "opened" ->
       Opened
         {
-          session = str_field "session" j;
-          relations =
-            (match J.member "relations" j with
-            | Some (J.Arr rs) ->
-                List.map
-                  (function
-                    | J.Str s -> s | _ -> reject "relation names must be strings")
-                  rs
-            | _ -> reject "missing field \"relations\"");
-          version = int_field "version" j;
+          session = J.str "session" j;
+          relations = strings "relation names" (J.arr "relations" j);
+          version = J.int "version" j;
         }
   | "closed" -> Closed
   | "evaluated" ->
       Evaluated
         {
-          what =
-            (match str_field "what" j with
-            | "dg" -> Dg
-            | "fj" -> Fj
-            | "target" -> Target
-            | w -> reject "unknown evaluate target %S" w);
-          count = int_field "count" j;
-          scheme =
-            (match J.member "scheme" j with
-            | Some (J.Arr cs) ->
-                List.map
-                  (function J.Str s -> s | _ -> reject "scheme must be strings")
-                  cs
-            | _ -> reject "missing field \"scheme\"");
-          digest = str_field "digest" j;
+          what = what_of_name (J.str "what" j);
+          count = J.int "count" j;
+          scheme = strings "scheme" (J.arr "scheme" j);
+          digest = J.str "digest" j;
           rows =
-            (match J.member "rows" j with
-            | None -> None
-            | Some (J.Arr rows) ->
-                Some
-                  (List.map
-                     (function
-                       | J.Arr cells ->
-                           List.map
-                             (function
-                               | J.Str s -> s
-                               | _ -> reject "row cells must be strings")
-                             cells
-                       | _ -> reject "rows must be arrays")
-                     rows)
-            | Some _ -> reject "field \"rows\" must be an array");
+            J.opt J.arr "rows" j
+            |> Option.map
+                 (List.map (function
+                   | J.Arr cells -> strings "row cells" cells
+                   | _ -> reject "rows must be arrays"));
         }
   | "entries" ->
       Entries
-        (match J.member "entries" j with
-        | Some (J.Arr es) ->
-            List.map
-              (fun e ->
-                {
-                  entry = int_field "entry" e;
-                  label = str_field "label" e;
-                  graph = str_field "graph" e;
-                  active =
-                    (match J.member "active" e with
-                    | Some (J.Bool b) -> b
-                    | _ -> reject "field \"active\" must be a boolean");
-                  score = opt_int_field "score" e;
-                })
-              es
-        | _ -> reject "missing field \"entries\"")
-  | "inserted" ->
-      Inserted
-        {
-          fresh =
-            (match J.member "fresh" j with
-            | Some (J.Bool b) -> b
-            | _ -> reject "field \"fresh\" must be a boolean");
-          version = int_field "version" j;
-        }
+        (List.map
+           (fun e ->
+             {
+               entry = J.int "entry" e;
+               label = J.str "label" e;
+               graph = J.str "graph" e;
+               active = J.bool "active" e;
+               score = J.opt J.int "score" e;
+             })
+           (J.arr "entries" j))
+  | "inserted" -> Inserted { fresh = J.bool "fresh" j; version = J.int "version" j }
   | "branched" ->
-      Branched
-        { branch = str_field "branch" j; version = int_field "version" j }
+      Branched { branch = J.str "branch" j; version = J.int "version" j }
   | "checked_out" ->
-      Checked_out
-        { branch = str_field "branch" j; version = int_field "version" j }
+      Checked_out { branch = J.str "branch" j; version = J.int "version" j }
   | "merged" ->
       Merged
         {
-          branch = str_field "branch" j;
-          rows = int_field "rows" j;
-          version = int_field "version" j;
+          branch = J.str "branch" j;
+          rows = J.int "rows" j;
+          version = J.int "version" j;
         }
   | "branches" ->
       Branch_list
         {
-          current = str_field "current" j;
+          current = J.str "current" j;
           branches =
-            (match J.member "branches" j with
-            | Some (J.Arr bs) ->
-                List.map
-                  (fun b -> (str_field "name" b, int_field "version" b))
-                  bs
-            | _ -> reject "missing field \"branches\"");
+            List.map
+              (fun b -> (J.str "name" b, J.int "version" b))
+              (J.arr "branches" j);
         }
   | "stats" ->
       Stats_report
-        (match J.member "counters" j with
-        | Some (J.Obj fields) ->
+        (match J.field "counters" j with
+        | J.Obj fields ->
             List.map
               (fun (k, v) ->
                 match v with
                 | J.Num f -> (k, f)
-                | _ -> reject "counter values must be numbers"
-                )
+                | _ -> reject "counter values must be numbers")
               fields
-        | _ -> reject "missing field \"counters\"")
-  | "prom" -> Prom_text (str_field "text" j)
+        | _ -> reject "field \"counters\" must be an object")
+  | "prom" -> Prom_text (J.str "text" j)
   | "bye" -> Bye
   | k -> reject "unknown result kind %S" k
 
@@ -585,27 +470,21 @@ let parse_response line =
       try
         let id =
           match J.member "id" j with
-          | Some (J.Num f) when Float.is_integer f && f >= 0. && f <= 1e15 ->
-              Some (int_of_float f)
           | Some J.Null -> None
-          | _ -> reject "\"id\" must be an integer or null"
+          | v -> (
+              match Option.bind v J.to_int with
+              | Some id when id >= 0 -> Some id
+              | _ -> reject "\"id\" must be an integer or null")
         in
-        let trace_id = trace_id_of_json j in
-        match J.member "ok" j with
-        | Some (J.Bool true) -> (
-            match J.member "result" j with
-            | Some r -> Ok { id; result = Ok (result_of_json r); trace_id }
-            | None -> reject "missing field \"result\"")
-        | Some (J.Bool false) -> (
-            match J.member "error" j with
-            | Some e ->
-                let code_name = str_field "code" e in
-                let code =
-                  match error_code_of_name code_name with
-                  | Some c -> c
-                  | None -> reject "unknown error code %S" code_name
-                in
-                Ok { id; result = Error (code, str_field "message" e); trace_id }
-            | None -> reject "missing field \"error\"")
-        | _ -> reject "\"ok\" must be a boolean"
-      with Reject msg -> Error msg)
+        let trace_id = J.opt J.str "trace_id" j in
+        let result =
+          if J.bool "ok" j then Ok (result_of_json (J.field "result" j))
+          else
+            let e = J.field "error" j in
+            let code_name = J.str "code" e in
+            match error_code_of_name code_name with
+            | Some code -> Error (code, J.str "message" e)
+            | None -> reject "unknown error code %S" code_name
+        in
+        Ok { id; result; trace_id }
+      with J.Bad msg -> Error msg)

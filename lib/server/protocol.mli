@@ -12,10 +12,18 @@
     generator, the tests) emit requests and parse responses — so a frame
     one side writes always parses on the other and escaping cannot drift.
 
-    Values on the wire: [null], booleans, numbers (integral numbers decode
-    to [Value.Int], others to [Value.Float]) and strings.  Non-finite
-    floats have no JSON literal and are not supported; integers above
-    2{^53} lose precision. *)
+    The six state-changing verbs ([offer], [rotate], [select], [delete],
+    [confirm], [insert]) are {!Version.Op}s: after [id], [op], [session]
+    and [trace_id] their frames hold exactly the fields of
+    {!Version.Op.to_json} — the changelog's op line — and {!Version.Op}
+    alone encodes and decodes them.  [offer]'s [max_len] defaults to 2.
+
+    Every field is read through {!Obs.Json}'s readers: an integer field
+    is an integral number with magnitude at most 1e15, and an optional
+    field that is [null] counts as absent.  Values on the wire: [null],
+    booleans, numbers (integral numbers decode to [Value.Int], others to
+    [Value.Float]) and strings.  Non-finite floats have no JSON literal
+    and are not supported; integers above 2{^53} lose precision. *)
 
 open Relational
 
@@ -29,8 +37,6 @@ type scenario = Version.Scenario.t =
   | Paper
   | Chain of { n : int; rows : int; seed : int }
   | Star of { leaves : int; rows : int; seed : int }
-
-val scenario_to_string : scenario -> string
 
 (** Which result [Evaluate] returns: the mapping's data associations D(G),
     the full associations F(J) of its (connected) query graph, or the
@@ -145,6 +151,15 @@ type response = {
   trace_id : string option;
       (** echo of the request's [trace_id]; never present unless sent *)
 }
+
+(** The op verbs as {!Version.Op}s: [op_of_request] is [None] for every
+    other verb, and [request_of_op] is its inverse. *)
+val op_of_request : request -> Version.Op.t option
+
+val request_of_op : Version.Op.t -> request
+
+(** A request's ["op"] name on the wire ("evaluate", "rotate", …). *)
+val verb_name : request -> string
 
 (** Encoders emit a single line (no trailing newline). *)
 

@@ -328,30 +328,12 @@ let gauges t =
 let registry_file dir = Filename.concat dir "registry.json"
 let registry_format = 1
 
-let rec mkdir_p dir =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-  end
-
-let write_file path contents =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc contents)
-
-let read_file path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
-
 (* Persist every open session: each distinct store (sessions opened via
    [open_branch] share one) saves under its own subdirectory, and the
    manifest records which store and branch each sid points at.  Written on
    graceful shutdown; [restore] makes the next boot resume warm. *)
 let persist t ~dir =
-  mkdir_p dir;
+  Version.Store.mkdir_p dir;
   let stores = ref [] in
   let store_name store =
     match List.find_opt (fun (_, s) -> s == store) !stores with
@@ -375,7 +357,7 @@ let persist t ~dir =
     (fun (name, store) ->
       Version.Store.save store ~dir:(Filename.concat dir name))
     !stores;
-  write_file (registry_file dir)
+  Version.Store.write_file (registry_file dir)
     (J.to_string
        (J.Obj
           [
@@ -393,67 +375,59 @@ let fail fmt = Printf.ksprintf failwith fmt
    number of sessions restored. *)
 let restore t ~dir =
   let j =
-    match J.parse (read_file (registry_file dir)) with
+    match J.parse (Version.Store.read_file (registry_file dir)) with
     | Ok j -> j
     | Error msg -> fail "Registry.restore: unreadable manifest: %s" msg
   in
-  (match J.member "format" j with
-  | Some (J.Num f) when int_of_float f = registry_format -> ()
-  | _ -> fail "Registry.restore: unsupported manifest format");
-  let next_sid =
-    match J.member "next_sid" j with
-    | Some (J.Num f) when Float.is_integer f -> int_of_float f
-    | _ -> fail "Registry.restore: missing next_sid"
-  in
-  let loaded = Hashtbl.create 4 in
-  (* One affinity per distinct store, like [open_session]/[open_branch]:
-     restored sessions sharing a store must land on one worker shard. *)
-  let store_of name =
-    match Hashtbl.find_opt loaded name with
-    | Some pair -> pair
-    | None ->
-        let store =
-          Version.Store.load ~resolve:(resolver t)
-            ~dir:(Filename.concat dir name) ()
+  try
+    if J.int "format" j <> registry_format then
+      fail "Registry.restore: unsupported manifest format";
+    let next_sid = J.int "next_sid" j in
+    let loaded = Hashtbl.create 4 in
+    (* One affinity per distinct store, like [open_session]/[open_branch]:
+       restored sessions sharing a store must land on one worker shard. *)
+    let store_of name =
+      match Hashtbl.find_opt loaded name with
+      | Some pair -> pair
+      | None ->
+          let store =
+            Version.Store.load ~resolve:(resolver t)
+              ~dir:(Filename.concat dir name) ()
+          in
+          let pair = (store, Atomic.fetch_and_add t.next_affinity 1) in
+          Hashtbl.replace loaded name pair;
+          pair
+    in
+    let restored = ref 0 in
+    List.iter
+      (fun s ->
+        let sid = J.str "sid" s in
+        let branch = J.str "branch" s in
+        let store, affinity = store_of (J.str "store" s) in
+        if not (Version.Store.has_branch store branch) then
+          fail "Registry.restore: session %s names unknown branch %S" sid branch;
+        let session =
+          {
+            sid;
+            scenario = Version.Store.spec store;
+            opened_at = Unix.gettimeofday ();
+            store;
+            branch;
+            affinity;
+            metrics = fresh_metrics ();
+          }
         in
-        let pair = (store, Atomic.fetch_and_add t.next_affinity 1) in
-        Hashtbl.replace loaded name pair;
-        pair
-  in
-  let restored = ref 0 in
-  (match J.member "sessions" j with
-  | Some (J.Arr sessions) ->
-      List.iter
-        (fun s ->
-          match (J.member "sid" s, J.member "branch" s, J.member "store" s) with
-          | Some (J.Str sid), Some (J.Str branch), Some (J.Str store_name) ->
-              let store, affinity = store_of store_name in
-              if not (Version.Store.has_branch store branch) then
-                fail "Registry.restore: session %s names unknown branch %S" sid
-                  branch;
-              let session =
-                {
-                  sid;
-                  scenario = Version.Store.spec store;
-                  opened_at = Unix.gettimeofday ();
-                  store;
-                  branch;
-                  affinity;
-                  metrics = fresh_metrics ();
-                }
-              in
-              refresh_gauges session;
-              Mutex.protect t.sessions_mutex (fun () ->
-                  Hashtbl.replace t.sessions sid session);
-              Atomic.incr t.opened_total;
-              incr restored
-          | _ -> fail "Registry.restore: malformed session entry")
-        sessions
-  | _ -> fail "Registry.restore: missing sessions");
-  (let rec bump () =
-     let cur = Atomic.get t.next_sid in
-     if next_sid > cur && not (Atomic.compare_and_set t.next_sid cur next_sid)
-     then bump ()
-   in
-   bump ());
-  !restored
+        refresh_gauges session;
+        Mutex.protect t.sessions_mutex (fun () ->
+            Hashtbl.replace t.sessions sid session);
+        Atomic.incr t.opened_total;
+        incr restored)
+      (J.arr "sessions" j);
+    (let rec bump () =
+       let cur = Atomic.get t.next_sid in
+       if next_sid > cur && not (Atomic.compare_and_set t.next_sid cur next_sid)
+       then bump ()
+     in
+     bump ());
+    !restored
+  with J.Bad msg -> fail "Registry.restore: %s" msg

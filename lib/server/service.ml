@@ -105,15 +105,8 @@ let run_session_verb t session request =
       ignore (Registry.close_session t.registry session.Registry.sid);
       P.Closed
   | P.Evaluate { what; limit } -> evaluate session what limit
-  | P.Offer { start; goal; max_len } ->
-      P.Entries
-        (entry_infos (commit session (Version.Op.Offer { start; goal; max_len })))
-  | P.Rotate -> P.Entries (entry_infos (commit session Version.Op.Rotate))
-  | P.Select { entry } ->
-      P.Entries (entry_infos (commit session (Version.Op.Select { entry })))
-  | P.Delete { entry } ->
-      P.Entries (entry_infos (commit session (Version.Op.Delete { entry })))
-  | P.Confirm -> P.Entries (entry_infos (commit session Version.Op.Confirm))
+  | (P.Offer _ | P.Rotate | P.Select _ | P.Delete _ | P.Confirm) as verb ->
+      P.Entries (entry_infos (commit session (Option.get (P.op_of_request verb))))
   | P.Insert { relation; rows } ->
       let before = db_version (Registry.ws session) in
       let ws = commit session (Version.Op.Insert { relation; rows }) in
@@ -161,27 +154,7 @@ let run_session_verb t session request =
     ->
       assert false (* handled before session dispatch *)
 
-let verb_name = function
-  | P.Ping -> "ping"
-  | P.Open_session _ -> "open"
-  | P.Close_session -> "close"
-  | P.Evaluate _ -> "evaluate"
-  | P.Offer _ -> "offer"
-  | P.Rotate -> "rotate"
-  | P.Select _ -> "select"
-  | P.Delete _ -> "delete"
-  | P.Confirm -> "confirm"
-  | P.Insert _ -> "insert"
-  | P.Rank -> "rank"
-  | P.Branch _ -> "branch"
-  | P.Checkout _ -> "checkout"
-  | P.Merge _ -> "merge"
-  | P.Diff _ -> "diff"
-  | P.Branches -> "branches"
-  | P.Open_branch _ -> "open_branch"
-  | P.Stats -> "stats"
-  | P.Metrics_prom -> "metrics_prom"
-  | P.Shutdown -> "shutdown"
+let verb_name = P.verb_name
 
 let opened_reply id (session : Registry.session) =
   let db = Clio.Workspace.db (Registry.ws session) in

@@ -34,7 +34,8 @@ val telemetry : t -> Telemetry.t
 val draining : t -> bool
 
 (** The short operation name a request is attributed under in stats,
-    logs and the load generator's latency dump ("evaluate", "rotate", …). *)
+    logs and the load generator's latency dump: its wire name,
+    {!Protocol.verb_name}. *)
 val verb_name : Protocol.request -> string
 
 val handle : t -> Protocol.envelope -> Protocol.response

@@ -22,9 +22,7 @@ let name = function
    Integral numbers decode to [Int]; [Value.equal] treats numerically
    equal [Int]/[Float] as equal, so the coercion is invisible to the
    relational layer.  Non-finite floats would emit as [null] (Json's
-   rule) and are rejected on encode instead of silently becoming nulls.
-   Shared with [Server.Protocol], so a changelog row and a wire row are
-   the same bytes. *)
+   rule) and are rejected on encode instead of silently becoming nulls. *)
 
 let json_of_value = function
   | Value.Null -> J.Null
@@ -37,14 +35,12 @@ let json_of_value = function
   | Value.String s -> J.Str s
 
 let value_of_json = function
-  | J.Null -> Ok Value.Null
-  | J.Bool b -> Ok (Value.Bool b)
-  | J.Num f ->
-      if Float.is_integer f && Float.abs f <= 1e15 then
-        Ok (Value.Int (int_of_float f))
-      else Ok (Value.Float f)
-  | J.Str s -> Ok (Value.String s)
-  | J.Arr _ | J.Obj _ -> Error "cell must be null, boolean, number or string"
+  | J.Null -> Value.Null
+  | J.Bool b -> Value.Bool b
+  | J.Num f as j -> (
+      match J.to_int j with Some i -> Value.Int i | None -> Value.Float f)
+  | J.Str s -> Value.String s
+  | J.Arr _ | J.Obj _ -> raise (J.Bad "cell must be null, boolean, number or string")
 
 let json_of_rows rows =
   J.Arr
@@ -52,88 +48,42 @@ let json_of_rows rows =
        (fun row -> J.Arr (Array.to_list (Array.map json_of_value row)))
        rows)
 
-let rows_of_json = function
-  | J.Arr rows ->
-      let ( let* ) = Result.bind in
-      List.fold_left
-        (fun acc row ->
-          let* acc = acc in
-          match row with
-          | J.Arr cells ->
-              let* cells =
-                List.fold_left
-                  (fun acc c ->
-                    let* acc = acc in
-                    let* v = value_of_json c in
-                    Ok (v :: acc))
-                  (Ok []) cells
-              in
-              Ok (Array.of_list (List.rev cells) :: acc)
-          | _ -> Error "each row must be an array of cells")
-        (Ok []) rows
-      |> Result.map List.rev
-  | _ -> Error "rows must be an array"
+let rows_of_json =
+  List.map (function
+    | J.Arr cells -> Array.of_list (List.map value_of_json cells)
+    | _ -> raise (J.Bad "each row must be an array of cells"))
 
-let to_json = function
+(* The wire frame of an op verb and its changelog line are the same
+   fields after ["op"]: one encoding, one decoder. *)
+let fields = function
   | Insert { relation; rows } ->
-      J.Obj
-        [
-          ("op", J.Str "insert");
-          ("relation", J.Str relation);
-          ("rows", json_of_rows rows);
-        ]
+      [ ("relation", J.Str relation); ("rows", json_of_rows rows) ]
   | Offer { start; goal; max_len } ->
-      J.Obj
-        [
-          ("op", J.Str "offer");
-          ("start", J.Str start);
-          ("goal", J.Str goal);
-          ("max_len", J.Num (float_of_int max_len));
-        ]
-  | Rotate -> J.Obj [ ("op", J.Str "rotate") ]
-  | Select { entry } ->
-      J.Obj [ ("op", J.Str "select"); ("entry", J.Num (float_of_int entry)) ]
-  | Delete { entry } ->
-      J.Obj [ ("op", J.Str "delete"); ("entry", J.Num (float_of_int entry)) ]
-  | Confirm -> J.Obj [ ("op", J.Str "confirm") ]
+      [
+        ("start", J.Str start);
+        ("goal", J.Str goal);
+        ("max_len", J.Num (float_of_int max_len));
+      ]
+  | Rotate | Confirm -> []
+  | Select { entry } | Delete { entry } -> [ ("entry", J.Num (float_of_int entry)) ]
 
-let of_json j =
-  let ( let* ) = Result.bind in
-  let str name =
-    match J.member name j with
-    | Some (J.Str s) -> Ok s
-    | _ -> Error (Printf.sprintf "op: field %S must be a string" name)
-  in
-  let int name =
-    match J.member name j with
-    | Some (J.Num f) when Float.is_integer f && Float.abs f <= 1e15 ->
-        Ok (int_of_float f)
-    | _ -> Error (Printf.sprintf "op: field %S must be an integer" name)
-  in
-  let* op = str "op" in
-  match op with
-  | "insert" ->
-      let* relation = str "relation" in
-      let* rows =
-        match J.member "rows" j with
-        | Some rows -> rows_of_json rows
-        | None -> Error "op: missing field \"rows\""
-      in
-      Ok (Insert { relation; rows })
-  | "offer" ->
-      let* start = str "start" in
-      let* goal = str "goal" in
-      let* max_len = int "max_len" in
-      Ok (Offer { start; goal; max_len })
-  | "rotate" -> Ok Rotate
-  | "select" ->
-      let* entry = int "entry" in
-      Ok (Select { entry })
-  | "delete" ->
-      let* entry = int "entry" in
-      Ok (Delete { entry })
-  | "confirm" -> Ok Confirm
-  | op -> Error (Printf.sprintf "op: unknown op %S" op)
+let to_json op = J.Obj (("op", J.Str (name op)) :: fields op)
+
+let of_json =
+  J.decode (fun j ->
+      match J.str "op" j with
+      | "insert" ->
+          let rows = rows_of_json (J.arr "rows" j) in
+          Insert { relation = J.str "relation" j; rows }
+      | "offer" ->
+          let start = J.str "start" j in
+          let goal = J.str "goal" j in
+          Offer { start; goal; max_len = J.int ~default:2 "max_len" j }
+      | "rotate" -> Rotate
+      | "select" -> Select { entry = J.int "entry" j }
+      | "delete" -> Delete { entry = J.int "entry" j }
+      | "confirm" -> Confirm
+      | op -> raise (J.Bad (Printf.sprintf "unknown op %S" op)))
 
 (* Applying an op is the single definition of what a refinement step does
    to a workspace — the server's session verbs, the offline CLI and the

@@ -22,15 +22,29 @@ type t =
 
 val name : t -> string
 
-(** JSON codec, used for both the wire protocol's rows and the on-disk
-    changelog.  [json_of_value] raises [Invalid_argument] on non-finite
-    floats (JSON cannot carry them losslessly). *)
-val json_of_value : Value.t -> Obs.Json.t
-
-val value_of_json : Obs.Json.t -> (Value.t, string) Stdlib.result
+(** The JSON codec shared by the wire protocol's op verbs and the
+    changelog: a wire frame carries [id]/[session]/[trace_id] and then
+    exactly the fields of {!to_json}, so a changelog op line holds the
+    bytes the client sent.  Cells are [null], booleans, numbers (integral
+    ones decode to [Value.Int], see {!Obs.Json.to_int}) and strings.
+    [json_of_rows] raises [Invalid_argument] on non-finite floats (JSON
+    cannot carry them losslessly). *)
 val json_of_rows : Value.t array list -> Obs.Json.t
-val rows_of_json : Obs.Json.t -> (Value.t array list, string) Stdlib.result
+
+(** The rows of an ["rows"] array.  @raise Obs.Json.Bad on a row that is
+    not an array or a cell that is an array or object. *)
+val rows_of_json : Obs.Json.t list -> Value.t array list
+
+(** The fields after ["op"], in emission order. *)
+val fields : t -> (string * Obs.Json.t) list
+
+(** [Obj (("op", Str (name op)) :: fields op)]. *)
 val to_json : t -> Obs.Json.t
+
+(** Reads the fields through {!Obs.Json}'s readers (their error texts,
+    unprefixed); extra fields are ignored, so a whole wire frame decodes.
+    An absent [max_len] is 2, the wire's default — changelog lines
+    always carry it. *)
 val of_json : Obs.Json.t -> (t, string) Stdlib.result
 
 (** Apply one op.  Deterministic given the workspace state.  Raises

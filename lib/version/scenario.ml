@@ -47,35 +47,21 @@ let to_json = function
         ]
 
 let of_json j =
-  let str name =
-    match J.member name j with
-    | Some (J.Str s) -> Ok s
-    | _ -> Error (Printf.sprintf "scenario: field %S must be a string" name)
-  in
-  let int ?default name =
-    match (J.member name j, default) with
-    | Some (J.Num f), _ when Float.is_integer f && Float.abs f <= 1e15 ->
-        Ok (int_of_float f)
-    | Some _, _ ->
-        Error (Printf.sprintf "scenario: field %S must be an integer" name)
-    | None, Some d -> Ok d
-    | None, None -> Error (Printf.sprintf "scenario: missing field %S" name)
-  in
-  let ( let* ) = Result.bind in
-  let* kind = str "kind" in
-  match kind with
-  | "paper" -> Ok Paper
-  | "chain" ->
-      let* n = int "n" in
-      let* rows = int "rows" in
-      let* seed = int ~default:0 "seed" in
-      Ok (Chain { n; rows; seed })
-  | "star" ->
-      let* leaves = int "leaves" in
-      let* rows = int "rows" in
-      let* seed = int ~default:0 "seed" in
-      Ok (Star { leaves; rows; seed })
-  | k -> Error (Printf.sprintf "scenario: unknown kind %S" k)
+  J.decode
+    (fun j ->
+      match J.str "kind" j with
+      | "paper" -> Paper
+      | "chain" ->
+          let n = J.int "n" j in
+          let rows = J.int "rows" j in
+          Chain { n; rows; seed = J.int ~default:0 "seed" j }
+      | "star" ->
+          let leaves = J.int "leaves" j in
+          let rows = J.int "rows" j in
+          Star { leaves; rows; seed = J.int ~default:0 "seed" j }
+      | k -> raise (J.Bad (Printf.sprintf "unknown kind %S" k)))
+    j
+  |> Result.map_error (( ^ ) "scenario: ")
 
 (* The initial mapping is deliberately small — one node, one identity
    correspondence — so a session starts where the paper's Section 5

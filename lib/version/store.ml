@@ -294,47 +294,26 @@ let kind_json = function
         ]
 
 let kind_of_json j =
-  let ( let* ) = Result.bind in
-  let str name =
-    match J.member name j with
-    | Some (J.Str s) -> Ok s
-    | _ -> Error (Printf.sprintf "commit: field %S must be a string" name)
-  in
-  let* kind = str "kind" in
-  match kind with
-  | "root" -> Ok Root
+  match J.str "kind" j with
+  | "root" -> Root
   | "apply" -> (
-      match J.member "op" j with
-      | Some op ->
-          let* op = Op.of_json op in
-          Ok (Apply op)
-      | None -> Error "commit: missing field \"op\"")
-  | "branch" ->
-      let* from = str "from" in
-      Ok (Branch_from from)
+      match Op.of_json (J.field "op" j) with
+      | Ok op -> Apply op
+      | Error msg -> raise (J.Bad msg))
+  | "branch" -> Branch_from (J.str "from" j)
   | "merge" ->
-      let* from_branch = str "from" in
-      let* inserts =
-        match J.member "inserts" j with
-        | Some (J.Arr items) ->
-            List.fold_left
-              (fun acc item ->
-                let* acc = acc in
-                match J.member "relation" item with
-                | Some (J.Str relation) ->
-                    let* rows =
-                      match J.member "rows" item with
-                      | Some rows -> Op.rows_of_json rows
-                      | None -> Error "commit: merge insert without rows"
-                    in
-                    Ok ((relation, rows) :: acc)
-                | _ -> Error "commit: merge insert without relation")
-              (Ok []) items
-            |> Result.map List.rev
-        | _ -> Error "commit: merge without inserts"
-      in
-      Ok (Merge { from_branch; inserts })
-  | k -> Error (Printf.sprintf "commit: unknown kind %S" k)
+      let from_branch = J.str "from" j in
+      Merge
+        {
+          from_branch;
+          inserts =
+            List.map
+              (fun item ->
+                let relation = J.str "relation" item in
+                (relation, Op.rows_of_json (J.arr "rows" item)))
+              (J.arr "inserts" j);
+        }
+  | k -> raise (J.Bad (Printf.sprintf "unknown commit kind %S" k))
 
 let commit_json c =
   J.Obj
@@ -352,35 +331,11 @@ let commit_json c =
     ]
 
 let commit_of_json j =
-  let ( let* ) = Result.bind in
-  let int name =
-    match J.member name j with
-    | Some (J.Num f) when Float.is_integer f && Float.abs f <= 1e15 ->
-        Ok (int_of_float f)
-    | _ -> Error (Printf.sprintf "commit: field %S must be an integer" name)
-  in
-  let opt_int name =
-    match J.member name j with
-    | Some J.Null | None -> Ok None
-    | Some (J.Num f) when Float.is_integer f && Float.abs f <= 1e15 ->
-        Ok (Some (int_of_float f))
-    | Some _ ->
-        Error (Printf.sprintf "commit: field %S must be an integer or null" name)
-  in
-  let* cid = int "cid" in
-  let* branch =
-    match J.member "branch" j with
-    | Some (J.Str s) -> Ok s
-    | _ -> Error "commit: field \"branch\" must be a string"
-  in
-  let* parent = opt_int "parent" in
-  let* merge_parent = opt_int "merge_parent" in
-  let* kind =
-    match J.member "what" j with
-    | Some k -> kind_of_json k
-    | None -> Error "commit: missing field \"what\""
-  in
-  Ok { cid; branch; parent; merge_parent; kind }
+  let cid = J.int "cid" j in
+  let branch = J.str "branch" j in
+  let parent = J.opt J.int "parent" j in
+  let merge_parent = J.opt J.int "merge_parent" j in
+  { cid; branch; parent; merge_parent; kind = kind_of_json (J.field "what" j) }
 
 let rec mkdir_p dir =
   if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
@@ -447,89 +402,74 @@ let fail fmt = Printf.ksprintf failwith fmt
    faithful replay reproduces each branch's recorded state digest — which
    is verified before the store is handed back. *)
 let load ~resolve ~dir () =
-  let snap =
-    match J.parse (read_file (snapshot_file dir)) with
+  let parse what text =
+    match J.parse text with
     | Ok j -> j
-    | Error msg -> fail "Store.load: unreadable snapshot: %s" msg
+    | Error msg -> fail "Store.load: unreadable %s: %s" what msg
   in
-  (match J.member "format" snap with
-  | Some (J.Num f) when int_of_float f = format_version -> ()
-  | _ -> fail "Store.load: unsupported snapshot format");
-  let spec =
-    match J.member "spec" snap with
-    | Some j -> (
-        match Scenario.of_json j with
-        | Ok s -> s
-        | Error msg -> fail "Store.load: %s" msg)
-    | None -> fail "Store.load: snapshot without spec"
-  in
-  let t =
-    {
-      spec;
-      resolve;
-      by_cid = Hashtbl.create 64;
-      heads = Hashtbl.create 8;
-      states = Hashtbl.create 8;
-      branch_order = [];
-      next_cid = 0;
-    }
-  in
-  let lines =
-    String.split_on_char '\n' (read_file (changelog_file dir))
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  List.iter
-    (fun line ->
-      let c =
-        match J.parse line with
-        | Error msg -> fail "Store.load: unreadable changelog line: %s" msg
-        | Ok j -> (
-            match commit_of_json j with
-            | Ok c -> c
-            | Error msg -> fail "Store.load: %s" msg)
-      in
-      if c.cid <> t.next_cid then
-        fail "Store.load: changelog gap at cid %d" c.cid;
-      (match c.kind with
-      | Root -> Hashtbl.replace t.states c.branch (resolve spec)
-      | Apply op ->
-          let ws = checkout t c.branch in
-          Hashtbl.replace t.states c.branch (Op.apply ws op)
-      | Branch_from from ->
-          let base = checkout t from in
-          Hashtbl.replace t.states c.branch
-            (Clio.Workspace.with_branch_root base (version_of base))
-      | Merge { inserts; _ } ->
-          let ws = checkout t c.branch in
-          Hashtbl.replace t.states c.branch
-            (List.fold_left
-               (fun ws (relation, rows) ->
-                 Clio.Workspace.add_tuples ws relation rows)
-               ws inserts));
-      if not (List.mem c.branch t.branch_order) then
-        t.branch_order <- t.branch_order @ [ c.branch ];
-      Hashtbl.replace t.by_cid c.cid c;
-      Hashtbl.replace t.heads c.branch c.cid;
-      t.next_cid <- c.cid + 1;
-      Obs.count Obs.Names.version_snapshot_commits_replayed)
-    lines;
-  (match J.member "branches" snap with
-  | Some (J.Arr bs) ->
-      List.iter
-        (fun b ->
-          match (J.member "name" b, J.member "digest" b) with
-          | Some (J.Str name), Some (J.Str digest) ->
-              if not (has_branch t name) then
-                fail "Store.load: snapshot branch %S missing from changelog"
-                  name;
-              let got = state_digest t name in
-              if got <> digest then
-                fail
-                  "Store.load: replay of branch %S diverged (digest %s, \
-                   snapshot %s)"
-                  name got digest
-          | _ -> fail "Store.load: malformed branch entry in snapshot")
-        bs
-  | _ -> fail "Store.load: snapshot without branches");
-  Obs.count Obs.Names.version_snapshot_loads;
-  t
+  let snap = parse "snapshot" (read_file (snapshot_file dir)) in
+  try
+    if J.int "format" snap <> format_version then
+      fail "Store.load: unsupported snapshot format";
+    let spec =
+      match Scenario.of_json (J.field "spec" snap) with
+      | Ok s -> s
+      | Error msg -> raise (J.Bad msg)
+    in
+    let t =
+      {
+        spec;
+        resolve;
+        by_cid = Hashtbl.create 64;
+        heads = Hashtbl.create 8;
+        states = Hashtbl.create 8;
+        branch_order = [];
+        next_cid = 0;
+      }
+    in
+    let lines =
+      String.split_on_char '\n' (read_file (changelog_file dir))
+      |> List.filter (fun l -> String.trim l <> "")
+    in
+    List.iter
+      (fun line ->
+        let c = commit_of_json (parse "changelog line" line) in
+        if c.cid <> t.next_cid then
+          fail "Store.load: changelog gap at cid %d" c.cid;
+        (match c.kind with
+        | Root -> Hashtbl.replace t.states c.branch (resolve spec)
+        | Apply op ->
+            let ws = checkout t c.branch in
+            Hashtbl.replace t.states c.branch (Op.apply ws op)
+        | Branch_from from ->
+            let base = checkout t from in
+            Hashtbl.replace t.states c.branch
+              (Clio.Workspace.with_branch_root base (version_of base))
+        | Merge { inserts; _ } ->
+            let ws = checkout t c.branch in
+            Hashtbl.replace t.states c.branch
+              (List.fold_left
+                 (fun ws (relation, rows) ->
+                   Clio.Workspace.add_tuples ws relation rows)
+                 ws inserts));
+        if not (List.mem c.branch t.branch_order) then
+          t.branch_order <- t.branch_order @ [ c.branch ];
+        Hashtbl.replace t.by_cid c.cid c;
+        Hashtbl.replace t.heads c.branch c.cid;
+        t.next_cid <- c.cid + 1;
+        Obs.count Obs.Names.version_snapshot_commits_replayed)
+      lines;
+    List.iter
+      (fun b ->
+        let name = J.str "name" b in
+        let digest = J.str "digest" b in
+        if not (has_branch t name) then
+          fail "Store.load: snapshot branch %S missing from changelog" name;
+        let got = state_digest t name in
+        if got <> digest then
+          fail "Store.load: replay of branch %S diverged (digest %s, snapshot %s)"
+            name got digest)
+      (J.arr "branches" snap);
+    Obs.count Obs.Names.version_snapshot_loads;
+    t
+  with J.Bad msg -> fail "Store.load: %s" msg

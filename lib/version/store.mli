@@ -125,3 +125,12 @@ val save : t -> dir:string -> unit
     malformed input.  Counters: [version.snapshot.loads],
     [version.snapshot.commits_replayed]. *)
 val load : resolve:(Scenario.t -> Clio.Workspace.t) -> dir:string -> unit -> t
+
+(** The file helpers every persisted file goes through — this module's
+    snapshot and changelog and the server registry's manifest.
+    [mkdir_p] creates a directory and its missing parents; [write_file]
+    replaces a file's contents; [read_file] returns them whole. *)
+val mkdir_p : string -> unit
+
+val write_file : string -> string -> unit
+val read_file : string -> string

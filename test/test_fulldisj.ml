@@ -33,13 +33,13 @@ let test_coverage_label () =
   Alcotest.(check string) "fallback" "C,Zed"
     (Coverage.label ~short (Coverage.of_list [ "Children"; "Zed" ]))
 
-(* --- Assoc coverage inference --- *)
+(* --- Coverage inference --- *)
 
 let test_coverage_of_tuple () =
   let node_positions = [ ("A", [ 0; 1 ]); ("B", [ 2 ]) ] in
   let t = Tuple.make [ Value.Null; v_int 1; Value.Null ] in
   Alcotest.(check (list string)) "A only" [ "A" ]
-    (Coverage.to_list (Assoc.coverage_of_tuple node_positions t))
+    (Coverage.to_list (Coverage.of_tuple node_positions t))
 
 (* --- Min union --- *)
 
@@ -491,7 +491,7 @@ let prop_coverage_matches_nullness =
       |> Array.for_all2
            (fun c t ->
              Coverage.equal c
-               (Assoc.coverage_of_tuple fd.Full_disjunction.node_positions t))
+               (Coverage.of_tuple fd.Full_disjunction.node_positions t))
            fd.Full_disjunction.coverage)
 
 (* --- Plan / explain --- *)

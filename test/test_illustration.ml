@@ -242,8 +242,8 @@ let universe_gen =
       List.mapi
         (fun i (c, positive, cells) ->
           {
-            Example.assoc =
-              Assoc.make [| Value.Int i |] (Coverage.of_list (List.nth coverages c));
+            Example.tuple = [| Value.Int i |];
+            coverage = Coverage.of_list (List.nth coverages c);
             target_tuple =
               Array.map (function Some v -> Value.Int v | None -> Value.Null) cells;
             positive;
@@ -358,7 +358,7 @@ let test_e48_not_focussed_on_205 () =
       (fun e ->
         not
           (Tuple.equal
-             (Assoc.project_alias scheme e.Example.assoc "Parents")
+             (Example.project_alias scheme e "Parents")
              (List.hd p205)
           && Coverage.mem "Parents" (Example.coverage e)))
       universe

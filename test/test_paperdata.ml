@@ -87,6 +87,27 @@ let test_chase_002_occurrences () =
   Alcotest.(check int) "XmasBar attrs" 2 (List.length (in_rel "XmasBar"));
   Alcotest.(check int) "Children attrs" 1 (List.length (in_rel "Children"))
 
+(* A typed value resolves the way the CLI's [occurrences] and the
+   script's [chase] read it: the literal string when Figure 1 holds it,
+   the parsed cell otherwise. *)
+let test_value_of_text () =
+  let value = Alcotest.testable Value.pp Value.equal in
+  let key = Database.value_of_text db "002" in
+  Alcotest.check value "002 is the string key" (Value.String "002") key;
+  Alcotest.(check (list (triple string string int)))
+    "002 found once in each ID column"
+    [
+      ("Children", "ID", 1);
+      ("SBPS", "ID", 1);
+      ("XmasBar", "sellerID", 1);
+      ("XmasBar", "buyerID", 1);
+    ]
+    (Database.find_value db key);
+  let age = Database.value_of_text db "5" in
+  Alcotest.check value "5 is an integer" (Value.Int 5) age;
+  Alcotest.(check (list (triple string string int)))
+    "5 is a child's age" [ ("Children", "age", 1) ] (Database.find_value db age)
+
 (* --- Figure 6 / Example 3.12: induced connected subgraphs of G --- *)
 
 let test_subgraphs_of_g () =
@@ -267,6 +288,8 @@ let () =
           Alcotest.test_case "205 childless with phone" `Quick
             test_205_has_phone_no_children;
           Alcotest.test_case "002 occurrences" `Quick test_chase_002_occurrences;
+          Alcotest.test_case "typed values resolve like the chase" `Quick
+            test_value_of_text;
         ] );
       ( "figures",
         [

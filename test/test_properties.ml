@@ -230,8 +230,8 @@ let oracle_continues ~old_scheme ~new_scheme old_e new_e =
   let positions =
     Array.to_list (Schema.attrs old_scheme) |> List.map (Schema.index new_scheme)
   in
-  let proj = Tuple.project new_e.Example.assoc.Fulldisj.Assoc.tuple positions in
-  Tuple.subsumes proj old_e.Example.assoc.Fulldisj.Assoc.tuple
+  let proj = Tuple.project new_e.Example.tuple positions in
+  Tuple.subsumes proj old_e.Example.tuple
 
 let oracle_evolve ctx ~old_scheme ~new_scheme ~old_illustration (new_m : Mapping.t) =
   let universe = Mapping_eval.examples ctx new_m in
@@ -332,7 +332,8 @@ let continuation_gen =
       let* cells = array_repeat arity value in
       return
         {
-          Example.assoc = Fulldisj.Assoc.make cells (Fulldisj.Coverage.singleton "R");
+          Example.tuple = cells;
+          coverage = Fulldisj.Coverage.singleton "R";
           target_tuple = [||];
           positive = true;
         }
@@ -420,7 +421,8 @@ let universe_gen =
       in
       return
         {
-          Example.assoc = Fulldisj.Assoc.make [||] coverage;
+          Example.tuple = [||];
+          coverage;
           target_tuple = Array.of_list cells;
           positive;
         }

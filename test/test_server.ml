@@ -115,6 +115,45 @@ let test_request_roundtrip () =
             line (P.encode_request env'))
     all_requests
 
+(* The bytes of [all_requests], one frame each, as the protocol has
+   always emitted them: a change to either codec shows here, which the
+   self round-trip above cannot see. *)
+let pinned_request_frames =
+  [
+    {|{"id":0,"op":"ping"}|};
+    {|{"id":1,"op":"open","scenario":{"kind":"paper"}}|};
+    {|{"id":2,"op":"open","scenario":{"kind":"chain","n":3,"rows":100,"seed":7}}|};
+    {|{"id":3,"op":"open","scenario":{"kind":"star","leaves":4,"rows":50,"seed":0}}|};
+    {|{"id":4,"op":"close","session":"s1"}|};
+    {|{"id":5,"op":"evaluate","session":"s1","what":"dg"}|};
+    {|{"id":6,"op":"evaluate","session":"s1","what":"fj","limit":10}|};
+    {|{"id":7,"op":"evaluate","session":"s1","what":"target","limit":0}|};
+    {|{"id":8,"op":"offer","session":"s1","start":"Children","goal":"PhoneDir","max_len":2}|};
+    {|{"id":9,"op":"rotate","session":"s1"}|};
+    {|{"id":10,"op":"select","session":"s1","entry":3}|};
+    {|{"id":11,"op":"delete","session":"s1","entry":2}|};
+    {|{"id":12,"op":"confirm","session":"s1"}|};
+    {|{"id":13,"op":"insert","session":"s1","relation":"Children","rows":[["a\"b\\c",null,-3],[1.5,true,"\n\t"]]}|};
+    {|{"id":14,"op":"rank","session":"s1"}|};
+    {|{"id":15,"op":"stats","session":"s2"}|};
+    {|{"id":16,"op":"stats"}|};
+    {|{"id":17,"op":"branch","session":"s1","name":"exp-1"}|};
+    {|{"id":18,"op":"checkout","session":"s1","name":"main"}|};
+    {|{"id":19,"op":"merge","session":"s1","from":"exp-1"}|};
+    {|{"id":20,"op":"diff","session":"s1","other":"exp-1"}|};
+    {|{"id":21,"op":"branches","session":"s1"}|};
+    {|{"id":22,"op":"open_branch","of_session":"s1","branch":"exp-1"}|};
+    {|{"id":23,"op":"shutdown"}|};
+  ]
+
+let test_request_frames_pinned () =
+  List.iter2
+    (fun (env : P.envelope) frame ->
+      Alcotest.(check string)
+        (Printf.sprintf "request %d bytes" env.id)
+        frame (P.encode_request env))
+    all_requests pinned_request_frames
+
 let test_response_roundtrip () =
   List.iter
     (fun resp ->
@@ -148,6 +187,30 @@ let test_parse_request_rejects () =
         {|{"id":7,"op":"evaluate","session":"s1","what":"dg","limit":"x"}|},
         P.Bad_request,
         Some 7 );
+      ( "fractional entry",
+        {|{"id":8,"op":"select","session":"s1","entry":1.5}|},
+        P.Bad_request,
+        Some 8 );
+      ( "string entry",
+        {|{"id":9,"op":"delete","session":"s1","entry":"3"}|},
+        P.Bad_request,
+        Some 9 );
+      ( "max_len beyond the integer range",
+        {|{"id":10,"op":"offer","session":"s1","start":"A","goal":"B","max_len":1e16}|},
+        P.Bad_request,
+        Some 10 );
+      ( "rows not an array",
+        {|{"id":11,"op":"insert","session":"s1","relation":"R","rows":{}}|},
+        P.Bad_request,
+        Some 11 );
+      ( "object cell",
+        {|{"id":12,"op":"insert","session":"s1","relation":"R","rows":[[1,{}]]}|},
+        P.Bad_request,
+        Some 12 );
+      ( "insert without relation",
+        {|{"id":13,"op":"insert","session":"s1","rows":[[1]]}|},
+        P.Bad_request,
+        Some 13 );
     ]
   in
   List.iter
@@ -158,7 +221,114 @@ let test_parse_request_rejects () =
           Alcotest.(check string) (label ^ ": code") (P.error_code_name code)
             (P.error_code_name code');
           Alcotest.(check (option int)) (label ^ ": id recovered") id id')
-    cases
+    cases;
+  (* An optional field that is null counts as absent. *)
+  match
+    P.parse_request
+      {|{"id":14,"op":"evaluate","session":"s1","what":"dg","limit":null}|}
+  with
+  | Ok env ->
+      Alcotest.(check bool) "null limit is no limit" true
+        (env.P.request = P.Evaluate { what = P.Dg; limit = None })
+  | Error (_, _, msg) -> Alcotest.failf "null limit rejected: %s" msg
+
+(* --- one op codec: wire frames and changelog lines ---
+
+   An op verb's frame is the changelog's op line behind the envelope
+   fields: decoding the frame gives the op back, the bytes after
+   [id]/[op]/[session]/[trace_id] are the line's bytes after [op], and
+   the line decodes to the op. *)
+
+module J = Obs.Json
+module Op = Version.Op
+
+let op_gen =
+  let open QCheck2.Gen in
+  (* Floats with a fraction and at most nine significant digits: the
+     emitter's precision, and never integral (those decode as [Int]). *)
+  let cell =
+    oneof
+      [
+        return V.Null;
+        map (fun b -> V.Bool b) bool;
+        map
+          (fun i -> V.Int i)
+          (int_range (-1_000_000_000_000_000) 1_000_000_000_000_000);
+        map
+          (fun k -> V.Float (float_of_int ((2 * k) + 1) /. 4.))
+          (int_range (-500_000) 500_000);
+        map
+          (fun parts -> V.String (String.concat "" parts))
+          (list_size (int_range 0 4)
+             (oneofl
+                [
+                  "a"; "Zoe"; "\""; "\\"; "\n"; "\t"; "\x01"; "\x1f"; "\x7f";
+                  "\xc3\xa9"; "\xe6\x97\xa5\xe6\x9c\xac"; " ";
+                ]));
+      ]
+  in
+  let name = oneofl [ "Children"; "R1"; "a\"b"; "\xc3\xa9t\xc3\xa9" ] in
+  let int = int_range (-1000) 1000 in
+  oneof
+    [
+      map2
+        (fun relation rows -> Op.Insert { relation; rows })
+        name
+        (list_size (int_range 0 4) (array_size (int_range 0 5) cell));
+      map3
+        (fun start goal max_len -> Op.Offer { start; goal; max_len })
+        name name int;
+      return Op.Rotate;
+      map (fun entry -> Op.Select { entry }) int;
+      map (fun entry -> Op.Delete { entry }) int;
+      return Op.Confirm;
+    ]
+
+let strip_close s = String.sub s 0 (String.length s - 1)
+
+let prop_op_codec =
+  QCheck2.Test.make ~name:"op frame = changelog line, both decode" ~count:300
+    ~print:(fun op -> J.to_string (Op.to_json op))
+    op_gen
+    (fun op ->
+      let env =
+        {
+          P.id = 7;
+          session = Some "s1";
+          request = P.request_of_op op;
+          trace_id = Some "t-1";
+        }
+      in
+      let frame = P.encode_request env in
+      let decoded =
+        match P.parse_request frame with
+        | Ok env' -> P.op_of_request env'.P.request
+        | Error (_, _, msg) -> QCheck2.Test.fail_reportf "%s: %s" frame msg
+      in
+      let envelope =
+        strip_close
+          (J.to_string
+             (J.Obj
+                [
+                  ("id", J.Num 7.);
+                  ("op", J.Str (Op.name op));
+                  ("session", J.Str "s1");
+                  ("trace_id", J.Str "t-1");
+                ]))
+      and line = J.to_string (Op.to_json op) in
+      let op_head =
+        strip_close (J.to_string (J.Obj [ ("op", J.Str (Op.name op)) ]))
+      in
+      let after prefix s =
+        if String.starts_with ~prefix s then
+          let n = String.length prefix in
+          Some (String.sub s n (String.length s - n))
+        else None
+      in
+      decoded = Some op
+      && after envelope frame <> None
+      && after envelope frame = after op_head line
+      && Op.of_json (Op.to_json op) = Ok op)
 
 (* Wire compatibility: an envelope or response without a trace id must
    encode to exactly the pre-trace-id bytes — no "trace_id" key at all —
@@ -1522,11 +1692,14 @@ let () =
       ( "protocol",
         [
           tc "every request round-trips" `Quick test_request_roundtrip;
+          tc "every request frame matches its pinned bytes" `Quick
+            test_request_frames_pinned;
           tc "every response round-trips" `Quick test_response_roundtrip;
           tc "malformed requests are rejected with ids recovered" `Quick
             test_parse_request_rejects;
           tc "trace id is optional and wire-compatible" `Quick
             test_trace_id_wire_compat;
+          QCheck_alcotest.to_alcotest ~long:false prop_op_codec;
         ] );
       ( "service",
         [

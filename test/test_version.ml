@@ -395,6 +395,49 @@ let test_snapshot_rejects_tampering () =
   | _ -> Alcotest.fail "truncated changelog should be rejected"
   | exception Failure _ -> ()
 
+(* Every field is read through one integer and one string rule: a saved
+   store with one mistyped field must not load. *)
+let test_snapshot_rejects_mistyped_fields () =
+  let t = build_sample () in
+  let find sub s =
+    let n = String.length sub in
+    let rec go i =
+      if i + n > String.length s then None
+      else if String.sub s i n = sub then Some i
+      else go (i + 1)
+    in
+    go 0
+  in
+  List.iter
+    (fun (label, file, sub, by, field) ->
+      with_temp_dir @@ fun dir ->
+      Store.save t ~dir;
+      let path = Filename.concat dir file in
+      let text = Store.read_file path in
+      (match find sub text with
+      | None -> Alcotest.failf "%s: %S not in the saved file" label sub
+      | Some i ->
+          Store.write_file path
+            (String.sub text 0 i ^ by
+            ^ String.sub text (i + String.length sub)
+                (String.length text - i - String.length sub)));
+      match Store.load ~resolve:(resolver ()) ~dir () with
+      | _ -> Alcotest.failf "%s: should be rejected" label
+      | exception Failure msg ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %S names the field" label msg)
+            true
+            (find (Printf.sprintf "field %S" field) msg <> None))
+    [
+      ("fractional cid", "changelog.jsonl", {|"cid":0|}, {|"cid":0.5|}, "cid");
+      ( "non-string branch",
+        "changelog.jsonl",
+        {|"branch":"main"|},
+        {|"branch":7|},
+        "branch" );
+      ("fractional scenario size", "snapshot.json", {|"n":3|}, {|"n":2.5|}, "n");
+    ]
+
 let () =
   Alcotest.run "version"
     [
@@ -417,5 +460,7 @@ let () =
           tc "save/load round-trips every branch" `Quick test_snapshot_roundtrip;
           tc "tampered changelog is rejected" `Quick
             test_snapshot_rejects_tampering;
+          tc "mistyped fields are rejected" `Quick
+            test_snapshot_rejects_mistyped_fields;
         ] );
     ]
