@@ -1,159 +1,59 @@
 (* Diff two bench JSON documents and fail on regression.
 
-   Usage:  compare BASELINE.json CURRENT.json
-             [--time-tol R] [--counter-tol R] [--alloc-tol R]
-             [--report-only] [--require-faster A B]...
+   Usage:  compare BASELINE.json CURRENT.json [--require-faster A B [RATIO]]...
 
-   Prints the per-metric diff tables (time, counters, allocation) and
-   exits 0 when no tracked metric regressed beyond tolerance (or with
-   --report-only, always), 1 on regression, 2 on unusable input.  The
-   diff itself lives in Obs.Bench_compare; this is only the CLI.
+   Prints the per-row diff tables (time, counters, allocation) and exits
+   0 when no gated row regressed, 1 on regression, 2 on unusable input.
+   The rules live in Obs.Bench_compare: counter rows fail above 1.02x,
+   allocation rows above 1.25x when both documents come from the same
+   OCaml version, and time rows are printed, never gated.
 
-   --require-faster A B [RATIO] (repeatable) additionally asserts that
-   in the CURRENT document benchmark A's time_ns is strictly below
-   benchmark B's — an absolute ordering gate (e.g. cache-on must beat
+   --require-faster A B [RATIO] (repeatable) is the only timing gate: in
+   the CURRENT document benchmark A's time_ns must be strictly below
+   benchmark B's — an ordering within one run (e.g. cache-on must beat
    cache-off) that no baseline drift can erode.  An optional trailing
-   RATIO (a float, e.g. 1.5) strengthens the gate to "A is at least
-   RATIO times faster than B" (time_A * RATIO < time_B) — the B14
-   parallel ablation uses this on multi-core runners.  Unlike the
-   tolerance diff it is not silenced by --report-only. *)
+   RATIO (a float, e.g. 1.5) strengthens it to "A is at least RATIO times
+   faster than B" (time_A * RATIO < time_B). *)
+
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline ("compare: " ^ msg); exit 2) fmt
 
 let usage () =
-  prerr_endline
-    "usage: compare BASELINE.json CURRENT.json [--time-tol R] [--counter-tol \
-     R] [--alloc-tol R] [--report-only] [--require-faster A B [RATIO]]...";
-  exit 2
+  fail
+    "usage: compare BASELINE.json CURRENT.json [--require-faster A B [RATIO]]..."
+
+(* The two files and the --require-faster triples; a trailing float is
+   an optional speedup ratio (benchmark names never parse as one). *)
+let rec parse_args files pairs = function
+  | [] -> (List.rev files, List.rev pairs)
+  | "--require-faster" :: a :: b :: rest -> (
+      match rest with
+      | r :: rest' when float_of_string_opt r <> None ->
+          let ratio = float_of_string r in
+          if ratio <= 0. then fail "--require-faster ratio must be positive, got %S" r;
+          parse_args files ((a, b, ratio) :: pairs) rest'
+      | _ -> parse_args files ((a, b, 1.0) :: pairs) rest)
+  | "--require-faster" :: _ -> fail "--require-faster needs two benchmark names"
+  | a :: _ when String.starts_with ~prefix:"-" a -> fail "unknown option %s" a
+  | file :: rest -> parse_args (file :: files) pairs rest
+
+let load file =
+  let contents =
+    try In_channel.with_open_bin file In_channel.input_all
+    with Sys_error msg -> fail "%s" msg
+  in
+  match Obs.Json.parse contents with
+  | Ok j -> j
+  | Error msg -> fail "%s: %s" file msg
 
 let () =
-  let argv = Array.to_list Sys.argv |> List.tl in
-  let report_only = List.mem "--report-only" argv in
-  let tol_value name default =
-    let rec go = function
-      | a :: v :: _ when a = name -> (
-          match float_of_string_opt v with
-          | Some f when f > 0. -> f
-          | _ ->
-              Printf.eprintf "compare: %s needs a positive number, got %S\n"
-                name v;
-              exit 2)
-      | _ :: rest -> go rest
-      | [] -> default
-    in
-    go argv
-  in
-  let tolerance =
-    let d = Obs.Bench_compare.default_tolerance in
-    {
-      Obs.Bench_compare.time = tol_value "--time-tol" d.Obs.Bench_compare.time;
-      counter = tol_value "--counter-tol" d.Obs.Bench_compare.counter;
-      alloc = tol_value "--alloc-tol" d.Obs.Bench_compare.alloc;
-    }
-  in
-  let require_faster =
-    let rec go = function
-      | "--require-faster" :: a :: b :: rest -> (
-          (* A trailing float is an optional speedup ratio; benchmark
-             names never parse as one. *)
-          match rest with
-          | r :: rest' when float_of_string_opt r <> None ->
-              let ratio = float_of_string r in
-              if ratio <= 0. then begin
-                Printf.eprintf
-                  "compare: --require-faster ratio must be positive, got %S\n" r;
-                exit 2
-              end;
-              (a, b, ratio) :: go rest'
-          | _ -> (a, b, 1.0) :: go rest)
-      | "--require-faster" :: _ ->
-          prerr_endline "compare: --require-faster needs two benchmark names";
-          exit 2
-      | _ :: rest -> go rest
-      | [] -> []
-    in
-    go argv
-  in
-  let takes_value a =
-    List.mem a [ "--time-tol"; "--counter-tol"; "--alloc-tol" ]
-  in
-  let rec positional = function
-    | [] -> []
-    | "--require-faster" :: _ :: _ :: r :: rest when float_of_string_opt r <> None ->
-        positional rest
-    | "--require-faster" :: _ :: _ :: rest -> positional rest
-    | a :: _ :: rest when takes_value a -> positional rest
-    | a :: rest when String.length a >= 2 && String.sub a 0 2 = "--" ->
-        positional rest
-    | a :: rest -> a :: positional rest
-  in
-  let files = positional argv in
-  match files with
-  | [ baseline_file; current_file ] ->
-      let load file =
-        let contents =
-          try
-            let ic = open_in_bin file in
-            let n = in_channel_length ic in
-            let s = really_input_string ic n in
-            close_in ic;
-            s
-          with Sys_error msg ->
-            Printf.eprintf "compare: %s\n" msg;
-            exit 2
-        in
-        match Obs.Json.parse contents with
-        | Ok j -> j
-        | Error msg ->
-            Printf.eprintf "compare: %s: %s\n" file msg;
-            exit 2
-      in
-      let baseline = load baseline_file in
-      let current = load current_file in
-      let time_of doc name =
-        match doc with
-        | Obs.Json.Obj fields -> (
-            match List.assoc_opt "benchmarks" fields with
-            | Some (Obs.Json.Obj bs) -> (
-                match List.assoc_opt name bs with
-                | Some (Obs.Json.Obj m) -> (
-                    match List.assoc_opt "time_ns" m with
-                    | Some (Obs.Json.Num ns) -> Some ns
-                    | _ -> None)
-                | _ -> None)
-            | _ -> None)
-        | _ -> None
-      in
-      let ordering_failures =
-        List.filter_map
-          (fun (a, b, ratio) ->
-            match (time_of current a, time_of current b) with
-            | Some ta, Some tb when ta *. ratio < tb -> None
-            | Some ta, Some tb ->
-                Some
-                  (if ratio > 1.0 then
-                     Printf.sprintf
-                       "require-faster: %s (%.0f ns) is not %.2fx faster than \
-                        %s (%.0f ns)"
-                       a ta ratio b tb
-                   else
-                     Printf.sprintf
-                       "require-faster: %s (%.0f ns) is not faster than %s \
-                        (%.0f ns)"
-                       a ta b tb)
-            | None, _ ->
-                Some (Printf.sprintf "require-faster: no benchmark %S in %s" a
-                        current_file)
-            | _, None ->
-                Some (Printf.sprintf "require-faster: no benchmark %S in %s" b
-                        current_file))
-          require_faster
-      in
-      (match Obs.Bench_compare.diff ~tolerance ~baseline ~current () with
-      | Error msg ->
-          Printf.eprintf "compare: %s\n" msg;
-          exit 2
+  match parse_args [] [] (List.tl (Array.to_list Sys.argv)) with
+  | [ baseline_file; current_file ], pairs -> (
+      let baseline = load baseline_file and current = load current_file in
+      match Obs.Bench_compare.diff ~baseline ~current with
+      | Error msg -> fail "%s" msg
       | Ok outcome ->
           print_string outcome.Obs.Bench_compare.report;
-          List.iter prerr_endline ordering_failures;
-          let code = Obs.Bench_compare.exit_code ~report_only outcome in
-          exit (if ordering_failures <> [] then max code 1 else code))
+          let ordering = Obs.Bench_compare.ordering_failures ~current pairs in
+          List.iter prerr_endline ordering;
+          exit (max (Obs.Bench_compare.exit_code outcome) (if ordering = [] then 0 else 1)))
   | _ -> usage ()

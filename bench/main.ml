@@ -2,45 +2,50 @@
 
    The paper's evaluation is its running example (Figures 1-12 and the
    numbered Examples) — there are no performance tables.  Accordingly this
-   harness has two parts:
+   harness has three parts:
 
    1. Regenerate every figure/example (experiments F*/E*/S2 of DESIGN.md),
       exactly as bin/figures.exe does, so `dune exec bench/main.exe`
       reproduces the complete evaluation in one run.
 
-   2. Performance benchmarks (experiments B1-B17) for the algorithms whose
-      cost the paper alludes to ("we make use of evaluation and
-      optimization techniques for the minimal union operator to
-      efficiently compute D(G)"): minimum union naive vs sweep, full
-      disjunction naive vs indexed vs outer-join plan, sufficient
-      illustration selection, walk enumeration, chase scans, end-to-end
-      mapping evaluation, FK mining, illustration evolution, and the
-      engine's memo cache (B9 walk-alternative reuse, B10 session replay
-      — each cached vs no-cache, the ablation of lib/engine), the B14
-      jobs=1 vs jobs=4 ablation of the lib/par domain pool, and the B15
-      example-edit replay (incremental delta maintenance vs from-scratch
-      re-evaluation after each edit), the B16 server load generator
-      (lib/server's multi-session service under scripted client traffic,
-      cold vs warm shared-cache substrate), the B17 columnar data
-      plane (million-tuple full disjunction + subsumption on the
-      columnar kernels), the B20 served digest ([render/digest]:
-      time and words per warm [Render.digest] of the B15 D(G)), and the
-      B22 cold offer ([engine/offer-cold], with its selection step alone
-      as [core/illustration-select]).
+   2. Performance benchmarks (experiments B1-B20 and B22) for the
+      algorithms whose cost the paper alludes to ("we make use of
+      evaluation and optimization techniques for the minimal union
+      operator to efficiently compute D(G)"): minimum union naive vs
+      sweep, full disjunction naive vs indexed vs outer-join plan,
+      sufficient illustration selection, walk enumeration, chase scans,
+      end-to-end mapping evaluation, FK mining, illustration evolution,
+      and the engine's memo cache (B9 walk-alternative reuse, B10 session
+      replay — each cached vs no-cache, the ablation of lib/engine), the
+      B14 jobs=1 vs jobs=4 ablation of the lib/par domain pool, the B15
+      example-edit replay (incremental delta maintenance vs a fresh
+      context per edit), the B16 server load generator (lib/server's
+      multi-session service under scripted client traffic, cold vs warm
+      shared-cache substrate), the B17 columnar data plane
+      (million-tuple full disjunction + subsumption on the columnar
+      kernels), the B18 restart-resume of the branching version store,
+      the B19 socket worker plane, the B20 served digest
+      ([render/digest]) and the B22 cold offer ([engine/offer-cold], with
+      its selection step alone as [core/illustration-select]).
 
-   3. Operator-counter and allocation tables (lib/obs): the same workloads
-      run once with observability enabled, reporting subsumption checks,
+   3. Operator-counter and allocation tables (lib/obs): the same arms run
+      again with observability enabled, reporting subsumption checks,
       index probes, rows scanned and GC words allocated per algorithm —
-      the algorithmic explanation of the timings in part 2.
+      the algorithmic explanation of the timings in part 2 — followed by
+      the verified B16, B18 and B19 headlines.
+
+   Every arm is declared once, in [arms]: parts 2 and 3 and the bench
+   JSON all read that one table.
 
    Pass --no-figures, --no-bench or --no-stats to skip a part.
 
    Machine-readable output: --label NAME and/or --out FILE additionally
    write a bench JSON document (BENCH_<label>.json by default) combining
-   the part-2 Bechamel timings with the part-3 operator counters,
-   histogram percentiles and allocation stats, in the schema consumed by
-   bench/compare.exe.  --quick shrinks workload sizes and measurement
-   quotas for CI smoke runs (bench/baseline.json is a --quick capture). *)
+   the part-2 Bechamel timings ("benchmarks", empty with --no-bench) with
+   the part-3 operator counters, histogram percentiles and allocation
+   stats ("workloads"), in the schema consumed by bench/compare.exe.
+   --quick shrinks workload sizes and measurement quotas for CI smoke
+   runs (bench/baseline.json is a --quick capture). *)
 
 open Bechamel
 open Relational
@@ -70,6 +75,25 @@ let out_file = flag_value "--out"
 
 let seeded seed = Random.State.make [| seed |]
 
+(* --- the arm table ---
+
+   An arm is one workload, declared once: its name and [start], which
+   readies one consumer's instance of the arm and returns its run.  Part
+   2 times the run under Bechamel; part 3 runs it once untimed and
+   counts the second run, the steady state part 2 times.  Data an arm
+   only reads is built when the table is built (large inputs: in a
+   [Lazy.t] that [start] forces), so neither the timings nor the counts
+   pay for it.  An arm whose runs change state its next run sees builds
+   that state inside [start], so part 2 and part 3 each get their own
+   and the count does not depend on how many runs Bechamel made. *)
+
+type arm = { name : string; start : unit -> unit -> unit }
+
+let arm name run = { name; start = (fun () -> run) }
+
+(* An arm over lazily built data, forced by [start]. *)
+let arm_on data name run = { name; start = (fun () -> run (Lazy.force data)) }
+
 (* --- B1: minimum union — pairwise oracle vs the columnar sweep --- *)
 
 let minunion_input size =
@@ -90,19 +114,16 @@ let minunion_relation tuples =
 
 let minunion_sizes = if quick then [ 100; 400 ] else [ 100; 400; 1600 ]
 
-let minunion_tests =
+let minunion_arms =
   List.concat_map
     (fun size ->
       let tuples = minunion_input size in
       let rel = minunion_relation tuples in
       [
-        Test.make
-          ~name:(Printf.sprintf "minunion/naive/%d" size)
-          (Staged.stage (fun () ->
-               ignore (Fulldisj.Min_union.remove_subsumed_naive tuples)));
-        Test.make
-          ~name:(Printf.sprintf "minunion/sweep/%d" size)
-          (Staged.stage (fun () -> ignore (Fulldisj.Min_union.sweep rel)));
+        arm (Printf.sprintf "minunion/naive/%d" size) (fun () ->
+            ignore (Fulldisj.Min_union.remove_subsumed_naive tuples));
+        arm (Printf.sprintf "minunion/sweep/%d" size) (fun () ->
+            ignore (Fulldisj.Min_union.sweep rel));
       ])
     minunion_sizes
   @
@@ -115,8 +136,8 @@ let minunion_tests =
     |> minunion_relation
   in
   [
-    Test.make ~name:"minunion/skew-sweep/1600"
-      (Staged.stage (fun () -> ignore (Fulldisj.Min_union.sweep skewed)));
+    arm "minunion/skew-sweep/1600" (fun () ->
+        ignore (Fulldisj.Min_union.sweep skewed));
   ]
 
 (* --- B2: full disjunction — naive vs indexed vs outer-join plan --- *)
@@ -124,57 +145,56 @@ let minunion_tests =
 let fulldisj_configs =
   if quick then [ (3, 60); (4, 60) ] else [ (3, 150); (4, 150); (5, 100) ]
 
-let fulldisj_tests =
-  let configs = fulldisj_configs in
+let fulldisj_arms =
   List.concat_map
     (fun (n, rows) ->
       let inst =
         Synth.Gen_graph.chain (seeded 7) ~n ~rows ~null_prob:0.25 ~orphan_prob:0.2 ()
       in
-      let lookup = Database.find inst.Synth.Gen_graph.db in
+      let src = Fulldisj.Source.of_fn (Database.find inst.Synth.Gen_graph.db) in
       let g = inst.Synth.Gen_graph.graph in
       let tag algo = Printf.sprintf "fulldisj/%s/n%d-r%d" algo n rows in
       [
-        Test.make ~name:(tag "naive")
-          (Staged.stage (fun () -> ignore (Fulldisj.Full_disjunction.naive (Fulldisj.Source.of_fn lookup) g)));
-        Test.make ~name:(tag "indexed")
-          (Staged.stage (fun () -> ignore (Fulldisj.Full_disjunction.compute (Fulldisj.Source.of_fn lookup) g)));
-        Test.make ~name:(tag "outerjoin")
-          (Staged.stage (fun () ->
-               ignore (Fulldisj.Outerjoin_plan.full_disjunction (Fulldisj.Source.of_fn lookup) g)));
+        arm (tag "naive") (fun () -> ignore (Fulldisj.Full_disjunction.naive src g));
+        arm (tag "indexed") (fun () ->
+            ignore (Fulldisj.Full_disjunction.compute src g));
+        arm (tag "outerjoin") (fun () ->
+            ignore (Fulldisj.Outerjoin_plan.full_disjunction src g));
       ])
-    configs
+    fulldisj_configs
+
+(* The identity mapping of a generated graph: one target column per
+   alias, fed by the alias's id. *)
+let identity_mapping ?target_filters (inst : Synth.Gen_graph.instance) =
+  let aliases = Qgraph.aliases inst.Synth.Gen_graph.graph in
+  Clio.Mapping.make ~graph:inst.Synth.Gen_graph.graph ~target:"T"
+    ~target_cols:(List.map (fun a -> "c_" ^ a) aliases)
+    ~correspondences:
+      (List.map
+         (fun a -> Clio.Correspondence.identity ("c_" ^ a) (Attr.make a "id"))
+         aliases)
+    ?target_filters ()
 
 (* --- B3: sufficient-illustration selection --- *)
 
-let illustration_tests =
+let illustration_arms =
   let inst =
     Synth.Gen_graph.star (seeded 9) ~leaves:4 ~rows:120 ~null_prob:0.3 ~orphan_prob:0.2 ()
   in
   let db = inst.Synth.Gen_graph.db in
-  let aliases = Qgraph.aliases inst.Synth.Gen_graph.graph in
-  let m =
-    Clio.Mapping.make ~graph:inst.Synth.Gen_graph.graph ~target:"T"
-      ~target_cols:(List.map (fun a -> "c_" ^ a) aliases)
-      ~correspondences:
-        (List.map
-           (fun a -> Clio.Correspondence.identity ("c_" ^ a) (Attr.make a "id"))
-           aliases)
-      ()
-  in
+  let m = identity_mapping inst in
   let universe = Clio.Mapping_eval.examples (Clio.Eval_ctx.transient db) m in
   [
-    Test.make ~name:"illustration/select"
-      (Staged.stage (fun () ->
-           ignore
-             (Clio.Sufficiency.select ~universe ~target_cols:m.Clio.Mapping.target_cols ())));
-    Test.make ~name:"illustration/universe"
-      (Staged.stage (fun () -> ignore (Clio.Mapping_eval.examples (Clio.Eval_ctx.transient db) m)));
+    arm "illustration/select" (fun () ->
+        ignore
+          (Clio.Sufficiency.select ~universe ~target_cols:m.Clio.Mapping.target_cols ()));
+    arm "illustration/universe" (fun () ->
+        ignore (Clio.Mapping_eval.examples (Clio.Eval_ctx.transient db) m));
   ]
 
 (* --- B4: walk enumeration --- *)
 
-let walk_tests =
+let walk_arms =
   List.map
     (fun (leaves, max_len) ->
       let inst = Synth.Gen_graph.star (seeded 11) ~leaves ~rows:10 () in
@@ -184,20 +204,18 @@ let walk_tests =
           ~target:"T" ~target_cols:[ "x" ] ()
       in
       let goal = Printf.sprintf "D%d" leaves in
-      Test.make
-        ~name:(Printf.sprintf "walk/leaves%d-len%d" leaves max_len)
-        (Staged.stage (fun () ->
-             ignore
-               (Clio.Op_walk.walk_alternatives ~kb:inst.Synth.Gen_graph.kb m ~start:"Fact"
-                  ~goal ~max_len ()))))
+      arm (Printf.sprintf "walk/leaves%d-len%d" leaves max_len) (fun () ->
+          ignore
+            (Clio.Op_walk.walk_alternatives ~kb:inst.Synth.Gen_graph.kb m ~start:"Fact"
+               ~goal ~max_len ())))
     [ (4, 2); (8, 2); (8, 3) ]
 
 (* --- B5: chase scans over the interned id columns --- *)
 
 let chase_sizes = if quick then [ 500; 2000 ] else [ 500; 2000; 8000 ]
 
-let chase_tests =
-  List.concat_map
+let chase_arms =
+  List.map
     (fun rows ->
       let inst = Synth.Gen_graph.chain (seeded 13) ~n:4 ~rows () in
       let db = inst.Synth.Gen_graph.db in
@@ -206,51 +224,49 @@ let chase_tests =
           ~graph:(Qgraph.singleton ~alias:"R1" ~base:"R1")
           ~target:"T" ~target_cols:[ "x" ] ()
       in
-      [
-        Test.make
-          ~name:(Printf.sprintf "chase/scan/rows%d" rows)
-          (Staged.stage (fun () ->
-               ignore
-                 (Clio.Op_chase.chase (Clio.Eval_ctx.transient db) m ~attr:(Attr.make "R1" "id")
-                    ~value:(Value.Int (rows / 2)))));
-      ])
+      arm (Printf.sprintf "chase/scan/rows%d" rows) (fun () ->
+          ignore
+            (Clio.Op_chase.chase (Clio.Eval_ctx.transient db) m ~attr:(Attr.make "R1" "id")
+               ~value:(Value.Int (rows / 2)))))
     chase_sizes
 
-(* --- B6: end-to-end mapping evaluation (paper database) --- *)
+(* --- B6: end-to-end mapping evaluation and illustration (paper
+   database) --- *)
 
-let mapping_tests =
+let mapping_arms =
   let db = Paperdata.Figure1.database in
   [
-    Test.make ~name:"mapping/eval-section2"
-      (Staged.stage (fun () ->
-           ignore (Clio.Mapping_eval.eval (Clio.Eval_ctx.transient db) Paperdata.Running.section2_mapping)));
-    Test.make ~name:"mapping/examples-fig9"
-      (Staged.stage (fun () ->
-           ignore (Clio.Mapping_eval.examples (Clio.Eval_ctx.transient db) Paperdata.Running.mapping)));
-    Test.make ~name:"mapping/sql-outer-join"
-      (Staged.stage (fun () ->
-           ignore
-             (Clio.Mapping_sql.outer_join ~root:"Children"
-                Paperdata.Running.section2_mapping)));
+    arm "mapping/eval-section2" (fun () ->
+        ignore
+          (Clio.Mapping_eval.eval (Clio.Eval_ctx.transient db)
+             Paperdata.Running.section2_mapping));
+    arm "mapping/examples-fig9" (fun () ->
+        ignore
+          (Clio.Mapping_eval.examples (Clio.Eval_ctx.transient db)
+             Paperdata.Running.mapping));
+    arm "mapping/sql-outer-join" (fun () ->
+        ignore
+          (Clio.Mapping_sql.outer_join ~root:"Children"
+             Paperdata.Running.section2_mapping));
+    arm "illustrate/paper" (fun () ->
+        ignore (Clio.illustrate (Clio.Eval_ctx.transient db) Paperdata.Running.mapping));
   ]
 
 (* --- B7: inclusion-dependency mining --- *)
 
 let mine_sizes = if quick then [ 200 ] else [ 200; 800 ]
 
-let mine_tests =
+let mine_arms =
   List.map
     (fun rows ->
       let inst = Synth.Gen_graph.star (seeded 17) ~leaves:5 ~rows () in
-      Test.make
-        ~name:(Printf.sprintf "mine/rows%d" rows)
-        (Staged.stage (fun () ->
-             ignore (Schemakb.Mine.inclusion_dependencies inst.Synth.Gen_graph.db))))
+      arm (Printf.sprintf "mine/rows%d" rows) (fun () ->
+          ignore (Schemakb.Mine.inclusion_dependencies inst.Synth.Gen_graph.db)))
     mine_sizes
 
 (* --- B8: illustration evolution after a walk --- *)
 
-let evolve_tests =
+let evolve_arms =
   let db = Paperdata.Figure1.database in
   let kb = Paperdata.Figure1.kb in
   let old_m = Paperdata.Running.mapping_g1 in
@@ -261,9 +277,10 @@ let evolve_tests =
       .Clio.Op_walk.mapping
   in
   [
-    Test.make ~name:"evolve/walk-extension"
-      (Staged.stage (fun () ->
-           ignore (Clio.Evolution.evolve (Clio.Eval_ctx.transient db) ~old_mapping:old_m ~old_illustration:old_ill new_m)));
+    arm "evolve/walk-extension" (fun () ->
+        ignore
+          (Clio.Evolution.evolve (Clio.Eval_ctx.transient db) ~old_mapping:old_m
+             ~old_illustration:old_ill new_m));
   ]
 
 (* --- B9: walk alternatives — shared-subgraph reuse in the engine cache ---
@@ -272,29 +289,35 @@ let evolve_tests =
    alternatives share the base graph's subgraphs (FJ tier), and rotating
    back to an alternative re-runs the exact same D(G) (DG tier).  Each
    run replays that loop inside one fresh context, cached vs no-cache —
-   the ablation of lib/engine. *)
+   the ablation of lib/engine.  Part 3's cache.* counters are the
+   hit/miss story behind the timing difference. *)
 
 let engine_walk_instance =
   Synth.Gen_graph.chain (seeded 37) ~n:3 ~rows:(if quick then 150 else 400)
     ~null_prob:0.25 ~orphan_prob:0.2 ()
 
-let engine_walk_mappings =
-  let inst = engine_walk_instance in
-  let m0 =
-    Clio.Mapping.make
-      ~graph:(Qgraph.singleton ~alias:"R1" ~base:"R1")
-      ~target:"T" ~target_cols:[ "c" ]
-      ~correspondences:[ Clio.Correspondence.identity "c" (Attr.make "R1" "id") ]
-      ()
-  in
+(* The mapping T(c) <- R1.id a chain session starts from. *)
+let r1_mapping =
+  Clio.Mapping.make
+    ~graph:(Qgraph.singleton ~alias:"R1" ~base:"R1")
+    ~target:"T" ~target_cols:[ "c" ]
+    ~correspondences:[ Clio.Correspondence.identity "c" (Attr.make "R1" "id") ]
+    ()
+
+(* [r1_mapping] and its walk alternatives from R1 to each goal within
+   [max_len] steps. *)
+let chain_walk_mappings (inst : Synth.Gen_graph.instance) ~max_len goals =
   let alts goal =
-    Clio.Op_walk.walk_alternatives ~kb:inst.Synth.Gen_graph.kb m0 ~start:"R1" ~goal
-      ~max_len:2 ()
+    Clio.Op_walk.walk_alternatives ~kb:inst.Synth.Gen_graph.kb r1_mapping
+      ~start:"R1" ~goal ~max_len ()
     |> List.map (fun (a : Clio.Op_walk.alternative) -> a.Clio.Op_walk.mapping)
   in
-  (* R1, R1-R2, R1-R2-R3: the alternatives overlap pairwise, so the FJ
-     tier shares their common induced subgraphs across mappings. *)
-  m0 :: (alts "R2" @ alts "R3")
+  r1_mapping :: List.concat_map alts goals
+
+(* R1, R1-R2, R1-R2-R3: the alternatives overlap pairwise, so the FJ tier
+   shares their common induced subgraphs across mappings. *)
+let engine_walk_mappings =
+  chain_walk_mappings engine_walk_instance ~max_len:2 [ "R2"; "R3" ]
 
 let engine_walk_replay ~no_cache () =
   let inst = engine_walk_instance in
@@ -312,14 +335,6 @@ let engine_walk_replay ~no_cache () =
       (fun m -> ignore (Clio.Mapping_eval.target_view ctx m))
       engine_walk_mappings
   done
-
-let engine_walk_tests =
-  [
-    Test.make ~name:"engine/walk-reuse/cached"
-      (Staged.stage (engine_walk_replay ~no_cache:false));
-    Test.make ~name:"engine/walk-reuse/no-cache"
-      (Staged.stage (engine_walk_replay ~no_cache:true));
-  ]
 
 (* --- B10: session replay — offer/rotate/confirm through Workspace --- *)
 
@@ -341,12 +356,12 @@ let engine_session_replay ~no_cache () =
   done;
   ignore (Clio.Workspace.render (Clio.Workspace.confirm !ws))
 
-let engine_session_tests =
+let engine_cache_arms =
   [
-    Test.make ~name:"engine/session-replay/cached"
-      (Staged.stage (engine_session_replay ~no_cache:false));
-    Test.make ~name:"engine/session-replay/no-cache"
-      (Staged.stage (engine_session_replay ~no_cache:true));
+    arm "engine/walk-reuse/cached" (engine_walk_replay ~no_cache:false);
+    arm "engine/walk-reuse/no-cache" (engine_walk_replay ~no_cache:true);
+    arm "engine/session-replay/cached" (engine_session_replay ~no_cache:false);
+    arm "engine/session-replay/no-cache" (engine_session_replay ~no_cache:true);
   ]
 
 (* --- B15: example-edit replay — incremental maintenance ablation ---
@@ -357,42 +372,30 @@ let engine_session_tests =
    D(G) is maintained (Workspace evolves each entry's illustration) and
    the active target view re-renders (WYSIWYG).  Each run warms one
    caching context, then replays a burst of single-tuple inserts with a
-   refresh after each.  Both arms keep the memo cache on: every edit bumps
-   the database version, so with --no-incremental the whole cache strands
-   and each refresh re-evaluates from scratch, while the incremental arm
-   repairs the cached F(J)/D(G) entries through the recorded delta chain.
-   (Illustration selection, the other per-edit cost of the full Workspace
-   path, is version-independent and benchmarked separately — B8/B11.) *)
+   refresh after each.  The incremental arm keeps its context across the
+   edits and repairs the cached F(J)/D(G) entries through the recorded
+   delta chain; the no-incremental arm starts a fresh context per edit —
+   the work a kept cache does once every edit has bumped the database
+   version and stranded it — so each refresh re-evaluates from scratch.
+   Part 3's cache.promote.* / delta.* counters are the promotion story
+   behind the timings.  (Illustration selection, the other per-edit cost
+   of the full Workspace path, is version-independent and benchmarked
+   separately — B8/B11.) *)
 
 let engine_edit_instance =
   Synth.Gen_graph.chain (seeded 47) ~n:4 ~rows:(if quick then 150 else 400)
     ~null_prob:0.25 ~orphan_prob:0.2 ()
 
+(* The session's walk alternatives R1, R1-R2, R1-R2-R3, R1-R2-R3-R4
+   overlap pairwise, so the FJ tier shares promoted subgraphs too. *)
 let engine_edit_mappings =
-  (* The session's walk alternatives R1, R1-R2, R1-R2-R3, R1-R2-R3-R4
-     overlap pairwise, so the FJ tier shares promoted subgraphs too. *)
-  let inst = engine_edit_instance in
-  let m0 =
-    Clio.Mapping.make
-      ~graph:(Qgraph.singleton ~alias:"R1" ~base:"R1")
-      ~target:"T" ~target_cols:[ "c" ]
-      ~correspondences:[ Clio.Correspondence.identity "c" (Attr.make "R1" "id") ]
-      ()
-  in
-  let alts goal =
-    Clio.Op_walk.walk_alternatives ~kb:inst.Synth.Gen_graph.kb m0 ~start:"R1" ~goal
-      ~max_len:3 ()
-    |> List.map (fun (a : Clio.Op_walk.alternative) -> a.Clio.Op_walk.mapping)
-  in
-  m0 :: (alts "R2" @ alts "R3" @ alts "R4")
-
-let engine_edit_count = if quick then 6 else 8
+  chain_walk_mappings engine_edit_instance ~max_len:3 [ "R2"; "R3"; "R4" ]
 
 let engine_edit_tuples =
   (* Fresh ids far beyond the generator's key space (so every edit really
      inserts); the FK points at an existing R2 id, so each edit extends the
      join result, not just the base relation. *)
-  List.init engine_edit_count (fun i ->
+  List.init (if quick then 6 else 8) (fun i ->
       [|
         Value.Int (1_000_000 + i);
         Value.String (Printf.sprintf "edit-%d" i);
@@ -401,11 +404,8 @@ let engine_edit_tuples =
 
 let engine_edit_replay ~incremental () =
   let inst = engine_edit_instance in
-  let ctx =
-    ref
-      (Clio.Eval_ctx.create ~incremental ~kb:inst.Synth.Gen_graph.kb
-         inst.Synth.Gen_graph.db)
-  in
+  let context db = Clio.Eval_ctx.create ~kb:inst.Synth.Gen_graph.kb db in
+  let ctx = ref (context inst.Synth.Gen_graph.db) in
   let active = List.hd (List.rev engine_edit_mappings) in
   let refresh () =
     List.iter
@@ -416,69 +416,64 @@ let engine_edit_replay ~incremental () =
   refresh ();
   List.iter
     (fun t ->
-      ctx :=
-        Clio.Eval_ctx.with_db !ctx
-          (Database.insert_tuples (Clio.Eval_ctx.db !ctx) "R1" [ t ]);
+      let db = Database.insert_tuples (Clio.Eval_ctx.db !ctx) "R1" [ t ] in
+      ctx := if incremental then Clio.Eval_ctx.with_db !ctx db else context db;
       refresh ())
     engine_edit_tuples
 
 (* The served edit: [Workspace.add_tuples] on a session that has walked
    R1 to R3 over a 2000-row 3-chain and confirmed the walk, as the
-   server's chain-edit sessions do.  One call inserts one fresh R1 row,
-   repairs the cached D(G) and evolves the illustration onto it.  A
-   session is built once, outside the timings; every run inserts a key
-   no earlier run on that session used.  The timed runs and the counted
-   runs (part 3) edit separate sessions, so the counters do not depend on
-   how many runs Bechamel made. *)
+   server's chain-edit sessions do.  One run inserts one fresh R1 row,
+   repairs the cached D(G) and evolves the illustration onto it.  Each
+   consumer of the arm edits its own session, built by [start]; every run
+   inserts a key no earlier run on that session used. *)
 let workspace_session () =
   let inst =
     Synth.Gen_graph.chain (seeded 59) ~n:3 ~rows:2000 ~null_prob:0.25
       ~orphan_prob:0.2 ()
   in
   let ctx =
-    Clio.Eval_ctx.create ~incremental:true ~jobs:1 ~kb:inst.Synth.Gen_graph.kb
+    Clio.Eval_ctx.create ~jobs:1 ~kb:inst.Synth.Gen_graph.kb
       inst.Synth.Gen_graph.db
   in
-  let m0 =
-    Clio.Mapping.make
-      ~graph:(Qgraph.singleton ~alias:"R1" ~base:"R1")
-      ~target:"T" ~target_cols:[ "c" ]
-      ~correspondences:[ Clio.Correspondence.identity "c" (Attr.make "R1" "id") ]
-      ()
+  let alts =
+    Clio.Op_walk.data_walk ctx r1_mapping ~start:"R1" ~goal:"R3" ~max_len:3 ()
   in
-  let alts = Clio.Op_walk.data_walk ctx m0 ~start:"R1" ~goal:"R3" ~max_len:3 () in
   let ws =
-    Clio.Workspace.offer (Clio.Workspace.create ctx m0)
+    Clio.Workspace.offer (Clio.Workspace.create ctx r1_mapping)
       (List.map (fun (a : Clio.Op_walk.alternative) -> a.Clio.Op_walk.mapping) alts)
   in
   Clio.Workspace.confirm ws
 
-type edit_session = { mutable ws : Clio.Workspace.t; mutable edits : int }
+let workspace_edits () =
+  let ws = ref (workspace_session ()) and edits = ref 0 in
+  fun () ->
+    incr edits;
+    let key = 2_000_000 + !edits in
+    ws :=
+      Clio.Workspace.add_tuples !ws "R1"
+        [
+          [|
+            Value.Int key;
+            Value.String (Printf.sprintf "edit-%d" key);
+            Value.Int (key mod 2000);
+          |];
+        ]
 
-let edit_session () = { ws = workspace_session (); edits = 0 }
-let timed_edits = lazy (edit_session ())
-let counted_edits = lazy (edit_session ())
+let engine_edit_arms =
+  [
+    arm "engine/example-edit/incremental" (engine_edit_replay ~incremental:true);
+    arm "engine/example-edit/no-incremental"
+      (engine_edit_replay ~incremental:false);
+    { name = "engine/example-edit/workspace"; start = workspace_edits };
+  ]
 
-let workspace_edit session () =
-  let s = Lazy.force session in
-  s.edits <- s.edits + 1;
-  let key = 2_000_000 + s.edits in
-  s.ws <-
-    Clio.Workspace.add_tuples s.ws "R1"
-      [
-        [|
-          Value.Int key;
-          Value.String (Printf.sprintf "edit-%d" key);
-          Value.Int (key mod 2000);
-        |];
-      ]
-
-(* --- render/digest: the served evaluate's digest ---
+(* --- B20 render/digest: the served evaluate's digest ---
 
    [Render.digest] over the D(G) of a fresh B15 workspace session, the
-   4273-row, 346 KB table a served chain-edit evaluate hashes.  Part 3
-   prints its minor and major words per digest: a warm digest renders
-   into its domain's kept buffer, so neither grows with the text. *)
+   4273-row, 346 KB table a served chain-edit evaluate hashes.  Part 3's
+   minor and major words are one warm digest's: it renders into its
+   domain's kept buffer, so neither grows with the text. *)
 let render_dg =
   lazy
     (let ws = workspace_session () in
@@ -486,10 +481,8 @@ let render_dg =
        (Clio.Mapping_eval.data_associations (Clio.Workspace.ctx ws)
           (Clio.Workspace.active ws).Clio.Workspace.mapping))
 
-let render_digest () = ignore (Render.digest (Lazy.force render_dg))
-let render_digest_runs = 20
-
-let render_tests = [ Test.make ~name:"render/digest" (Staged.stage render_digest) ]
+let render_arms =
+  [ arm_on render_dg "render/digest" (fun dg () -> ignore (Render.digest dg)) ]
 
 (* --- B22: a cold offer, the first step of a served chain-explore cycle ---
 
@@ -501,13 +494,11 @@ let render_tests = [ Test.make ~name:"render/digest" (Staged.stage render_digest
    served offer does when its D(G)s miss.  [core/illustration-select]
    times the last step alone: greedy selection over the examples of the
    first alternative. *)
-let b22_rows = if quick then 1000 else 4000
-
 let b22_session =
   lazy
     (let inst =
-       Synth.Gen_graph.chain (seeded 61) ~n:3 ~rows:b22_rows ~null_prob:0.25
-         ~orphan_prob:0.2 ()
+       Synth.Gen_graph.chain (seeded 61) ~n:3 ~rows:(if quick then 1000 else 4000)
+         ~null_prob:0.25 ~orphan_prob:0.2 ()
      in
      let ctx =
        Clio.Eval_ctx.create ~no_cache:true ~jobs:1 ~kb:inst.Synth.Gen_graph.kb
@@ -516,7 +507,6 @@ let b22_session =
      Clio.Workspace.create ctx (Version.Scenario.rooted_mapping ~root:"R1"))
 
 let b22_offer = Version.Op.Offer { start = "R1"; goal = "R3"; max_len = 3 }
-let offer_cold () = ignore (Version.Op.apply (Lazy.force b22_session) b22_offer)
 
 let b22_universe =
   lazy
@@ -525,24 +515,13 @@ let b22_universe =
      ( Clio.Mapping_eval.examples (Clio.Workspace.ctx ws) m,
        m.Clio.Mapping.target_cols ))
 
-let illustration_select () =
-  let universe, target_cols = Lazy.force b22_universe in
-  ignore (Clio.Sufficiency.select ~universe ~target_cols ())
-
-let offer_tests =
+let offer_arms =
   [
-    Test.make ~name:"engine/offer-cold" (Staged.stage offer_cold);
-    Test.make ~name:"core/illustration-select" (Staged.stage illustration_select);
-  ]
-
-let engine_edit_tests =
-  [
-    Test.make ~name:"engine/example-edit/incremental"
-      (Staged.stage (engine_edit_replay ~incremental:true));
-    Test.make ~name:"engine/example-edit/no-incremental"
-      (Staged.stage (engine_edit_replay ~incremental:false));
-    Test.make ~name:"engine/example-edit/workspace"
-      (Staged.stage (workspace_edit timed_edits));
+    arm_on b22_session "engine/offer-cold" (fun ws () ->
+        ignore (Version.Op.apply ws b22_offer));
+    arm_on b22_universe "core/illustration-select"
+      (fun (universe, target_cols) () ->
+        ignore (Clio.Sufficiency.select ~universe ~target_cols ()));
   ]
 
 (* --- B16: server loadgen — the multi-session service under scripted
@@ -556,7 +535,8 @@ let engine_edit_tests =
    the warm arm reuses one persistent registry across runs, so every
    session's pre-insert evaluations hit entries left by earlier runs at
    the scenario's shared base version — the memo sharing a long-lived
-   server exists to provide. *)
+   server exists to provide.  Part 3's cache.* counters show the warm
+   substrate absorbing the cold arm's misses. *)
 
 let b16_spec =
   {
@@ -567,88 +547,68 @@ let b16_spec =
     keep_open = false;
   }
 
-let server_loadgen_cold () =
-  let service = Server.Service.create (Server.Registry.create ~jobs:1 ()) in
+let b16_service () = Server.Service.create (Server.Registry.create ~jobs:1 ())
+
+let b16_run service () =
   ignore (Server.Loadgen.run_inprocess ~verify:false service b16_spec)
-
-let server_warm_service =
-  lazy (Server.Service.create (Server.Registry.create ~jobs:1 ()))
-
-let server_loadgen_warm () =
-  ignore
-    (Server.Loadgen.run_inprocess ~verify:false
-       (Lazy.force server_warm_service)
-       b16_spec)
 
 (* Telemetry arm: the warm substrate again, but with the request plane
    fully armed — Obs on, every request running inside an Obs.Scope
    (counter snapshot + captured span subtree) and leaving one JSONL line
    in an event log.  Against the plain warm arm this prices the
    observability tax the telemetry-smoke CI job gates at 5% on p50. *)
-let server_warm_telemetry_service =
-  lazy
-    (let service = Server.Service.create (Server.Registry.create ~jobs:1 ()) in
-     let log =
-       Obs.Event_log.create ~level:Obs.Event_log.Info
-         (Filename.temp_file "clio_bench_telemetry" ".log")
-     in
-     Server.Service.set_telemetry service (Server.Telemetry.create ~log ());
-     service)
+let telemetry_service () =
+  let service = b16_service () in
+  let file = Filename.temp_file "clio_bench_telemetry" ".log" in
+  at_exit (fun () -> try Sys.remove file with Sys_error _ -> ());
+  let log = Obs.Event_log.create ~level:Obs.Event_log.Info file in
+  Server.Service.set_telemetry service (Server.Telemetry.create ~log ());
+  service
 
-let server_loadgen_telemetry () =
-  (* Leave the switch as found: the timing harness runs with Obs off, the
-     counter harness with Obs on and a live workload span. *)
+(* Run [f] with observability on, leaving the switch as found: part 2
+   times with Obs off, part 3 counts with Obs on and a live workload
+   span. *)
+let with_obs f =
   let was_enabled = Obs.enabled () in
   if not was_enabled then Obs.enable ();
-  Fun.protect
-    ~finally:(fun () -> if not was_enabled then Obs.disable ())
-    (fun () ->
-      ignore
-        (Server.Loadgen.run_inprocess ~verify:false
-           (Lazy.force server_warm_telemetry_service)
-           b16_spec))
+  Fun.protect ~finally:(fun () -> if not was_enabled then Obs.disable ()) f
 
-let server_tests =
+let server_arms =
   [
-    Test.make ~name:"server/loadgen/cold" (Staged.stage server_loadgen_cold);
-    Test.make ~name:"server/loadgen/warm" (Staged.stage server_loadgen_warm);
-    Test.make ~name:"server/loadgen/telemetry"
-      (Staged.stage server_loadgen_telemetry);
+    arm "server/loadgen/cold" (fun () -> b16_run (b16_service ()) ());
+    { name = "server/loadgen/warm"; start = (fun () -> b16_run (b16_service ())) };
+    {
+      name = "server/loadgen/telemetry";
+      start =
+        (fun () ->
+          let run = b16_run (telemetry_service ()) in
+          fun () -> with_obs run);
+    };
   ]
 
 (* --- B11: illustration at scale — full universe vs sampled slice --- *)
 
-let sampling_tests =
+let sampling_arms =
   let inst =
     Synth.Gen_graph.chain (seeded 23) ~n:3 ~rows:4000 ~null_prob:0.2 ~orphan_prob:0.15 ()
   in
   let db = inst.Synth.Gen_graph.db in
-  let aliases = Qgraph.aliases inst.Synth.Gen_graph.graph in
-  let m =
-    Clio.Mapping.make ~graph:inst.Synth.Gen_graph.graph ~target:"T"
-      ~target_cols:(List.map (fun a -> "c_" ^ a) aliases)
-      ~correspondences:
-        (List.map
-           (fun a -> Clio.Correspondence.identity ("c_" ^ a) (Attr.make a "id"))
-           aliases)
-      ()
-  in
+  let m = identity_mapping inst in
   [
-    Test.make ~name:"sampling/full-illustrate"
-      (Staged.stage (fun () ->
-           let universe = Clio.Mapping_eval.examples (Clio.Eval_ctx.transient db) m in
-           ignore
-             (Clio.Sufficiency.select ~universe
-                ~target_cols:m.Clio.Mapping.target_cols ())));
-    Test.make ~name:"sampling/sliced-illustrate"
-      (Staged.stage (fun () ->
-           ignore (Clio.Sampling.illustrate_sampled ~seed:3 ~per_relation:12 (Clio.Eval_ctx.transient db) m)));
+    arm "sampling/full-illustrate" (fun () ->
+        let universe = Clio.Mapping_eval.examples (Clio.Eval_ctx.transient db) m in
+        ignore
+          (Clio.Sufficiency.select ~universe ~target_cols:m.Clio.Mapping.target_cols ()));
+    arm "sampling/sliced-illustrate" (fun () ->
+        ignore
+          (Clio.Sampling.illustrate_sampled ~seed:3 ~per_relation:12
+             (Clio.Eval_ctx.transient db) m));
   ]
 
 (* --- B12: the hash join against its nested-loop oracle, and attribute
    matching --- *)
 
-let join_impl_tests =
+let join_arms =
   let st = seeded 29 in
   let mk name rows =
     Relation.create name
@@ -658,49 +618,34 @@ let join_impl_tests =
   in
   let l = mk "L" 3000 and r = mk "R" 3000 in
   let p = Predicate.eq_cols (Attr.make "L" "k") (Attr.make "R" "k") in
+  let l2 = mk "L2" 600 and r2 = mk "R2" 600 in
+  let p2 = Predicate.eq_cols (Attr.make "L2" "k") (Attr.make "R2" "k") in
   [
-    Test.make ~name:"join/hash/3000"
-      (Staged.stage (fun () -> ignore (Algebra.join p l r)));
-    Test.make ~name:"join/nested-loop/600"
-      (let l = mk "L2" 600 and r = mk "R2" 600 in
-       let p = Predicate.eq_cols (Attr.make "L2" "k") (Attr.make "R2" "k") in
-       Staged.stage (fun () -> ignore (Algebra.join_nested_loop p l r)));
-  ]
-
-let match_tests =
-  let db = Paperdata.Figure1.database in
-  [
-    Test.make ~name:"match/kids-columns"
-      (Staged.stage (fun () ->
-           ignore
-             (Schemakb.Match.suggest db
-                ~target_cols:[ "ID"; "name"; "affiliation"; "contactPh"; "BusSchedule" ])));
+    arm "join/hash/3000" (fun () -> ignore (Algebra.join p l r));
+    arm "join/nested-loop/600" (fun () -> ignore (Algebra.join_nested_loop p2 l2 r2));
+    arm "match/kids-columns" (fun () ->
+        ignore
+          (Schemakb.Match.suggest Paperdata.Figure1.database
+             ~target_cols:[ "ID"; "name"; "affiliation"; "contactPh"; "BusSchedule" ]));
   ]
 
 (* --- B13: static category pruning (required aliases) --- *)
 
-let pruning_tests =
+let pruning_arms =
   let inst =
     Synth.Gen_graph.star (seeded 31) ~leaves:4 ~rows:200 ~null_prob:0.25
       ~orphan_prob:0.2 ()
   in
   let db = inst.Synth.Gen_graph.db in
-  let aliases = Qgraph.aliases inst.Synth.Gen_graph.graph in
   let m =
-    Clio.Mapping.make ~graph:inst.Synth.Gen_graph.graph ~target:"T"
-      ~target_cols:(List.map (fun a -> "c_" ^ a) aliases)
-      ~correspondences:
-        (List.map
-           (fun a -> Clio.Correspondence.identity ("c_" ^ a) (Attr.make a "id"))
-           aliases)
+    identity_mapping inst
       ~target_filters:[ Predicate.Is_not_null (Expr.col "T" "c_Fact") ]
-      ()
   in
   [
-    Test.make ~name:"pruning/full-eval"
-      (Staged.stage (fun () -> ignore (Clio.Mapping_eval.eval (Clio.Eval_ctx.transient db) m)));
-    Test.make ~name:"pruning/pruned-eval"
-      (Staged.stage (fun () -> ignore (Clio.Mapping_analysis.eval_pruned (Clio.Eval_ctx.transient db) m)));
+    arm "pruning/full-eval" (fun () ->
+        ignore (Clio.Mapping_eval.eval (Clio.Eval_ctx.transient db) m));
+    arm "pruning/pruned-eval" (fun () ->
+        ignore (Clio.Mapping_analysis.eval_pruned (Clio.Eval_ctx.transient db) m));
   ]
 
 (* --- B14: parallel evaluation — domain-pool ablation (jobs=1 vs jobs=4) ---
@@ -713,7 +658,7 @@ let pruning_tests =
    `--require-faster par/jobs4 par/jobs1 1.5` gate when the runner
    reports 2+ cores. *)
 
-let par_tests =
+let par_arms =
   let inst =
     Synth.Gen_graph.star (seeded 41) ~leaves:4 ~rows:(if quick then 100 else 250)
       ~null_prob:0.25 ~orphan_prob:0.2 ()
@@ -724,10 +669,7 @@ let par_tests =
     let src = Fulldisj.Source.with_pool (Par.get_pool ~jobs) (Fulldisj.Source.of_db db) in
     ignore (Fulldisj.Full_disjunction.naive src g)
   in
-  [
-    Test.make ~name:"par/jobs1" (Staged.stage (eval 1));
-    Test.make ~name:"par/jobs4" (Staged.stage (eval 4));
-  ]
+  [ arm "par/jobs1" (eval 1); arm "par/jobs4" (eval 4) ]
 
 (* --- B17: columnar data plane — million-tuple full disjunction +
    subsumption ---
@@ -735,17 +677,17 @@ let par_tests =
    A three-relation FK chain built column-natively (interned int keys
    plus a string payload per relation), evaluated end to end through
    [Full_disjunction.compute_relation]: per-category joins, padded
-   union, min-union subsumption sweep, canonical order. *)
-
-let b17_rows = if quick then 120_000 else 350_000
+   union, min-union subsumption sweep, canonical order.  Part 3 counts
+   the hash probes, subsumption checks and index probes of the pipeline. *)
 
 let b17_instance =
   lazy
     (let st = seeded 53 in
+     let rows = if quick then 120_000 else 350_000 in
      let names = [ "A"; "B"; "C" ] in
      let db =
-       Synth.Gen_db.columnar_chain_db st ~names ~rows:b17_rows
-         ~payload_domain:(b17_rows / 4) ~null_prob:0.2 ()
+       Synth.Gen_db.columnar_chain_db st ~names ~rows ~payload_domain:(rows / 4)
+         ~null_prob:0.2 ()
      in
      let edges = [ ("A", "B"); ("B", "C") ] in
      let graph =
@@ -758,14 +700,13 @@ let b17_instance =
      in
      (db, graph))
 
-let b17_eval () =
-  let db, g = Lazy.force b17_instance in
-  ignore
-    (Fulldisj.Full_disjunction.compute_relation (Fulldisj.Source.of_db db) g
-       ~categories:(Querygraph.Subgraphs.connected_node_sets g))
-
-let colplane_tests =
-  [ Test.make ~name:"colplane/columnar" (Staged.stage b17_eval) ]
+let colplane_arms =
+  [
+    arm_on b17_instance "colplane/columnar" (fun (db, g) () ->
+        ignore
+          (Fulldisj.Full_disjunction.compute_relation (Fulldisj.Source.of_db db) g
+             ~categories:(Querygraph.Subgraphs.connected_node_sets g)));
+  ]
 
 (* --- B18: branching version store — warm-restart vs cold-restart
    ablation ---
@@ -781,9 +722,6 @@ let colplane_tests =
    each branch from scratch.  The counter table and headline check the
    promotions fire and the per-branch digests match byte-for-byte. *)
 
-let b18_rows = if quick then 400 else 2000
-let b18_branches = 6
-
 let b18_store_dir =
   lazy
     (let dir = Filename.temp_file "clio_b18_store" "" in
@@ -791,10 +729,10 @@ let b18_store_dir =
      let registry = Server.Registry.create ~jobs:1 () in
      let session =
        Server.Registry.open_session registry
-         (Server.Protocol.Chain { n = 3; rows = b18_rows; seed = 7 })
+         (Server.Protocol.Chain { n = 3; rows = (if quick then 400 else 2000); seed = 7 })
      in
      let store = session.Server.Registry.store in
-     for k = 1 to b18_branches do
+     for k = 1 to 6 do
        let name = Printf.sprintf "fork-%d" k in
        ignore (Version.Store.branch store ~from:Version.Store.main name);
        ignore
@@ -815,8 +753,7 @@ let b18_store_dir =
      Server.Registry.persist registry ~dir;
      dir)
 
-let b18_digests ~warm () =
-  let dir = Lazy.force b18_store_dir in
+let b18_digests ~warm dir =
   let registry = Server.Registry.create ~jobs:1 ~no_cache:(not warm) () in
   ignore (Server.Registry.restore registry ~dir);
   let stores =
@@ -845,12 +782,12 @@ let b18_digests ~warm () =
         (Version.Store.branch_names store))
     stores
 
-let restart_tests =
+let restart_arms =
   [
-    Test.make ~name:"version/restart/warm"
-      (Staged.stage (fun () -> ignore (b18_digests ~warm:true ())));
-    Test.make ~name:"version/restart/cold"
-      (Staged.stage (fun () -> ignore (b18_digests ~warm:false ())));
+    arm_on b18_store_dir "version/restart/warm" (fun dir () ->
+        ignore (b18_digests ~warm:true dir));
+    arm_on b18_store_dir "version/restart/cold" (fun dir () ->
+        ignore (b18_digests ~warm:false dir));
   ]
 
 (* --- B19: concurrent request execution — socket throughput, workers=4
@@ -933,41 +870,27 @@ let b19_spawn workers =
 let b19_server_w1 = lazy (b19_spawn 1)
 let b19_server_w4 = lazy (b19_spawn 4)
 
-let b19_burst server () =
+let b19_burst path () =
   ignore
     (Server.Loadgen.run_socket ~verify:false
-       ~address:(Server.Loop.Unix_path (Lazy.force server))
-       b19_spec)
+       ~address:(Server.Loop.Unix_path path) b19_spec)
 
-let socket_workers_tests =
+let socket_arms =
   [
-    Test.make ~name:"server/socket/workers1"
-      (Staged.stage (b19_burst b19_server_w1));
-    Test.make ~name:"server/socket/workers4"
-      (Staged.stage (b19_burst b19_server_w4));
+    arm_on b19_server_w1 "server/socket/workers1" b19_burst;
+    arm_on b19_server_w4 "server/socket/workers4" b19_burst;
   ]
 
-let all_tests =
-  minunion_tests @ fulldisj_tests @ illustration_tests @ walk_tests @ chase_tests
-  @ mapping_tests @ mine_tests @ evolve_tests @ engine_walk_tests
-  @ engine_session_tests @ engine_edit_tests @ render_tests @ server_tests @ sampling_tests
-  @ join_impl_tests @ match_tests @ pruning_tests @ par_tests @ colplane_tests
-  @ restart_tests @ socket_workers_tests @ offer_tests
+let arms =
+  minunion_arms @ fulldisj_arms @ illustration_arms @ walk_arms @ chase_arms
+  @ mapping_arms @ mine_arms @ evolve_arms @ engine_cache_arms
+  @ engine_edit_arms @ render_arms @ server_arms @ sampling_arms @ join_arms
+  @ pruning_arms @ par_arms @ colplane_arms @ restart_arms @ socket_arms
+  @ offer_arms
 
-(* --- running and reporting --- *)
+(* --- part 2: timings --- *)
 
 let run_benchmarks () =
-  (* Data generation must not be charged to the first timed run of the
-     arm that happens to force it (at CI quotas that's the only run). *)
-  ignore (Lazy.force b17_instance);
-  ignore (Lazy.force b18_store_dir);
-  render_digest ();
-  ignore (Lazy.force b22_universe);
-  ignore (Lazy.force timed_edits);
-  (* Server spawn + verified priming burst must not be charged to the
-     first timed B19 run either. *)
-  ignore (Lazy.force b19_server_w1);
-  ignore (Lazy.force b19_server_w4);
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -977,22 +900,16 @@ let run_benchmarks () =
       ~quota:(Time.second (if quick then 0.1 else 0.5))
       ~stabilize:false ()
   in
-  let results = ref [] in
-  List.iter
-    (fun test ->
-      let raw = Benchmark.all cfg [ instance ] test in
-      let anl = Analyze.all ols instance raw in
-      Hashtbl.iter
-        (fun name ols_result ->
-          let ns =
-            match Analyze.OLS.estimates ols_result with
-            | Some (e :: _) -> e
-            | _ -> nan
-          in
-          results := (name, ns) :: !results)
-        anl)
-    all_tests;
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) !results in
+  let time a =
+    let test = Test.make ~name:a.name (Staged.stage (a.start ())) in
+    let anl = Analyze.all ols instance (Benchmark.all cfg [ instance ] test) in
+    match Option.bind (Hashtbl.find_opt anl a.name) Analyze.OLS.estimates with
+    | Some (e :: _) -> (a.name, e)
+    | _ -> (a.name, nan)
+  in
+  let sorted =
+    List.map time arms |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
   let pretty ns =
     if Float.is_nan ns then "n/a"
     else if ns > 1e9 then Printf.sprintf "%8.2f s " (ns /. 1e9)
@@ -1005,15 +922,15 @@ let run_benchmarks () =
   List.iter (fun (name, ns) -> Printf.printf "%-32s %12s\n" name (pretty ns)) sorted;
   sorted
 
-(* --- measured workloads (part 3) ---
+(* --- part 3: counts ---
 
-   Each workload runs exactly once with observability on, under a root
-   span, capturing (a) the operator counters — exact operation counts,
-   independent of machine noise, (b) the GC allocation delta of the whole
-   workload, and (c) the span-duration histograms with percentiles.  The
-   printed tables and the bench JSON document both read from this one
-   registry, so a workload never runs twice.  Counter keys come from
-   Obs.Names, the same authoritative list the pipeline increments. *)
+   Each arm runs once untimed and once more with observability
+   on, under a root span, capturing (a) the operator counters — exact
+   operation counts, independent of machine noise, (b) the GC
+   allocation delta of the run, and (c) the span-duration histograms
+   with percentiles.  The printed tables and the bench JSON document
+   both read these measurements.  Counter keys come from Obs.Names, the
+   same authoritative list the pipeline increments. *)
 
 type measurement = {
   counters : (string * int) list;
@@ -1021,228 +938,39 @@ type measurement = {
   alloc : Obs.Span.alloc;
 }
 
-let measured : (string * measurement) list ref = ref []
+let no_alloc = { Obs.Span.minor_words = 0.; major_words = 0.; promoted_words = 0. }
 
-let measure name f =
+let measure a =
+  let run = a.start () in
+  run ();
   Obs.enable ();
   Obs.reset ();
-  Obs.Span.with_span "workload" (fun () -> ignore (f ()));
+  Obs.Span.with_span "workload" run;
   let snap = Obs.Metrics.(nonzero (snapshot ())) in
   let alloc =
     match Obs.finished_spans () with
     | [ root ] -> Obs.Span.alloc root
-    | _ ->
-        { Obs.Span.minor_words = 0.; major_words = 0.; promoted_words = 0. }
+    | _ -> no_alloc
   in
   Obs.disable ();
   Obs.reset ();
-  measured :=
-    ( name,
-      {
-        counters = snap.Obs.Metrics.counters;
-        hists =
-          (* The synthetic root would otherwise pollute the per-span data. *)
-          List.filter
-            (fun (n, _) -> n <> "span.workload")
-            snap.Obs.Metrics.histograms;
-        alloc;
-      } )
-    :: !measured
+  ( a.name,
+    {
+      counters = snap.Obs.Metrics.counters;
+      hists =
+        (* The synthetic root would otherwise pollute the per-span data. *)
+        List.filter (fun (n, _) -> n <> "span.workload") snap.Obs.Metrics.histograms;
+      alloc;
+    } )
 
-let measurement_of name =
-  match List.assoc_opt name !measured with
-  | Some m -> m
-  | None ->
-      {
-        counters = [];
-        hists = [];
-        alloc = { Obs.Span.minor_words = 0.; major_words = 0.; promoted_words = 0. };
-      }
+let run_measurements () = List.map measure arms
 
-let counter name c =
-  match
-    List.assoc_opt (Obs.Counter.name c) (measurement_of name).counters
-  with
-  | Some v -> v
-  | None -> 0
-
-(* The instrumented workload list, covering B1–B10 and B15.  Names are
-   stable: they
-   key the printed tables, the "workloads" section of the bench JSON, and
-   therefore the baseline comparisons across commits. *)
-let workloads : (string * (unit -> unit)) list =
-  (* B1: subsumption removal, per algorithm and size. *)
-  List.concat_map
-    (fun size ->
-      let tuples = minunion_input size in
-      let rel = minunion_relation tuples in
-      [
-        ( Printf.sprintf "minunion/naive/%d" size,
-          fun () -> ignore (Fulldisj.Min_union.remove_subsumed_naive tuples) );
-        ( Printf.sprintf "minunion/sweep/%d" size,
-          fun () -> ignore (Fulldisj.Min_union.sweep rel) );
-      ])
-    minunion_sizes
-  (* B2: full disjunction, per algorithm and chain shape. *)
-  @ List.concat_map
-      (fun (n, rows) ->
-        let inst =
-          Synth.Gen_graph.chain (seeded 7) ~n ~rows ~null_prob:0.25
-            ~orphan_prob:0.2 ()
-        in
-        let lookup = Database.find inst.Synth.Gen_graph.db in
-        let g = inst.Synth.Gen_graph.graph in
-        List.map
-          (fun (name, f) ->
-            (Printf.sprintf "fulldisj/%s/n%d-r%d" name n rows, fun () -> f ~lookup g))
-          [
-            ( "naive",
-              fun ~lookup g -> ignore (Fulldisj.Full_disjunction.naive (Fulldisj.Source.of_fn lookup) g) );
-            ( "indexed",
-              fun ~lookup g -> ignore (Fulldisj.Full_disjunction.compute (Fulldisj.Source.of_fn lookup) g)
-            );
-            ( "outerjoin",
-              fun ~lookup g ->
-                ignore (Fulldisj.Outerjoin_plan.full_disjunction (Fulldisj.Source.of_fn lookup) g) );
-          ])
-      fulldisj_configs
-  (* B3/B6: end-to-end illustration on the paper mapping. *)
-  @ [
-      ( "illustrate/paper",
-        fun () ->
-          ignore (Clio.illustrate (Clio.Eval_ctx.transient Paperdata.Figure1.database) Paperdata.Running.mapping)
-      );
-    ]
-  (* B4: walk enumeration on the widest star. *)
-  @ [
-      ( "walk/leaves8-len3",
-        let inst = Synth.Gen_graph.star (seeded 11) ~leaves:8 ~rows:10 () in
-        let m =
-          Clio.Mapping.make
-            ~graph:(Qgraph.singleton ~alias:"Fact" ~base:"Fact")
-            ~target:"T" ~target_cols:[ "x" ] ()
-        in
-        fun () ->
-          ignore
-            (Clio.Op_walk.walk_alternatives ~kb:inst.Synth.Gen_graph.kb m ~start:"Fact"
-               ~goal:"D8" ~max_len:3 ()) );
-    ]
-  (* B5: chase scans, per size. *)
-  @ List.map
-      (fun rows ->
-        let inst = Synth.Gen_graph.chain (seeded 13) ~n:4 ~rows () in
-        let db = inst.Synth.Gen_graph.db in
-        let m =
-          Clio.Mapping.make
-            ~graph:(Qgraph.singleton ~alias:"R1" ~base:"R1")
-            ~target:"T" ~target_cols:[ "x" ] ()
-        in
-        ( Printf.sprintf "chase/rows%d" rows,
-          fun () ->
-            ignore
-              (Clio.Op_chase.chase (Clio.Eval_ctx.transient db) m ~attr:(Attr.make "R1" "id")
-                 ~value:(Value.Int (rows / 2))) ))
-      chase_sizes
-  (* B6: end-to-end mapping evaluation on the paper database. *)
-  @ [
-      ( "mapping/eval-section2",
-        fun () ->
-          ignore
-            (Clio.Mapping_eval.eval (Clio.Eval_ctx.transient Paperdata.Figure1.database)
-               Paperdata.Running.section2_mapping) );
-    ]
-  (* B7: inclusion-dependency mining, per size. *)
-  @ List.map
-      (fun rows ->
-        let inst = Synth.Gen_graph.star (seeded 17) ~leaves:5 ~rows () in
-        ( Printf.sprintf "mine/rows%d" rows,
-          fun () ->
-            ignore (Schemakb.Mine.inclusion_dependencies inst.Synth.Gen_graph.db)
-        ))
-      mine_sizes
-  (* B8: illustration evolution after a walk. *)
-  @ [
-      ( "evolve/walk-extension",
-        let db = Paperdata.Figure1.database in
-        let kb = Paperdata.Figure1.kb in
-        let old_m = Paperdata.Running.mapping_g1 in
-        fun () ->
-          let old_ill = Clio.illustrate (Clio.Eval_ctx.transient db) old_m in
-          let new_m =
-            (List.hd
-               (Clio.Op_walk.walk_alternatives ~kb old_m ~start:"Children"
-                  ~goal:"PhoneDir" ~max_len:2 ()))
-              .Clio.Op_walk.mapping
-          in
-          ignore
-            (Clio.Evolution.evolve (Clio.Eval_ctx.transient db) ~old_mapping:old_m
-               ~old_illustration:old_ill new_m) );
-    ]
-  (* B9/B10: engine cache ablation — the cache.* counters recorded here are
-     the hit/miss/eviction story behind the part-2 timing difference. *)
-  @ [
-      ("engine/walk-reuse/cached", engine_walk_replay ~no_cache:false);
-      ("engine/walk-reuse/no-cache", engine_walk_replay ~no_cache:true);
-      ("engine/session-replay/cached", engine_session_replay ~no_cache:false);
-      ("engine/session-replay/no-cache", engine_session_replay ~no_cache:true);
-    ]
-  (* B15: incremental maintenance ablation — the cache.promote.* / delta.*
-     counters are the promotion-vs-fallback story behind the timings. *)
-  @ [
-      ("engine/example-edit/incremental", engine_edit_replay ~incremental:true);
-      ( "engine/example-edit/no-incremental",
-        engine_edit_replay ~incremental:false );
-      ( "engine/example-edit/workspace",
-        fun () ->
-          for _ = 1 to engine_edit_count do
-            workspace_edit counted_edits ()
-          done );
-      ( "render/digest",
-        fun () ->
-          for _ = 1 to render_digest_runs do
-            render_digest ()
-          done );
-    ]
-  (* B16: the multi-session server under scripted load — the cache.*
-     counters here show the warm substrate absorbing the cold arm's
-     misses. *)
-  @ [
-      ("server/loadgen/cold", server_loadgen_cold);
-      ("server/loadgen/warm", server_loadgen_warm);
-      ("server/loadgen/telemetry", server_loadgen_telemetry);
-    ]
-  (* B17: the columnar data plane — hash probes, subsumption checks and
-     index probes of the million-tuple pipeline; wall-time lives in
-     part 2. *)
-  @ [ ("colplane/columnar", b17_eval) ]
-  (* B18: restart-resume over the branching version store — the
-     cross-branch promotion counters are the evidence that branches with
-     a common ancestor share warm entries after a reboot. *)
-  @ [
-      ("version/restart/warm", fun () -> ignore (b18_digests ~warm:true ()));
-      ("version/restart/cold", fun () -> ignore (b18_digests ~warm:false ()));
-    ]
-  (* B22: the cold offer and its selection step — rows interned (none:
-     the database holds its relations as columns), join rows, and the
-     examples a selection considers and keeps. *)
-  @ [
-      ("engine/offer-cold", offer_cold);
-      ("core/illustration-select", illustration_select);
-    ]
-
-let run_measurements () =
-  (* Prime B16's persistent substrate so the measured warm arm really runs
-     against a populated shared cache (counters are reset per workload). *)
-  server_loadgen_warm ();
-  (* Build the B15 workspace session outside its measured edits. *)
-  ignore (Lazy.force counted_edits);
-  (* Warm the digest buffer: the measured digests are the served ones. *)
-  render_digest ();
-  (* Build the B22 session and its universe outside the measured runs. *)
-  ignore (Lazy.force b22_universe);
-  List.iter (fun (name, f) -> measure name f) workloads
-
-let counter_table ~title ~columns rows =
+let counter_table measured ~title ~columns rows =
+  let counter name c =
+    match List.assoc_opt name measured with
+    | Some m -> Option.value ~default:0 (List.assoc_opt (Obs.Counter.name c) m.counters)
+    | None -> 0
+  in
   print_endline title;
   print_newline ();
   let width =
@@ -1260,22 +988,21 @@ let counter_table ~title ~columns rows =
     rows;
   print_newline ()
 
-let workload_names prefix =
-  List.filter
-    (fun (name, _) ->
-      String.length name >= String.length prefix
-      && String.sub name 0 (String.length prefix) = prefix)
-    workloads
-  |> List.map fst
-
-let run_counter_tables () =
+let run_counter_tables measured =
+  let counter_table = counter_table measured in
+  let names prefix =
+    List.filter_map
+      (fun (name, _) ->
+        if String.starts_with ~prefix name then Some name else None)
+      measured
+  in
   counter_table ~title:"B1 — subsumption removal: exact work per algorithm"
     ~columns:
       [
         ("subs.checks", Obs.Names.subsumption_checks);
         ("index.probes", Obs.Names.index_probes);
       ]
-    (workload_names "minunion/");
+    (names "minunion/");
   counter_table
     ~title:
       "B2/B3 — full disjunction D(G): exact work per algorithm (chain graphs)"
@@ -1286,7 +1013,7 @@ let run_counter_tables () =
         ("assoc.considered", Obs.Names.assoc_considered);
         ("join.rows_out", Obs.Names.join_rows_out);
       ]
-    (workload_names "fulldisj/");
+    (names "fulldisj/");
   counter_table
     ~title:"B5 — chase: occurrences scanned up vs alternatives offered"
     ~columns:
@@ -1294,7 +1021,7 @@ let run_counter_tables () =
         ("occurrences", Obs.Names.chase_occurrences);
         ("alternatives", Obs.Names.chase_alternatives);
       ]
-    (workload_names "chase/");
+    (names "chase/");
   counter_table ~title:"B3/B6 — end-to-end illustration on the paper mapping"
     ~columns:
       [
@@ -1302,7 +1029,7 @@ let run_counter_tables () =
         ("ill.candidates", Obs.Names.illustration_candidates);
         ("ill.selected", Obs.Names.illustration_selected);
       ]
-    [ "illustrate/paper" ];
+    (names "illustrate/");
   counter_table
     ~title:"B9/B10 — engine cache: memo traffic per tier (cached vs no-cache)"
     ~columns:
@@ -1313,7 +1040,7 @@ let run_counter_tables () =
         ("dg.misses", Obs.Names.cache_dg_misses);
         ("bytes", Obs.Names.cache_bytes_resident);
       ]
-    (workload_names "engine/");
+    (names "engine/");
   counter_table
     ~title:
       "B15 — incremental maintenance: promotions (example edits)"
@@ -1325,26 +1052,7 @@ let run_counter_tables () =
         ("promote.dg.free", Obs.Names.cache_promote_dg_free);
         ("promote.dg.rep", Obs.Names.cache_promote_dg_repaired);
       ]
-    (workload_names "engine/example-edit/");
-  Printf.printf "engine/example-edit/workspace: %.0f minor words per edit\n\n"
-    ((measurement_of "engine/example-edit/workspace").alloc.Obs.Span.minor_words
-    /. float_of_int engine_edit_count);
-  (let dg = Lazy.force render_dg in
-   let a = (measurement_of "render/digest").alloc in
-   let times =
-     Array.init 50 (fun _ ->
-         let t0 = Unix.gettimeofday () in
-         render_digest ();
-         Unix.gettimeofday () -. t0)
-   in
-   Array.sort Float.compare times;
-   let per x = x /. float_of_int render_digest_runs in
-   Printf.printf
-     "render/digest (%d rows, %d bytes of text): %.3f ms (median of 50), %.0f \
-      minor and %.0f major words per digest\n\n"
-     (Relation.cardinality dg)
-     (String.length (Render.relation dg))
-     (times.(25) *. 1e3) (per a.Obs.Span.minor_words) (per a.Obs.Span.major_words));
+    (names "engine/example-edit/");
   counter_table
     ~title:"B16 — server loadgen: memo traffic, cold vs warm substrate"
     ~columns:
@@ -1355,7 +1063,7 @@ let run_counter_tables () =
         ("dg.misses", Obs.Names.cache_dg_misses);
         ("bytes", Obs.Names.cache_bytes_resident);
       ]
-    (workload_names "server/");
+    (names "server/");
   counter_table
     ~title:
       "B17 — columnar data plane: million-tuple full disjunction"
@@ -1366,7 +1074,7 @@ let run_counter_tables () =
         ("subs.checks", Obs.Names.subsumption_checks);
         ("index.probes", Obs.Names.index_probes);
       ]
-    (workload_names "colplane/");
+    (names "colplane/");
   counter_table
     ~title:
       "B18 — branching version store: restart replay + cross-branch \
@@ -1378,11 +1086,12 @@ let run_counter_tables () =
         ("cross.dg", Obs.Names.cache_promote_dg_cross_branch);
         ("promote.dg.free", Obs.Names.cache_promote_dg_free);
       ]
-    (workload_names "version/restart/");
+    (names "version/restart/");
   (* B18 headline: both reboot arms must agree byte-for-byte on every
      branch — the warm cache is an optimization, never an answer change. *)
-  (let warm = b18_digests ~warm:true () in
-   let cold = b18_digests ~warm:false () in
+  (let dir = Lazy.force b18_store_dir in
+   let warm = b18_digests ~warm:true dir in
+   let cold = b18_digests ~warm:false dir in
    let agree =
      List.length warm = List.length cold
      && List.for_all2
@@ -1404,35 +1113,12 @@ let run_counter_tables () =
         ("ill.candidates", Obs.Names.illustration_candidates);
         ("ill.selected", Obs.Names.illustration_selected);
       ]
-    [ "engine/offer-cold"; "core/illustration-select" ];
-  (let median runs f =
-     let times =
-       Array.init runs (fun _ ->
-           let t0 = Unix.gettimeofday () in
-           f ();
-           Unix.gettimeofday () -. t0)
-     in
-     Array.sort Float.compare times;
-     times.(runs / 2) *. 1e3
-   in
-   let universe, _ = Lazy.force b22_universe in
-   Printf.printf
-     "B22 — cold offer (%d-row 3-chain): %.1f ms an offer (median of 5); \
-      selection over %d examples: %.2f ms (median of 21)\n\n"
-     b22_rows (median 5 offer_cold) (List.length universe)
-     (median 21 illustration_select));
-  (* B16 headline: one verified run per arm, end-to-end numbers. *)
-  let b16_outcome ~arm =
-    let service =
-      match arm with
-      | `Cold -> Server.Service.create (Server.Registry.create ~jobs:1 ())
-      | `Warm -> Lazy.force server_warm_service
-      | `Telemetry -> Lazy.force server_warm_telemetry_service
-    in
-    if arm = `Telemetry then Obs.enable ();
-    Fun.protect
-      ~finally:(fun () -> if arm = `Telemetry then Obs.disable ())
-      (fun () -> Server.Loadgen.run_inprocess ~verify:true service b16_spec)
+    (names "engine/offer-cold" @ names "core/illustration-select");
+  (* B16 headline: one verified run per arm, end-to-end numbers; the warm
+     arms run once unverified first, as part 3 does. *)
+  let b16_outcome ~prime service =
+    if prime then b16_run service ();
+    Server.Loadgen.run_inprocess ~verify:true service b16_spec
   in
   print_endline
     (Printf.sprintf
@@ -1442,17 +1128,23 @@ let run_counter_tables () =
   Printf.printf "%-6s %10s %10s %10s %8s %10s\n" "arm" "ops/s" "p50(us)"
     "p99(us)" "errors" "verified";
   Printf.printf "%s\n" (String.make 60 '-');
+  let outcome_row fmt label o =
+    Printf.printf fmt label o.Server.Loadgen.throughput o.Server.Loadgen.p50_us
+      o.Server.Loadgen.p99_us o.Server.Loadgen.errors
+      (match o.Server.Loadgen.mismatches with
+      | Some 0 -> "yes"
+      | Some n -> Printf.sprintf "NO(%d)" n
+      | None -> "off")
+  in
   List.iter
-    (fun (label, arm) ->
-      let o = b16_outcome ~arm in
-      Printf.printf "%-6s %10.0f %10.0f %10.0f %8d %10s\n" label
-        o.Server.Loadgen.throughput o.Server.Loadgen.p50_us
-        o.Server.Loadgen.p99_us o.Server.Loadgen.errors
-        (match o.Server.Loadgen.mismatches with
-        | Some 0 -> "yes"
-        | Some n -> Printf.sprintf "NO(%d)" n
-        | None -> "off"))
-    [ ("cold", `Cold); ("warm", `Warm); ("telem", `Telemetry) ];
+    (fun (label, outcome) ->
+      outcome_row "%-6s %10.0f %10.0f %10.0f %8d %10s\n" label (outcome ()))
+    [
+      ("cold", fun () -> b16_outcome ~prime:false (b16_service ()));
+      ("warm", fun () -> b16_outcome ~prime:true (b16_service ()));
+      ( "telem",
+        fun () -> with_obs (fun () -> b16_outcome ~prime:true (telemetry_service ())) );
+    ];
   print_newline ();
   (* B19 headline: the socket arms, one verified concurrent burst each —
      end-to-end throughput plus the byte-for-byte digest check against
@@ -1468,36 +1160,27 @@ let run_counter_tables () =
   Printf.printf "%s\n" (String.make 64 '-');
   List.iter
     (fun (label, server) ->
-      let o =
-        Server.Loadgen.run_socket ~verify:true
-          ~address:(Server.Loop.Unix_path (Lazy.force server))
-          b19_spec
-      in
-      Printf.printf "%-10s %10.0f %10.0f %10.0f %8d %10s\n" label
-        o.Server.Loadgen.throughput o.Server.Loadgen.p50_us
-        o.Server.Loadgen.p99_us o.Server.Loadgen.errors
-        (match o.Server.Loadgen.mismatches with
-        | Some 0 -> "yes"
-        | Some n -> Printf.sprintf "NO(%d)" n
-        | None -> "off"))
+      outcome_row "%-10s %10.0f %10.0f %10.0f %8d %10s\n" label
+        (Server.Loadgen.run_socket ~verify:true
+           ~address:(Server.Loop.Unix_path (Lazy.force server))
+           b19_spec))
     [ ("workers=1", b19_server_w1); ("workers=4", b19_server_w4) ];
   print_newline ();
-  (* Allocation per workload: the memory-side counterpart of part 2. *)
-  let names = List.map fst workloads in
+  (* Allocation per arm: the memory-side counterpart of part 2. *)
   let width =
-    List.fold_left (fun w n -> max w (String.length n)) 8 names
+    List.fold_left (fun w (n, _) -> max w (String.length n)) 8 measured
   in
-  print_endline "B1–B16 — GC allocation per workload (words)";
+  print_endline "GC allocation per arm run (words)";
   print_newline ();
   Printf.printf "%-*s %14s %14s %14s\n" width "workload" "minor" "major"
     "promoted";
   Printf.printf "%s\n" (String.make (width + 45) '-');
   List.iter
-    (fun name ->
-      let a = (measurement_of name).alloc in
+    (fun (name, m) ->
       Printf.printf "%-*s %14.0f %14.0f %14.0f\n" width name
-        a.Obs.Span.minor_words a.Obs.Span.major_words a.Obs.Span.promoted_words)
-    names;
+        m.alloc.Obs.Span.minor_words m.alloc.Obs.Span.major_words
+        m.alloc.Obs.Span.promoted_words)
+    measured;
   print_newline ()
 
 (* --- bench JSON (consumed by bench/compare.exe) ---
@@ -1505,12 +1188,12 @@ let run_counter_tables () =
    {
      "schema_version": 1, "kind": "bench", "label": ...,
      "environment": { ... as the metrics JSON ... },
-     "benchmarks": { "<bechamel test>": { "time_ns": ... }, ... },
-     "workloads":  { "<workload>": { "counters": {...}, "alloc": {...},
-                                     "histograms": {...} }, ... }
+     "benchmarks": { "<arm>": { "time_ns": ... }, ... },
+     "workloads":  { "<arm>": { "counters": {...}, "alloc": {...},
+                                "histograms": {...} }, ... }
    } *)
 
-let bench_json ~label ~times =
+let bench_json ~label ~times ~measured =
   let open Obs.Json in
   let workload_json (m : measurement) =
     Obj
@@ -1538,13 +1221,12 @@ let bench_json ~label ~times =
           (List.map (fun (name, ns) -> (name, Obj [ ("time_ns", Num ns) ])) times)
       );
       ( "workloads",
-        Obj
-          (List.rev_map (fun (name, m) -> (name, workload_json m)) !measured) );
+        Obj (List.map (fun (name, m) -> (name, workload_json m)) measured) );
     ]
 
-let write_bench_json ~label ~file ~times =
+let write_bench_json ~label ~file ~times ~measured =
   let oc = open_out file in
-  output_string oc (Obs.Json.to_string_pretty (bench_json ~label ~times));
+  output_string oc (Obs.Json.to_string_pretty (bench_json ~label ~times ~measured));
   output_char oc '\n';
   close_out oc;
   Printf.eprintf "bench json written to %s\n" file
@@ -1564,22 +1246,20 @@ let () =
       Paperdata.Report.all
   end;
   let times =
-    if bench || json then begin
+    if bench then begin
       print_endline "######################################################";
-      print_endline "# Part 2: performance benchmarks (B1-B17)           #";
+      print_endline "# Part 2: performance benchmarks (B1-B20, B22)      #";
       print_endline "######################################################\n";
       run_benchmarks ()
     end
     else []
   in
-  if stats || json then begin
-    run_measurements ();
-    if stats then begin
-      print_endline "######################################################";
-      print_endline "# Part 3: operator counters & allocation (lib/obs)  #";
-      print_endline "######################################################\n";
-      run_counter_tables ()
-    end
+  let measured = if stats || json then run_measurements () else [] in
+  if stats then begin
+    print_endline "######################################################";
+    print_endline "# Part 3: operator counters & allocation (lib/obs)  #";
+    print_endline "######################################################\n";
+    run_counter_tables measured
   end;
   if json then begin
     let label = Option.value label ~default:"run" in
@@ -1588,5 +1268,5 @@ let () =
       | Some f -> f
       | None -> Printf.sprintf "BENCH_%s.json" label
     in
-    write_bench_json ~label ~file ~times
+    write_bench_json ~label ~file ~times ~measured
   end

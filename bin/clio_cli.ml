@@ -43,7 +43,6 @@ type obs_opts = {
   stats : bool;
   metrics : string option;
   no_cache : bool;
-  no_incremental : bool;
   jobs : int option;
 }
 
@@ -52,7 +51,6 @@ let extract_obs_flags argv =
   and stats = ref false
   and metrics = ref None
   and no_cache = ref false
-  and no_incremental = ref false
   and jobs = ref None in
   let starts_with prefix s =
     String.length s >= String.length prefix
@@ -87,10 +85,6 @@ let extract_obs_flags argv =
              no_cache := true;
              false
            end
-           else if String.equal arg "--no-incremental" then begin
-             no_incremental := true;
-             false
-           end
            else if String.equal arg "--trace" then begin
              trace := Some "trace.json";
              false
@@ -123,7 +117,6 @@ let extract_obs_flags argv =
       stats = !stats;
       metrics = !metrics;
       no_cache = !no_cache;
-      no_incremental = !no_incremental;
       jobs = !jobs;
     } )
 
@@ -804,7 +797,6 @@ exception Interrupted of int
 let () =
   let argv, obs = extract_obs_flags Sys.argv in
   if obs.no_cache then Clio.Eval_ctx.set_caching_default false;
-  if obs.no_incremental then Clio.Eval_ctx.set_incremental_default false;
   (match obs.jobs with Some j -> Clio.Eval_ctx.set_jobs_default j | None -> ());
   if obs.trace <> None || obs.stats || obs.metrics <> None then Obs.enable ();
   let man =
@@ -827,14 +819,6 @@ let () =
          (F(J) and D(G) tiers): every evaluation context built during the \
          subcommand recomputes from scratch.  Useful for ablation and for \
          reproducing pre-cache timings.";
-      `P
-        (Printf.sprintf
-           "$(b,--no-incremental) disables incremental cache maintenance: \
-            after a database edit, cache entries from earlier versions are \
-            recomputed from scratch instead of being promoted or repaired \
-            through the recorded delta chain (the last %d edits of each \
-            database).  The ablation switch behind bench B15."
-           Database.history_window);
       `P
         "$(b,--jobs=)$(i,N) evaluates fan-out points (per-subgraph joins, \
          walk/chase alternatives, subsumption sweeps, illustration \

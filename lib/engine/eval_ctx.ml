@@ -5,8 +5,6 @@ type t = {
   db : Database.t;
   kb : Schemakb.Kb.t;
   cache : Eval_cache.t option;
-  incremental : bool;
-  jobs : int;
   pool : Par.Pool.t option;
   branch_root : int option;
       (** database version this context's branch forked at — promotions
@@ -19,30 +17,21 @@ type t = {
 let caching_default = ref true
 let set_caching_default b = caching_default := b
 
-(* Same pattern for `--no-incremental`. *)
-let incremental_default = ref true
-let set_incremental_default b = incremental_default := b
-
 (* Same pattern for `--jobs`; [Par.default_jobs] also reads CLIO_JOBS. *)
 let set_jobs_default = Par.set_default_jobs
 
-let create ?(no_cache = false) ?cache ?incremental ?jobs ?kb db =
+let create ?(no_cache = false) ?cache ?jobs ?kb db =
   let kb = match kb with Some kb -> kb | None -> Schemakb.Kb.of_database db in
   let cache =
     if no_cache || not !caching_default then None
     else
       match cache with Some c -> Some c | None -> Some (Eval_cache.create ())
   in
-  let incremental =
-    match incremental with Some b -> b | None -> !incremental_default
-  in
   let jobs = match jobs with Some j -> j | None -> Par.default_jobs () in
   {
     db;
     kb;
     cache;
-    incremental;
-    jobs;
     pool = Par.get_pool ~jobs;
     branch_root = None;
   }
@@ -54,8 +43,6 @@ let transient db =
     db;
     kb = Schemakb.Kb.empty;
     cache = None;
-    incremental = false;
-    jobs = 1;
     pool = None;
     branch_root = None;
   }
@@ -63,9 +50,6 @@ let transient db =
 let db t = t.db
 let kb t = t.kb
 let cache t = t.cache
-let cached t = Option.is_some t.cache
-let incremental t = t.incremental
-let jobs t = t.jobs
 let pool t = t.pool
 let lookup t name = Database.find t.db name
 let version t = Database.version t.db
@@ -73,8 +57,7 @@ let version t = Database.version t.db
 let with_db ?kb t db =
   { t with db; kb = (match kb with Some kb -> kb | None -> t.kb) }
 
-let with_kb t kb = { t with kb }
-let with_jobs t jobs = { t with jobs; pool = Par.get_pool ~jobs }
+let with_jobs t jobs = { t with pool = Par.get_pool ~jobs }
 let branch_root t = t.branch_root
 let with_branch_root t v = { t with branch_root = Some v }
 
@@ -214,12 +197,8 @@ let memoized t tier g ~repair ~compute =
           set_cache_attr "hit";
           r
       | None ->
-          let promoted =
-            if not t.incremental then None
-            else promote_via_chain t tier cache key g ~repair
-          in
           let r =
-            match promoted with
+            match promote_via_chain t tier cache key g ~repair with
             | Some r -> r
             | None ->
                 set_cache_attr "miss";
@@ -247,5 +226,3 @@ let data_associations t g =
   memoized t dg_tier g
     ~repair:(fun src old ~changed -> Full_disjunction.delta src g ~old ~changed)
     ~compute:(fun () -> Full_disjunction.compute (source t) g)
-
-let possible_associations t g = Full_disjunction.possible_associations (source t) g

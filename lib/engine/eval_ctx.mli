@@ -26,7 +26,6 @@ type t
 val create :
   ?no_cache:bool ->
   ?cache:Eval_cache.t ->
-  ?incremental:bool ->
   ?jobs:int ->
   ?kb:Schemakb.Kb.t ->
   Database.t ->
@@ -40,21 +39,6 @@ val transient : Database.t -> t
     maps [--no-cache] onto this so every context built downstream complies. *)
 val set_caching_default : bool -> unit
 
-(** Process-wide default for [create]'s [?incremental] (true initially) —
-    the CLI maps [--no-incremental] onto this.  When incremental
-    maintenance is on, a cache miss at the current database version first
-    tries to *promote* an entry cached at a recorded ancestor version
-    through the delta chain ({!Relational.Database.history}, the last
-    {!Relational.Database.history_window} steps): entries whose graph
-    touches none of the changed relations are reused as-is
-    ([cache.promote.*.free]); the others are repaired by a delta join over
-    the inserted tuples ([cache.promote.*.repaired],
-    {!Fulldisj.Full_disjunction.delta}).  With no recorded ancestor in the
-    cache — past the window, or before a {!Relational.Database.replace} —
-    the entry is recomputed.  Results are byte-identical to from-scratch
-    evaluation either way. *)
-val set_incremental_default : bool -> unit
-
 (** Process-wide default for [create]'s [?jobs] — how the CLI's [--jobs]
     reaches every context built downstream.  Same as
     {!Par.set_default_jobs}; the initial default also honours the
@@ -64,18 +48,11 @@ val set_jobs_default : int -> unit
 val db : t -> Database.t
 val kb : t -> Schemakb.Kb.t
 val cache : t -> Eval_cache.t option
-val cached : t -> bool
 
-(** Whether this context promotes ancestor-version cache entries (see
-    {!set_incremental_default}).  Only meaningful when [cached]. *)
-val incremental : t -> bool
-
-(** Parallelism this context evaluates with ([1] = sequential, the
-    default).  [jobs > 1] attaches the shared {!Par} pool of that size;
-    results are identical to sequential evaluation by construction
-    ({!Par.map} is order-preserving). *)
-val jobs : t -> int
-
+(** The shared {!Par} pool this context evaluates fan-out points on:
+    [None] for [jobs = 1] (sequential, the default), else the pool of
+    that size.  Results are identical to sequential evaluation by
+    construction ({!Par.map} is order-preserving). *)
 val pool : t -> Par.Pool.t option
 val lookup : t -> string -> Relation.t option
 val version : t -> int
@@ -85,7 +62,6 @@ val version : t -> int
     when the schema changed. *)
 val with_db : ?kb:Schemakb.Kb.t -> t -> Database.t -> t
 
-val with_kb : t -> Schemakb.Kb.t -> t
 val with_jobs : t -> int -> t
 
 (** The database version this context's branch forked from the trunk at,
@@ -108,11 +84,17 @@ val source : t -> Source.t
 (** Memoized F(J) for a connected subgraph. *)
 val full_associations : t -> Querygraph.Qgraph.t -> Relation.t
 
-(** Memoized D(G) for a graph ({!Fulldisj.Full_disjunction.compute} on a
-    miss, {!Fulldisj.Full_disjunction.delta} when an ancestor version's
-    entry can be repaired). *)
+(** Memoized D(G) for a graph.  A miss at the current database version
+    first tries to promote an entry cached at a recorded ancestor version
+    through the delta chain ({!Relational.Database.history}, the last
+    {!Relational.Database.history_window} steps): entries whose graph
+    touches none of the changed relations are reused as-is
+    ([cache.promote.*.free]); the others are repaired by a delta join
+    over the inserted tuples ([cache.promote.*.repaired],
+    {!Fulldisj.Full_disjunction.delta}).  With no recorded ancestor in
+    the cache — past the window, or before a
+    {!Relational.Database.replace} — the entry is computed from scratch
+    ({!Fulldisj.Full_disjunction.compute}).  Results are byte-identical
+    to from-scratch evaluation either way; a fresh context per edit is
+    the from-scratch path. *)
 val data_associations : t -> Querygraph.Qgraph.t -> Full_disjunction.result
-
-(** S(G) through the context's source (F(J) tier only — S(G) is a test
-    oracle, not worth a tier). *)
-val possible_associations : t -> Querygraph.Qgraph.t -> Full_disjunction.result

@@ -57,13 +57,24 @@ let add_quoted buf s =
 (* JSON has no NaN/infinity; map them to null rather than emit garbage.
    The integer path goes through [string_of_int] rather than
    [Printf.sprintf "%.0f"] — same digits (1e15 is well inside int range),
-   a fraction of the cost (no format interpretation). *)
+   a fraction of the cost (no format interpretation).  Any other number
+   prints as the shortest of 15, 16 or 17 significant digits that reads
+   back as the same float (17 always does), so a parsed document holds
+   exactly the floats that were emitted; a float with at most 15
+   significant digits prints them and nothing more. *)
+let float_digits f =
+  let rec go p =
+    let s = Printf.sprintf "%.*g" p f in
+    if p >= 17 || float_of_string s = f then s else go (p + 1)
+  in
+  go 15
+
 let emit_num buf f =
   if Float.is_nan f || f = infinity || f = neg_infinity then
     Buffer.add_string buf "null"
   else if Float.is_integer f && Float.abs f < 1e15 then
     Buffer.add_string buf (string_of_int (int_of_float f))
-  else Buffer.add_string buf (Printf.sprintf "%.9g" f)
+  else Buffer.add_string buf (float_digits f)
 
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"

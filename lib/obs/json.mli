@@ -9,7 +9,8 @@
     The parser accepts exactly what the emitters produce plus standard
     JSON (including [\uXXXX] escapes and surrogate pairs, decoded to
     UTF-8).  Numbers are floats; NaN and infinities are emitted as
-    [null]. *)
+    [null], and every finite float is emitted with enough digits
+    (at most 17) to parse back as itself. *)
 
 type t =
   | Null

@@ -80,6 +80,9 @@ let create ~resolve spec =
 
 let commit t ~branch op =
   let ws = checkout t branch in
+  (* Apply the op a reload replays: its changelog form read back, so an
+     integral [Float] cell is applied as the [Int] replay decodes. *)
+  let op = Result.get_ok (Op.of_json (Op.to_json op)) in
   (* Apply first: an op that raises leaves no trace in the changelog. *)
   let ws' = Op.apply ws op in
   Hashtbl.replace t.states branch ws';

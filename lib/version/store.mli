@@ -71,8 +71,11 @@ val checkout : t -> string -> Clio.Workspace.t
 val head : t -> string -> int
 
 (** [commit t ~branch op] — apply [op] to the branch's state and record
-    it.  When [Op.apply] raises, nothing is recorded and the branch is
-    unchanged.  Returns the new state. *)
+    it.  The op applied is [op] after an {!Op.to_json}/{!Op.of_json}
+    round trip (an integral [Float] cell becomes an [Int]), so a reload's
+    replay of the changelog rebuilds the same state.  When [Op.apply]
+    (or the encoding of a non-finite float) raises, nothing is recorded
+    and the branch is unchanged.  Returns the new state. *)
 val commit : t -> branch:string -> Op.t -> Clio.Workspace.t
 
 (** [branch t ~from name] — fork a new branch off [from]'s head.  O(1)

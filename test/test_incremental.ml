@@ -312,7 +312,7 @@ let prop_incremental_equals_scratch =
       let g = inst.Synth.Gen_graph.graph in
       let m = identity_mapping inst in
       let ctx0 =
-        Eval_ctx.create ~incremental:true ~jobs ~kb:inst.Synth.Gen_graph.kb
+        Eval_ctx.create ~jobs ~kb:inst.Synth.Gen_graph.kb
           inst.Synth.Gen_graph.db
       in
       let check ctx =
@@ -352,7 +352,7 @@ let prop_incremental_equals_scratch =
       in
       let ws0 =
         workspace
-          (Eval_ctx.create ~incremental:true ~jobs ~kb:inst.Synth.Gen_graph.kb
+          (Eval_ctx.create ~jobs ~kb:inst.Synth.Gen_graph.kb
              inst.Synth.Gen_graph.db)
       in
       let replay0 =
@@ -438,7 +438,7 @@ let prop_associations_are_sets =
       let g = inst.Synth.Gen_graph.graph in
       let db = twisted_db st inst.Synth.Gen_graph.db in
       let ctx =
-        Eval_ctx.create ~incremental:true ~jobs ~kb:inst.Synth.Gen_graph.kb db
+        Eval_ctx.create ~jobs ~kb:inst.Synth.Gen_graph.kb db
       in
       let all_exact ctx =
         List.for_all to_relation_is_exact

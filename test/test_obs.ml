@@ -845,6 +845,16 @@ let fuzz_json_random_bytes =
     QCheck2.Gen.(string_size (int_bound 300))
     parse_total
 
+(* Every finite float survives emit → parse exactly: random bit
+   patterns (subnormals, huge exponents) and ordinary draws alike. *)
+let prop_json_float_roundtrip =
+  QCheck2.Test.make ~name:"finite floats round-trip through text"
+    ~count:2000
+    QCheck2.Gen.(oneof [ map Int64.float_of_bits int64; float ])
+    (fun f ->
+      QCheck2.assume (Float.is_finite f);
+      Obs.Json.parse (Obs.Json.to_string (Num f)) = Ok (Num f))
+
 let fuzz_json_truncated_mutated =
   QCheck2.Test.make ~name:"parser total on truncated/corrupted documents"
     ~count:500
@@ -864,12 +874,13 @@ let fuzz_json_truncated_mutated =
 
 (* --- Bench_compare --- *)
 
-let bench_doc ~time_ns ~checks ~minor =
+let bench_doc ?(ocaml = "5.1.1") ~time_ns ~checks ~minor () =
   Obj
     [
       ("schema_version", Num 1.);
       ("kind", Str "bench");
       ("label", Str "test");
+      ("environment", Obj [ ("ocaml_version", Str ocaml) ]);
       ( "benchmarks",
         Obj
           [
@@ -895,57 +906,62 @@ let bench_doc ~time_ns ~checks ~minor =
           ] );
     ]
 
-let diff_exn ?tolerance ~baseline ~current () =
-  match Obs.Bench_compare.diff ?tolerance ~baseline ~current () with
+let diff_exn ~baseline ~current =
+  match Obs.Bench_compare.diff ~baseline ~current with
   | Ok o -> o
   | Error msg -> Alcotest.failf "diff failed: %s" msg
 
+let flagged o =
+  List.map (fun r -> r.Obs.Bench_compare.metric) o.Obs.Bench_compare.regressions
+
+let contains sub s =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
 let test_compare_no_regression () =
-  let baseline = bench_doc ~time_ns:1000. ~checks:500. ~minor:10_000. in
-  (* Within every default tolerance: time +20% (<50%), counters equal,
-     alloc +10% (<25%). *)
-  let current = bench_doc ~time_ns:1200. ~checks:500. ~minor:11_000. in
-  let o = diff_exn ~baseline ~current () in
-  Alcotest.(check int) "no regressions" 0
-    (List.length o.Obs.Bench_compare.regressions);
-  Alcotest.(check int) "exit 0" 0
-    (Obs.Bench_compare.exit_code ~report_only:false o);
-  Alcotest.(check bool) "report says OK" true
-    (let r = o.Obs.Bench_compare.report in
-     String.length r >= 2
-     &&
-     let rec contains i =
-       i + 2 <= String.length r
-       && (String.sub r i 2 = "OK" || contains (i + 1))
-     in
-     contains 0)
+  let baseline = bench_doc ~time_ns:1000. ~checks:500. ~minor:10_000. () in
+  (* Counters equal, alloc +10% (<25%), time +20%. *)
+  let current = bench_doc ~time_ns:1200. ~checks:500. ~minor:11_000. () in
+  let o = diff_exn ~baseline ~current in
+  Alcotest.(check (list string)) "no regressions" [] (flagged o);
+  Alcotest.(check int) "exit 0" 0 (Obs.Bench_compare.exit_code o);
+  Alcotest.(check bool) "report says OK" true (contains "OK" o.Obs.Bench_compare.report)
 
 let test_compare_regression () =
-  let baseline = bench_doc ~time_ns:1000. ~checks:500. ~minor:10_000. in
-  (* Time x2 (>1.5), counter +10% (>1.02), alloc x2 (>1.25): all three
-     metrics must be flagged. *)
-  let current = bench_doc ~time_ns:2000. ~checks:550. ~minor:20_000. in
-  let o = diff_exn ~baseline ~current () in
-  Alcotest.(check (list string))
-    "all three metrics flagged"
-    [ "time"; "ctr:subs.checks"; "alloc" ]
-    (List.map (fun r -> r.Obs.Bench_compare.metric)
-       o.Obs.Bench_compare.regressions);
-  Alcotest.(check int) "exit 1" 1
-    (Obs.Bench_compare.exit_code ~report_only:false o);
-  Alcotest.(check int) "report-only still exits 0" 0
-    (Obs.Bench_compare.exit_code ~report_only:true o);
-  (* A looser tolerance waves the same diff through. *)
-  let o' =
-    diff_exn
-      ~tolerance:{ Obs.Bench_compare.time = 3.; counter = 2.; alloc = 3. }
-      ~baseline ~current ()
+  let baseline = bench_doc ~time_ns:1000. ~checks:500. ~minor:10_000. () in
+  (* A counter at 1.10x (>1.02) fails on its own. *)
+  let current = bench_doc ~time_ns:1000. ~checks:550. ~minor:10_000. () in
+  let o = diff_exn ~baseline ~current in
+  Alcotest.(check (list string)) "counter flagged" [ "ctr:subs.checks" ] (flagged o);
+  Alcotest.(check int) "exit 1" 1 (Obs.Bench_compare.exit_code o)
+
+let test_compare_time_not_gated () =
+  let baseline = bench_doc ~time_ns:1000. ~checks:500. ~minor:10_000. () in
+  let current = bench_doc ~time_ns:2000. ~checks:500. ~minor:10_000. () in
+  let o = diff_exn ~baseline ~current in
+  Alcotest.(check (list string)) "nothing flagged" [] (flagged o);
+  Alcotest.(check int) "exit 0" 0 (Obs.Bench_compare.exit_code o);
+  Alcotest.(check bool) "time ratio reported" true
+    (contains "2.00" o.Obs.Bench_compare.report)
+
+let test_compare_alloc_by_version () =
+  let baseline = bench_doc ~time_ns:1000. ~checks:500. ~minor:10_000. () in
+  let current = bench_doc ~time_ns:1000. ~checks:500. ~minor:20_000. () in
+  let o = diff_exn ~baseline ~current in
+  Alcotest.(check (list string)) "alloc at 2x flagged" [ "alloc" ] (flagged o);
+  Alcotest.(check int) "exit 1" 1 (Obs.Bench_compare.exit_code o);
+  let current =
+    bench_doc ~ocaml:"5.2.0" ~time_ns:1000. ~checks:500. ~minor:20_000. ()
   in
-  Alcotest.(check int) "custom tolerance clears it" 0
-    (List.length o'.Obs.Bench_compare.regressions)
+  let o = diff_exn ~baseline ~current in
+  Alcotest.(check (list string)) "other OCaml: alloc skipped" [] (flagged o);
+  Alcotest.(check int) "exit 0" 0 (Obs.Bench_compare.exit_code o);
+  Alcotest.(check bool) "skip reported" true
+    (contains "alloc rows skipped" o.Obs.Bench_compare.report)
 
 let test_compare_disjoint_names () =
-  let baseline = bench_doc ~time_ns:1000. ~checks:500. ~minor:10_000. in
+  let baseline = bench_doc ~time_ns:1000. ~checks:500. ~minor:10_000. () in
   let current =
     Obj
       [
@@ -955,20 +971,22 @@ let test_compare_disjoint_names () =
         ("workloads", Obj []);
       ]
   in
-  let o = diff_exn ~baseline ~current () in
-  Alcotest.(check int) "nothing compared regresses" 0
-    (List.length o.Obs.Bench_compare.regressions);
+  let o = diff_exn ~baseline ~current in
+  Alcotest.(check (list string)) "nothing compared regresses" [] (flagged o);
+  Alcotest.(check int) "exit 0" 0 (Obs.Bench_compare.exit_code o);
   Alcotest.(check bool) "baseline-only names reported" true
-    (List.mem "b/one" o.Obs.Bench_compare.only_baseline);
+    (List.mem "b/one" o.Obs.Bench_compare.only_baseline
+    && List.mem "w/one" o.Obs.Bench_compare.only_baseline);
   Alcotest.(check bool) "current-only names reported" true
-    (List.mem "b/new" o.Obs.Bench_compare.only_current)
+    (List.mem "b/new" o.Obs.Bench_compare.only_current);
+  Alcotest.(check bool) "listed in the report" true
+    (contains "only in baseline (skipped): w/one" o.Obs.Bench_compare.report)
 
 let test_compare_rejects_non_bench () =
   match
     Obs.Bench_compare.diff
       ~baseline:(Obj [ ("kind", Str "bench"); ("schema_version", Num 1.) ])
       ~current:(Obj [ ("kind", Str "metrics") ])
-      ()
   with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "non-bench input accepted"
@@ -1135,6 +1153,7 @@ let () =
           tc "hostile nesting" `Quick test_json_hostile_nesting;
           tc "hostile numbers" `Quick test_json_hostile_numbers;
           QCheck_alcotest.to_alcotest ~long:false fuzz_json_random_bytes;
+          QCheck_alcotest.to_alcotest ~long:false prop_json_float_roundtrip;
           QCheck_alcotest.to_alcotest ~long:false fuzz_json_truncated_mutated;
         ] );
       ( "metrics-export",
@@ -1147,6 +1166,9 @@ let () =
           tc "within tolerance passes" `Quick test_compare_no_regression;
           tc "beyond tolerance fails with exit 1" `Quick
             test_compare_regression;
+          tc "time at 2x is reported, exits 0" `Quick test_compare_time_not_gated;
+          tc "alloc gated only on one OCaml version" `Quick
+            test_compare_alloc_by_version;
           tc "disjoint names are reported, not flagged" `Quick
             test_compare_disjoint_names;
           tc "non-bench input is an error" `Quick test_compare_rejects_non_bench;

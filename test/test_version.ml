@@ -395,6 +395,29 @@ let test_snapshot_rejects_tampering () =
   | _ -> Alcotest.fail "truncated changelog should be rejected"
   | exception Failure _ -> ()
 
+(* Float cells reload as they were applied: an integral one is applied
+   as the [Int] its changelog line decodes to, and a float with more
+   digits than nine is written with enough to read back as itself. *)
+let test_snapshot_float_inserts () =
+  List.iter
+    (fun (label, f) ->
+      let t = make_store () in
+      ignore
+        (Store.commit t ~branch:Store.main
+           (Op.Insert
+              {
+                relation = "R1";
+                rows = [ [| Value.Int 900_001; Value.Float f; Value.Int 1 |] ];
+              }));
+      with_temp_dir @@ fun dir ->
+      Store.save t ~dir;
+      let t' = Store.load ~resolve:(resolver ()) ~dir () in
+      Alcotest.(check string)
+        (label ^ ": state digest survives")
+        (Store.state_digest t Store.main)
+        (Store.state_digest t' Store.main))
+    [ ("integral float", 2.0); ("ten-digit float", 0.1234567891) ]
+
 (* Every field is read through one integer and one string rule: a saved
    store with one mistyped field must not load. *)
 let test_snapshot_rejects_mistyped_fields () =
@@ -458,6 +481,7 @@ let () =
       ( "snapshot",
         [
           tc "save/load round-trips every branch" `Quick test_snapshot_roundtrip;
+          tc "float inserts reload" `Quick test_snapshot_float_inserts;
           tc "tampered changelog is rejected" `Quick
             test_snapshot_rejects_tampering;
           tc "mistyped fields are rejected" `Quick
