@@ -12,15 +12,14 @@ let equal = Sset.equal
 let compare = Sset.compare
 let cardinal = Sset.cardinal
 
-let covered_aliases node_positions tuple =
-  List.filter_map
-    (fun (alias, positions) ->
-      if List.exists (fun i -> not (Relational.Value.is_null tuple.(i))) positions
-      then Some alias
-      else None)
-    node_positions
-
-let of_tuple node_positions tuple = of_list (covered_aliases node_positions tuple)
+let of_tuple node_positions tuple =
+  of_list
+    (List.filter_map
+       (fun (alias, positions) ->
+         if List.exists (fun i -> not (Relational.Value.is_null tuple.(i))) positions
+         then Some alias
+         else None)
+       node_positions)
 
 let label ?(short = fun _ -> None) t =
   let names = Sset.elements t in

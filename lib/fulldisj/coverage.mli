@@ -20,10 +20,6 @@ val cardinal : t -> int
     tuple's scheme. *)
 val of_tuple : (string * int list) list -> Relational.Tuple.t -> t
 
-(** The aliases {!of_tuple} would cover, in [node_positions] order — a
-    cheap key for sharing one coverage value per null pattern. *)
-val covered_aliases : (string * int list) list -> Relational.Tuple.t -> string list
-
 (** Human-readable tag.  [short] maps an alias to its abbreviation (the
     paper tags rows "CPPhS"); defaults to the alias' first letter sequence
     fallback of the full name. Unmapped aliases print in full. *)

@@ -11,30 +11,50 @@ type result = {
 
 (* Coverage comes back from each row's null pattern: base relations reject
    all-null tuples, so a padded F(J) tuple is non-null somewhere in exactly
-   the aliases of J.  Rows with one pattern share one coverage value: a
-   cached D(G) holds one per category, not one per row. *)
+   the aliases of J.  A row's pattern is a bitmask over [g]'s aliases, in
+   words of [Sys.int_size - 1] bits so it is exact for any number of
+   them, and rows with one pattern share one coverage value: a cached
+   D(G) holds one per category, not one per row. *)
 let of_rows g rel =
   let scheme = Relation.schema rel in
-  let rows =
-    Relation.create ~dedup:false ~allow_all_null:true "D(G)" scheme
-      (Relation.tuples rel)
-  in
   let node_positions =
     List.map (fun a -> (a, Schema.positions_of_rel scheme a)) (Qgraph.aliases g)
   in
-  let shared = Hashtbl.create 16 in
-  let coverage =
-    Array.map
-      (fun t ->
-        let aliases = Coverage.covered_aliases node_positions t in
-        match Hashtbl.find_opt shared aliases with
-        | Some coverage -> coverage
-        | None ->
-            let coverage = Coverage.of_list aliases in
-            Hashtbl.add shared aliases coverage;
-            coverage)
-      (Relation.tuples_array rows)
+  let aliases = Array.of_list (List.map fst node_positions) in
+  let positions =
+    Array.of_list (List.map (fun (_, ps) -> Array.of_list ps) node_positions)
   in
+  let bits = Sys.int_size - 1 in
+  let words = max 1 ((Array.length aliases + bits - 1) / bits) in
+  let pattern = Array.make words 0 in
+  (* pattern -> coverage, probed with [pattern] itself *)
+  let seen = Hashtbl.create 16 in
+  let coverage_of t =
+    Array.fill pattern 0 words 0;
+    for a = 0 to Array.length positions - 1 do
+      let ps = positions.(a) in
+      let j = ref 0 in
+      while !j < Array.length ps && Value.is_null t.(ps.(!j)) do
+        incr j
+      done;
+      if !j < Array.length ps then
+        pattern.(a / bits) <- pattern.(a / bits) lor (1 lsl (a mod bits))
+    done;
+    match Hashtbl.find_opt seen pattern with
+    | Some coverage -> coverage
+    | None ->
+        let coverage =
+          Coverage.of_list
+            (List.filteri
+               (fun a _ -> pattern.(a / bits) land (1 lsl (a mod bits)) <> 0)
+               (Array.to_list aliases))
+        in
+        Hashtbl.add seen (Array.copy pattern) coverage;
+        coverage
+  in
+  let tuples = Relation.tuples_array rel in
+  let coverage = Array.map coverage_of tuples in
+  let rows = Relation.as_boxed (Relation.with_name "D(G)" rel) in
   { scheme; node_positions; rows; coverage }
 
 (* The F(J) of every category in [subsets] (connected alias sets of [g]),
@@ -58,15 +78,42 @@ let padded_categories src g subsets =
 
 let padded_tuples per_category = List.concat_map Relation.tuples per_category
 
-(* Categories have distinct null patterns and each F(J) is a set, so S(G)
-   is a set without a dedup pass. *)
+let holds_all_null_row r =
+  match Relation.view r with
+  | Relation.Boxed rows -> Array.exists Tuple.all_null rows
+  | Relation.Columns cols ->
+      let rec all_null i c =
+        c = Array.length cols || (cols.(c).(i) = 0 && all_null i (c + 1))
+      in
+      let rec scan i = i < Relation.cardinality r && (all_null i 0 || scan (i + 1)) in
+      scan 0
+
+(* The padded categories as one relation, in category order.  It is a set
+   without a dedup pass: each F(J) is a set (its base relations are), and
+   while no base relation of [g] holds an all-null row, a padded F(J) row
+   is non-null somewhere in each alias of J and null everywhere else, so
+   rows of different categories differ in their null pattern.  A stored
+   all-null row would pad into another category's pattern, and only a
+   graph over such a relation pays for a dedup. *)
+let padded_union src g name scheme per_category =
+  if Schema.arity scheme = 0 || per_category = [] then
+    Relation.create ~allow_all_null:true name scheme (padded_tuples per_category)
+  else
+    let dedup =
+      List.exists
+        (fun n ->
+          Option.fold ~none:false ~some:holds_all_null_row
+            (Source.lookup src n.Qgraph.base))
+        (Qgraph.nodes g)
+    in
+    Relation.of_columns ~dedup ~allow_all_null:true name scheme
+      (Col_ops.concat (List.map Relation.columns per_category))
+
 let possible_associations src g =
   let scheme, per_category =
     padded_categories src g (Subgraphs.connected_node_sets g)
   in
-  of_rows g
-    (Relation.create ~dedup:false ~allow_all_null:true "S(G)" scheme
-       (padded_tuples per_category))
+  of_rows g (padded_union src g "S(G)" scheme per_category)
 
 (* Dedup equal tuples across categories by hash bucket, the pairwise
    oracle's own way (no kernel). *)
@@ -107,21 +154,16 @@ let naive src g =
 
 (* End-to-end batch evaluation of D(G) as a relation on the columnar
    kernels: each category's F(J) is padded to the full scheme (shared
-   columns + null fills), the categories are vertically concatenated and
-   set-deduplicated in one pass, the subsumption sweep runs on
-   bitmask/class-id kernels, and the survivors come out in canonical
-   [Tuple.compare] order. *)
+   columns + null fills), the categories are vertically concatenated into
+   a set, the subsumption sweep runs on bitmask/class-id kernels, and the
+   survivors come out in canonical [Tuple.compare] order. *)
 let compute_relation ?(name = "D(G)") src g ~categories =
   Obs.with_span ~attrs:[ ("algorithm", "columnar") ] Obs.Names.sp_fulldisj
     (fun () ->
       let scheme, per_category = padded_categories src g categories in
       let union_all =
         Obs.with_span Obs.Names.sp_dedup (fun () ->
-            if Schema.arity scheme = 0 || per_category = [] then
-              Relation.create name scheme (padded_tuples per_category)
-            else
-              Relation.of_columns ~allow_all_null:true name scheme
-                (Col_ops.concat (List.map Relation.columns per_category)))
+            padded_union src g name scheme per_category)
       in
       Join_eval.canonical (Min_union.minimize ?pool:(Source.pool src) union_all))
 

@@ -32,9 +32,10 @@ type result = {
 
 (** [of_rows g rel] — the result holding [rel]'s rows as a boxed
     relation of their own, in [rel]'s order, with each row's coverage read
-    off its null pattern; sound because base relations reject all-null
-    tuples.  [rel] must be a set over [g]'s
-    scheme.  Every algorithm here builds its result this way. *)
+    off its null pattern, one coverage value per distinct pattern; sound
+    because base relations reject all-null tuples.  [rel] must be a set
+    over [g]'s scheme.  Every algorithm here builds its result this
+    way. *)
 val of_rows : Qgraph.t -> Relation.t -> result
 
 val naive : Source.t -> Qgraph.t -> result
@@ -63,12 +64,13 @@ val delta :
 (** [compute_relation src g ~categories] — the minimum union of the
     padded F(J) of each category in [categories] (connected alias sets
     of [g]), as a relation, evaluated on the columnar batch kernels end
-    to end (concatenated padded categories, one-pass set dedup, bitmask
-    subsumption sweep, canonical sort).  Over every connected node set
-    ({!Querygraph.Subgraphs.connected_node_sets}) it is D(G): the rows of
-    [compute src g], in the same order.  A category list closed under
-    supersets gives exactly D(G)'s rows whose coverage is in the list,
-    since a subsumer's coverage contains its victim's. *)
+    to end (padded categories concatenated into a set, bitmask
+    subsumption sweep, canonical sort).  The union needs no dedup pass
+    unless a base relation of [g] holds an all-null row.  Over every
+    connected node set ({!Querygraph.Subgraphs.connected_node_sets}) it
+    is D(G): the rows of [compute src g], in the same order.  A category
+    list closed under supersets gives exactly D(G)'s rows whose coverage
+    is in the list, since a subsumer's coverage contains its victim's. *)
 val compute_relation :
   ?name:string ->
   Source.t ->

@@ -108,10 +108,109 @@ let concat sets =
       Array.init arity (fun c ->
           Array.concat (List.map (fun cols -> cols.(c)) sets))
 
+(* Integer sort keys of column 0 when every cell has one: null, then
+   false and true, then each integral numeric in [-2^62, 2^62] as its own
+   value, except that 2^62 (one past max_int) keys as max_int and -2^62
+   as [true] does.  The map is monotone in Value.compare and class-equal
+   cells collide (Int 3 / Float 3.0, -0. / 0.).  So do ints beyond 2^53
+   whose float images coincide, and the two ends with their neighbours;
+   the comparator settles every collision.  Strings, fractions, NaN and
+   the infinities have no key, and then neither does the column. *)
+let int_keys tag0 num0 n =
+  let keys = Array.make n 0 in
+  let rec go i =
+    i = n
+    || (match Bytes.get tag0 i with
+       | '\000' ->
+           keys.(i) <- min_int;
+           true
+       | '\001' ->
+           keys.(i) <- min_int + 1 + int_of_float num0.(i);
+           true
+       | '\002' ->
+           let f = num0.(i) in
+           Float.is_integer f
+           && Float.abs f <= 0x1p62
+           &&
+           (keys.(i) <-
+              (if f = 0x1p62 then max_int else max (min_int + 2) (int_of_float f));
+            true)
+       | _ -> false)
+       && go (i + 1)
+  in
+  if go 0 then Some keys else None
+
+(* Row indices stably ordered by [keys], read as unsigned offsets from
+   their minimum, with an LSD radix sort over flat int arrays.  The digit
+   width grows with the row count, so a key range about as wide as the
+   row count (shuffled ids) takes one counting pass.  Returns the
+   indices and their offsets in that order. *)
+let radix_sort keys =
+  let n = Array.length keys in
+  let lo = Array.fold_left min max_int keys in
+  let span = Array.fold_left (fun acc k -> acc lor (k - lo)) 0 keys in
+  let bits_of x =
+    let rec go b = if b >= Sys.int_size || x lsr b = 0 then b else go (b + 1) in
+    go 0
+  in
+  let bits = bits_of span in
+  let src_i = ref (Array.init n Fun.id)
+  and src_k = ref (Array.map (fun k -> k - lo) keys) in
+  if bits > 0 then begin
+    let width = max 8 (min 16 (bits_of n + 1)) in
+    let passes = (bits + width - 1) / width in
+    let width = (bits + passes - 1) / passes in
+    let mask = (1 lsl width) - 1 in
+    let count = Array.make (mask + 2) 0 in
+    let dst_i = ref (Array.make n 0) and dst_k = ref (Array.make n 0) in
+    for p = 0 to passes - 1 do
+      let shift = p * width in
+      Array.fill count 0 (mask + 2) 0;
+      let sk = !src_k and si = !src_i and dk = !dst_k and di = !dst_i in
+      for i = 0 to n - 1 do
+        let d = ((sk.(i) lsr shift) land mask) + 1 in
+        count.(d) <- count.(d) + 1
+      done;
+      for d = 1 to mask + 1 do
+        count.(d) <- count.(d) + count.(d - 1)
+      done;
+      for i = 0 to n - 1 do
+        let d = (sk.(i) lsr shift) land mask in
+        let at = count.(d) in
+        count.(d) <- at + 1;
+        di.(at) <- si.(i);
+        dk.(at) <- sk.(i)
+      done;
+      src_i := di;
+      src_k := dk;
+      dst_i := si;
+      dst_k := sk
+    done
+  end;
+  (!src_i, !src_k)
+
+(* [idx.(s .. e-1)] stably sorted by [cmp]. *)
+let sort_slice cmp idx s e =
+  if e - s <= 16 then
+    for i = s + 1 to e - 1 do
+      let x = idx.(i) in
+      let j = ref (i - 1) in
+      while !j >= s && cmp idx.(!j) x > 0 do
+        idx.(!j + 1) <- idx.(!j);
+        decr j
+      done;
+      idx.(!j + 1) <- x
+    done
+  else begin
+    let part = Array.sub idx s (e - s) in
+    Array.stable_sort cmp part;
+    Array.blit part 0 idx s (e - s)
+  end
+
 (* Rows in Value.compare order, column-major left to right — the columnar
    image of sorting boxed tuples with [Tuple.compare].  The comparator has
    no ties on deduplicated inputs (compare's kernel is the class
-   relation), so the unstable sort is still deterministic there. *)
+   relation), so every path below is deterministic there. *)
 let sort_rows_canonical cols =
   let n = nrows cols in
   let arity = Array.length cols in
@@ -150,8 +249,8 @@ let sort_rows_canonical cols =
       in
       if d <> 0 then d else rest i j
     in
-    (* Sortedness structure: join outputs arrive fully sorted (left rows
-       ascending), and category unions are a handful of sorted runs
+    (* Sortedness structure: a join's output is as sorted as its left
+       input, and category unions are a handful of sorted runs
        concatenated.  One O(n) scan finds the run boundaries; one run is
        a no-op, a few runs bottom-up merge in O(n log runs).  On
        deduplicated input the comparator has no ties (dedup is
@@ -207,11 +306,26 @@ let sort_rows_canonical cols =
       done;
       gather cols !src
     end
-    else begin
-      let idx = Array.init n Fun.id in
-      Array.sort cmp idx;
-      gather cols idx
-    end
+    else
+      match int_keys tag0 num0 n with
+      | Some keys ->
+          (* Many runs over an integer column 0 (a base relation's
+             shuffled ids, a join led by one): a stable radix sort by
+             its keys, then each run of equal keys settled by the exact
+             comparator. *)
+          let idx, sorted = radix_sort keys in
+          let s = ref 0 in
+          for i = 1 to n do
+            if i = n || sorted.(i) <> sorted.(!s) then begin
+              if i - !s > 1 then sort_slice cmp idx !s i;
+              s := i
+            end
+          done;
+          gather cols idx
+      | None ->
+          let idx = Array.init n Fun.id in
+          Array.sort cmp idx;
+          gather cols idx
   end
 
 (* Row indices grouped by cell value — the columnar counterpart of the

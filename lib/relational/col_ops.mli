@@ -40,7 +40,11 @@ val concat : int array array list -> int array array
 
 (** Rows reordered into [Value.compare] order (the columnar image of
     sorting boxed tuples with [Tuple.compare]); deterministic on
-    deduplicated inputs. *)
+    deduplicated inputs.  Sorted input is returned as is and up to 64
+    sorted runs are merged; otherwise, when every column-0 cell is null,
+    a bool or an integral numeric in ±2^62, the rows are radix-sorted by
+    a monotone integer key of column 0 and ties settled by the exact
+    comparator, and any other input takes a comparator sort. *)
 val sort_rows_canonical : int array array -> int array array
 
 (** Row indices grouped by cell value — the columnar counterpart of a

@@ -150,6 +150,13 @@ let as_columns t =
       let cols = columns t in
       { t with rep = { nrows = t.rep.nrows; boxed = None; cols = Some cols } }
 
+let as_boxed t =
+  match t.rep.cols with
+  | None -> t
+  | Some _ ->
+      let arr = tuples_array t in
+      { t with rep = { nrows = t.rep.nrows; boxed = Some arr; cols = None } }
+
 let name t = t.name
 let schema t = t.schema
 let tuples t = Array.to_list (tuples_array t)

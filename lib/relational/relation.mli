@@ -70,6 +70,12 @@ val columns : t -> int array array
     stores. *)
 val as_columns : t -> t
 
+(** The same relation held as boxed tuples only, the mirror of
+    {!as_columns}: [t] itself when it has no columns, else a relation
+    sharing [t]'s tuple array (boxed now if [t] had none) without the
+    columns.  What a computed D(G) keeps. *)
+val as_boxed : t -> t
+
 (** How the relation holds its rows right now: the boxed array when it
     has one, else the id columns.  Materializes nothing; for readers
     such as {!Render} that consume either without boxing a columnar

@@ -174,30 +174,78 @@ let prop_dedup_matches_boxed =
       in
       List.length kept = expect)
 
+(* [tuples], deduplicated (the columnar sort promises determinism only
+   on set-semantic input: class-equal rows would tie), sort as
+   [List.sort Tuple.compare] does, byte for byte. *)
+let sorts_like_boxed tuples arity =
+  let cols = cols_of_tuples tuples arity in
+  let cols =
+    match Col_ops.dedup_keep_first cols with
+    | None -> cols
+    | Some rows -> Col_ops.gather cols rows
+  in
+  let sorted = Col_ops.sort_rows_canonical cols in
+  let resolve_rows cs =
+    List.init (Col_ops.nrows cs) (fun i ->
+        Array.init (Array.length cs) (fun c -> Value_pool.resolve cs.(c).(i)))
+  in
+  let got = resolve_rows sorted in
+  let expect = List.sort Tuple.compare (resolve_rows cols) in
+  List.length got = List.length expect
+  && List.for_all2
+       (fun a b -> String.equal (Tuple.to_string a) (Tuple.to_string b))
+       got expect
+
 let prop_sort_matches_boxed =
   QCheck2.Test.make ~name:"sort_rows_canonical = boxed Tuple.compare sort"
     ~count:300
     QCheck2.Gen.(list_size (int_range 0 200) (tuple_gen 3))
-    (fun tuples ->
-      (* Dedup first: the columnar sort promises determinism only on
-         set-semantic input (class-equal rows would tie). *)
-      let cols = cols_of_tuples tuples 3 in
-      let cols =
-        match Col_ops.dedup_keep_first cols with
-        | None -> cols
-        | Some rows -> Col_ops.gather cols rows
+    (fun tuples -> sorts_like_boxed tuples 3)
+
+(* Column-0 cells with integer sort keys: negatives, Int k beside Float k,
+   the signed zeros, a key range far wider than one radix digit, ints
+   around 2^53 (whose float images collide) and at the ends of the int
+   range, nulls and bools.  Floats stay small: a float image beside a
+   large int would make Value.compare intransitive. *)
+let int_key_value st =
+  match Random.State.int st 20 with
+  | 0 | 1 -> Value.Null
+  | 2 -> Value.Bool (Random.State.bool st)
+  | 3 | 4 | 5 | 6 | 7 -> Value.Int (Random.State.int st 81 - 40)
+  | 8 | 9 | 10 | 11 -> Value.Float (float_of_int (Random.State.int st 81 - 40))
+  | 12 -> if Random.State.bool st then Value.Float 0. else Value.Float (-0.)
+  | 13 | 14 -> Value.Int (Random.State.full_int st 2_000_000_001 - 1_000_000_000)
+  | 15 | 16 -> Value.Int ((1 lsl 53) + Random.State.int st 7 - 3)
+  | _ -> (
+      match Random.State.int st 4 with
+      | 0 -> Value.Int max_int
+      | 1 -> Value.Int (max_int - 1)
+      | 2 -> Value.Int min_int
+      | _ -> Value.Int (min_int + 1))
+
+(* 65 to 3000 shuffled rows (past the 64 sorted runs the merge path
+   takes) whose column 0 repeats under different later columns; one case
+   in four gets a single fallback row with a non-integral column 0. *)
+let prop_sort_int_keys =
+  QCheck2.Test.make ~name:"sort_rows_canonical = boxed sort on integer keys"
+    ~count:100 ~print:string_of_int QCheck2.Gen.int (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 65 + Random.State.int st 2936 in
+      let later () = QCheck2.Gen.generate1 ~rand:st value_gen in
+      let tuples =
+        List.init n (fun _ -> [| int_key_value st; later (); later () |])
       in
-      let sorted = Col_ops.sort_rows_canonical cols in
-      let resolve_rows cs =
-        List.init (Col_ops.nrows cs) (fun i ->
-            Array.init (Array.length cs) (fun c -> Value_pool.resolve cs.(c).(i)))
+      let tuples =
+        if Random.State.int st 4 > 0 then tuples
+        else
+          let at = Random.State.int st n in
+          let odd =
+            [| Value.Float infinity; Value.Float nan; Value.Float neg_infinity |].(
+              Random.State.int st 3)
+          in
+          List.mapi (fun i t -> if i = at then [| odd; t.(1); t.(2) |] else t) tuples
       in
-      let got = resolve_rows sorted in
-      let expect = List.sort Tuple.compare (resolve_rows cols) in
-      List.length got = List.length expect
-      && List.for_all2
-           (fun a b -> String.equal (Tuple.to_string a) (Tuple.to_string b))
-           got expect)
+      sorts_like_boxed tuples 3)
 
 let prop_masks =
   QCheck2.Test.make ~name:"nonnull_masks bit c iff column c non-null" ~count:300
@@ -460,6 +508,7 @@ let () =
           Alcotest.test_case "buckets sparse fallback" `Quick unit_buckets_sparse;
           qtest prop_dedup_matches_boxed;
           qtest prop_sort_matches_boxed;
+          qtest prop_sort_int_keys;
           qtest prop_masks;
         ] );
       ( "algebra-parity",

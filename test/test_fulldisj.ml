@@ -41,6 +41,22 @@ let test_coverage_of_tuple () =
   Alcotest.(check (list string)) "A only" [ "A" ]
     (Coverage.to_list (Coverage.of_tuple node_positions t))
 
+(* A row's null pattern stays exact past one int of aliases: aliases 0
+   and 62 would share a bit in a single folded word. *)
+let test_of_rows_many_aliases () =
+  let aliases = List.init 64 (Printf.sprintf "A%02d") in
+  let g = Qgraph.make (List.map (fun a -> (a, a)) aliases) [] in
+  let scheme = Schema.of_attrs (List.map (fun a -> Attr.make a "x") aliases) in
+  let only k = Tuple.make (List.init 64 (fun c -> if c = k then v_int 1 else Value.Null)) in
+  let fd =
+    Full_disjunction.of_rows g
+      (Relation.create "U" scheme [ only 0; only 62; only 63 ])
+  in
+  Alcotest.(check (list (list string)))
+    "one alias each"
+    [ [ "A00" ]; [ "A62" ]; [ "A63" ] ]
+    (Array.to_list (Array.map Coverage.to_list fd.Full_disjunction.coverage))
+
 (* --- Min union --- *)
 
 (* [Min_union.sweep] over the tuples as one relation (deduplicated on the
@@ -677,6 +693,95 @@ let test_wide_scheme_matches_naive () =
   Alcotest.(check bool) "= naive" true
     (same_associations fd (Full_disjunction.naive src g))
 
+(* The padded category union, as [compute_relation] builds it: every
+   connected node set's F(J), padded to the graph's scheme, in order. *)
+let padded_union src g =
+  let scheme = Source.scheme src g in
+  Col_ops.concat
+    (List.map
+       (fun aliases ->
+         Relation.columns
+           (Algebra.pad
+              (Join_eval.full_associations src (Qgraph.induced g aliases))
+              scheme))
+       (Querygraph.Subgraphs.connected_node_sets g))
+
+let synth_instance (seed, shape, size, rows) =
+  let st = Random.State.make [| seed |] in
+  let inst =
+    match shape with
+    | 0 -> Synth.Gen_graph.chain st ~n:size ~rows ~null_prob:0.3 ~orphan_prob:0.25 ()
+    | 1 -> Synth.Gen_graph.star st ~leaves:size ~rows ~null_prob:0.3 ~orphan_prob:0.25 ()
+    | _ -> Synth.Gen_graph.random_tree st ~n:size ~rows ~null_prob:0.3 ~orphan_prob:0.25 ()
+  in
+  (inst.Synth.Gen_graph.db, inst.Synth.Gen_graph.graph)
+
+(* Categories have distinct null patterns and each F(J) is a set, so the
+   union needs no dedup pass: on synthetic chains, stars and trees with
+   null and orphan foreign keys ... *)
+let prop_padded_union_is_set =
+  QCheck2.Test.make ~name:"padded category union is a set" ~count:150
+    ~print:(fun (seed, shape, size, rows) ->
+      Printf.sprintf "seed %d shape %d size %d rows %d" seed shape size rows)
+    QCheck2.Gen.(
+      quad (int_range 0 100_000) (int_range 0 2) (int_range 1 4) (int_range 0 40))
+    (fun params ->
+      let db, g = synth_instance params in
+      Col_ops.dedup_keep_first (padded_union (Source.of_db db) g) = None)
+
+(* ... and on the paper's Figure 1 graphs. *)
+let test_padded_union_is_set_figure1 () =
+  let src = Source.of_db Paperdata.Figure1.database in
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check bool) name true
+        (Col_ops.dedup_keep_first (padded_union src g) = None))
+    [
+      ("G", Paperdata.Running.graph_g);
+      ("G1", Paperdata.Running.graph_g1);
+      ("G2", Paperdata.Running.graph_g2);
+      ("Figure 9", Paperdata.Running.fig9_graph);
+      ("Section 2", Paperdata.Running.section2_mapping.Clio.Mapping.graph);
+    ]
+
+(* D(G) at size, where F(J)'s canonical sort takes the integer-key path:
+   300+ shuffled ids per relation. *)
+let test_compute_equals_naive_at_size () =
+  List.iter
+    (fun ((_, shape, size, rows) as params) ->
+      let db, g = synth_instance params in
+      let src = Source.of_db db in
+      Alcotest.(check bool)
+        (Printf.sprintf "shape %d, %d relations of %d rows" shape size rows)
+        true
+        (same_associations (Full_disjunction.compute src g)
+           (Full_disjunction.naive src g)))
+    [ (11, 0, 3, 300); (12, 1, 3, 320); (13, 2, 4, 300); (14, 0, 2, 400) ]
+
+(* A stored relation may hold an all-null row (a relation built with
+   [~allow_all_null:true]); padded, it lands in another category's null
+   pattern.  Here B's only row is all-null and the edge admits it, so
+   F({A, B}) pads to exactly the rows of F({A}). *)
+let test_stored_all_null_row () =
+  let b =
+    Relation.create ~allow_all_null:true "B" (Schema.make "B" [ "k" ])
+      [ Tuple.make [ Value.Null ] ]
+  in
+  let db =
+    Database.of_relations
+      [ mk "A" [ "id" ] [ Tuple.make [ v_int 1 ]; Tuple.make [ v_int 2 ] ]; b ]
+  in
+  let g =
+    Qgraph.make
+      [ ("A", "A"); ("B", "B") ]
+      [ ("A", "B", Predicate.Is_null (Expr.Col (Attr.make "B" "k"))) ]
+  in
+  let src = Source.of_db db in
+  let fd = Full_disjunction.compute src g in
+  Alcotest.(check int) "associations" 2 (Relation.cardinality fd.Full_disjunction.rows);
+  Alcotest.(check bool) "= naive" true
+    (same_associations fd (Full_disjunction.naive src g))
+
 let qsuite name tests = (name, List.map (QCheck_alcotest.to_alcotest ~long:false) tests)
 
 let () =
@@ -688,6 +793,7 @@ let () =
           tc "basic" `Quick test_coverage_basic;
           tc "label" `Quick test_coverage_label;
           tc "of tuple" `Quick test_coverage_of_tuple;
+          tc "of_rows past 62 aliases" `Quick test_of_rows_many_aliases;
         ] );
       ( "min_union",
         [
@@ -708,6 +814,10 @@ let () =
           tc "rooted subset" `Quick test_rooted_is_root_covering_subset;
           tc "possible ⊇ D(G)" `Quick test_possible_associations_superset;
           tc "wide scheme = naive" `Quick test_wide_scheme_matches_naive;
+          tc "padded union is a set: Figure 1" `Quick
+            test_padded_union_is_set_figure1;
+          tc "compute = naive at size" `Quick test_compute_equals_naive_at_size;
+          tc "stored all-null row" `Quick test_stored_all_null_row;
         ] );
       ( "plan",
         [
@@ -730,6 +840,7 @@ let () =
           prop_fd_is_minimal;
           prop_coverage_matches_nullness;
           prop_compute_equals_naive;
+          prop_padded_union_is_set;
           prop_delta_equals_compute;
         ];
     ]
