@@ -373,8 +373,8 @@ let engine_cache_arms =
    the active target view re-renders (WYSIWYG).  Each run warms one
    caching context, then replays a burst of single-tuple inserts with a
    refresh after each.  The incremental arm keeps its context across the
-   edits and repairs the cached F(J)/D(G) entries through the recorded
-   delta chain; the no-incremental arm starts a fresh context per edit —
+   edits and repairs the cached D(G) entries through the recorded
+   delta chain (F(J) entries are a per-version memo); the no-incremental arm starts a fresh context per edit —
    the work a kept cache does once every edit has bumped the database
    version and stranded it — so each refresh re-evaluates from scratch.
    Part 3's cache.promote.* / delta.* counters are the promotion story
@@ -387,7 +387,8 @@ let engine_edit_instance =
     ~null_prob:0.25 ~orphan_prob:0.2 ()
 
 (* The session's walk alternatives R1, R1-R2, R1-R2-R3, R1-R2-R3-R4
-   overlap pairwise, so the FJ tier shares promoted subgraphs too. *)
+   overlap pairwise, so at each version the FJ tier shares their
+   subgraphs. *)
 let engine_edit_mappings =
   chain_walk_mappings engine_edit_instance ~max_len:3 [ "R2"; "R3"; "R4" ]
 
@@ -718,7 +719,7 @@ let colplane_arms =
    D(G) on every branch, trunk first.  The warm arm restores over a
    shared cache: the trunk evaluation fills entries at the fork-root
    version and every sibling branch promotes them across the fork
-   ([cache.promote.cross_branch.*]); the cold arm (no cache) recomputes
+   ([cache.promote.cross_branch.dg]); the cold arm (no cache) recomputes
    each branch from scratch.  The counter table and headline check the
    promotions fire and the per-branch digests match byte-for-byte. *)
 
@@ -1047,8 +1048,6 @@ let run_counter_tables measured =
     ~columns:
       [
         ("delta.records", Obs.Names.delta_records);
-        ("promote.fj.free", Obs.Names.cache_promote_fj_free);
-        ("promote.fj.rep", Obs.Names.cache_promote_fj_repaired);
         ("promote.dg.free", Obs.Names.cache_promote_dg_free);
         ("promote.dg.rep", Obs.Names.cache_promote_dg_repaired);
       ]
@@ -1082,7 +1081,6 @@ let run_counter_tables measured =
     ~columns:
       [
         ("replayed", Obs.Names.version_snapshot_commits_replayed);
-        ("cross.fj", Obs.Names.cache_promote_fj_cross_branch);
         ("cross.dg", Obs.Names.cache_promote_dg_cross_branch);
         ("promote.dg.free", Obs.Names.cache_promote_dg_free);
       ]

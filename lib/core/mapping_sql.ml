@@ -90,20 +90,6 @@ let required_aliases (m : Mapping.t) =
        | _ -> [])
   |> List.sort_uniq String.compare
 
-let bfs_order g root =
-  let rec bfs visited queue acc =
-    match queue with
-    | [] -> List.rev acc
-    | a :: rest ->
-        if List.mem a visited then bfs visited rest acc
-        else
-          let next =
-            Qgraph.neighbours g a |> List.filter (fun n -> not (List.mem n visited))
-          in
-          bfs (a :: visited) (rest @ next) (a :: acc)
-  in
-  bfs [] [ root ] []
-
 let outer_join ~root (m : Mapping.t) =
   let g = m.Mapping.graph in
   if not (Outerjoin_plan.is_tree g) then
@@ -111,28 +97,22 @@ let outer_join ~root (m : Mapping.t) =
   if not (Qgraph.mem_node g root) then
     invalid_arg ("Mapping_sql.outer_join: unknown root " ^ root);
   let required = required_aliases m in
-  let order = bfs_order g root in
   let node_sql alias =
     let base = Qgraph.base_of g alias in
     if String.equal alias base then base else Printf.sprintf "%s %s" base alias
   in
+  (* The order [Outerjoin_plan.rooted] evaluates in; on a tree each later
+     alias carries the one edge to its parent, and [conj [p] = p]. *)
   let joins =
-    match order with
+    match Qgraph.join_plan ~root g with
     | [] -> assert false
-    | first :: rest ->
-        let earlier = Hashtbl.create 8 in
-        Hashtbl.add earlier first ();
+    | (first, _) :: rest ->
         node_sql first
         :: List.map
-             (fun alias ->
-               (* In a tree, exactly one neighbour precedes [alias] in BFS
-                  order: its parent. *)
-               let parent = Qgraph.neighbours g alias |> List.find (Hashtbl.mem earlier) in
-               let e = Option.get (Qgraph.find_edge g alias parent) in
-               Hashtbl.add earlier alias ();
+             (fun (alias, preds) ->
                let jt = if List.mem alias required then "join" else "left join" in
                Printf.sprintf "%s %s on %s" jt (node_sql alias)
-                 (Predicate.to_sql e.Qgraph.pred))
+                 (Predicate.to_sql (Predicate.conj preds)))
              rest
   in
   let filters = m.Mapping.source_filters @ pullback_target_filters m in

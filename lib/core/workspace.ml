@@ -91,7 +91,7 @@ let confirm t = { t with entries = [ active t ] }
    refresh every workspace's illustration against the new instance.  The
    context keeps its cache across [with_db], so with incremental
    maintenance on, the re-evaluations promote or repair the session's
-   cached F(J)/D(G) entries instead of recomputing them — this is the hot
+   cached D(G) entries instead of recomputing them — this is the hot
    path the B15 bench replays. *)
 let add_tuples t name tuples =
   let db = Database.insert_tuples (Eval_ctx.db t.ctx) name tuples in

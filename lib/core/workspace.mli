@@ -60,8 +60,8 @@ val confirm : t -> t
     into base relation [rel] ({!Relational.Database.insert_tuples}) and
     evolve every workspace's illustration against the updated instance.
     The evaluation context keeps its memo cache across the edit, so the
-    re-evaluations run through the engine's incremental promotion path
-    when it is enabled.  A no-op (same workspace value) when every tuple
+    re-evaluations promote or repair the cached D(G) entries through the
+    engine's delta chain.  A no-op (same workspace value) when every tuple
     already exists.  Raises [Invalid_argument] on an unknown relation or
     malformed tuples. *)
 val add_tuples : t -> string -> Tuple.t list -> t

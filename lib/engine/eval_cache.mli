@@ -45,10 +45,11 @@ val add_fj : t -> version:int -> Graph_key.t -> Relation.t -> unit
 val find_dg : t -> version:int -> Graph_key.t -> Full_disjunction.result option
 val add_dg : t -> version:int -> Graph_key.t -> Full_disjunction.result -> unit
 
-(** Promotion probes for the incremental path: like [find_*] but counting
-    no hit/miss and leaving LRU recency untouched — an ancestor-version
-    entry's age is genuine until its promoted copy is re-inserted at the
-    current version. *)
+(** Probes like [find_*] but counting no hit/miss and leaving LRU recency
+    untouched.  [peek_dg] is D(G) promotion's probe of an ancestor
+    version: that entry's age is genuine until its promoted copy is
+    re-inserted at the current version.  F(J) entries are never promoted;
+    [peek_fj] inspects them. *)
 
 val peek_fj : t -> version:int -> Graph_key.t -> Relation.t option
 

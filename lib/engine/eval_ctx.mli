@@ -7,7 +7,8 @@
     that work is shared.  A context memoizes both tiers in an
     {!Eval_cache}, keyed by {!Relational.Database.version} and
     {!Graph_key}, and hands the fulldisj layer a {!Fulldisj.Source} whose
-    F(J) hook points back at the cache.
+    F(J) hook points back at the cache.  Only D(G) entries promote across
+    database versions ({!data_associations}); F(J) is a plain memo.
 
     Contexts are cheap immutable records; the cache inside is shared
     mutable state.  [with_db] keeps the cache — version keys make stale
@@ -66,11 +67,11 @@ val with_jobs : t -> int -> t
 
 (** The database version this context's branch forked from the trunk at,
     if it belongs to a branch of a {{!section-branching} version store}.
-    Promotion is oblivious to it — a branch's recorded history already
-    runs back through the fork into trunk versions shared with sibling
-    branches — but promotions sourced at or below the root are counted as
-    [cache.promote.cross_branch.{fj,dg}]: warm state inherited across
-    branches through a common ancestor rather than recomputed per
+    D(G) promotion is oblivious to it — a branch's recorded history
+    already runs back through the fork into trunk versions shared with
+    sibling branches — but promotions sourced at or below the root are
+    counted as [cache.promote.cross_branch.dg]: warm state inherited
+    across branches through a common ancestor rather than recomputed per
     branch. *)
 val branch_root : t -> int option
 
@@ -81,7 +82,9 @@ val with_branch_root : t -> int -> t
     constructor promised in {!Fulldisj.Source}'s documentation. *)
 val source : t -> Source.t
 
-(** Memoized F(J) for a connected subgraph. *)
+(** Memoized F(J) for a connected subgraph: a hit at the current database
+    version, else {!Fulldisj.Join_eval.full_associations} from scratch,
+    cached at that version.  Never promoted from an ancestor version. *)
 val full_associations : t -> Querygraph.Qgraph.t -> Relation.t
 
 (** Memoized D(G) for a graph.  A miss at the current database version
@@ -89,8 +92,8 @@ val full_associations : t -> Querygraph.Qgraph.t -> Relation.t
     through the delta chain ({!Relational.Database.history}, the last
     {!Relational.Database.history_window} steps): entries whose graph
     touches none of the changed relations are reused as-is
-    ([cache.promote.*.free]); the others are repaired by a delta join
-    over the inserted tuples ([cache.promote.*.repaired],
+    ([cache.promote.dg.free]); the others are repaired by a delta join
+    over the inserted tuples ([cache.promote.dg.repaired],
     {!Fulldisj.Full_disjunction.delta}).  With no recorded ancestor in
     the cache — past the window, or before a
     {!Relational.Database.replace} — the entry is computed from scratch

@@ -10,7 +10,6 @@ let subset = Sset.subset
 let strict_superset a b = Sset.subset b a && not (Sset.equal a b)
 let equal = Sset.equal
 let compare = Sset.compare
-let cardinal = Sset.cardinal
 
 let of_tuple node_positions tuple =
   of_list

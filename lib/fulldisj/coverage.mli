@@ -11,7 +11,6 @@ val subset : t -> t -> bool
 val strict_superset : t -> t -> bool
 val equal : t -> t -> bool
 val compare : t -> t -> int
-val cardinal : t -> int
 
 (** [of_tuple node_positions tuple] — infer coverage from the null
     pattern: a node participates iff at least one of its columns is

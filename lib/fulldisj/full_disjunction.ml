@@ -162,7 +162,7 @@ let compute_relation ?(name = "D(G)") src g ~categories =
     (fun () ->
       let scheme, per_category = padded_categories src g categories in
       let union_all =
-        Obs.with_span Obs.Names.sp_dedup (fun () ->
+        Obs.with_span Obs.Names.sp_concat (fun () ->
             padded_union src g name scheme per_category)
       in
       Join_eval.canonical (Min_union.minimize ?pool:(Source.pool src) union_all))

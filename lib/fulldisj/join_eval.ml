@@ -16,25 +16,18 @@ let reorder r target =
     ~nrows:(Relation.cardinality r) (Relation.name r) target
     (Array.of_list (List.map (fun i -> cols.(i)) positions))
 
-(* BFS order from the lexicographically first alias; each step joins the next
-   node in, with the conjunction of all edges linking it to nodes already
-   present. *)
-let join_order g =
-  match Qgraph.aliases g with
-  | [] -> []
-  | start :: _ ->
-      let rec bfs visited queue acc =
-        match queue with
-        | [] -> List.rev acc
-        | a :: rest ->
-            if List.mem a visited then bfs visited rest acc
-            else
-              let next =
-                Qgraph.neighbours g a |> List.filter (fun n -> not (List.mem n visited))
-              in
-              bfs (a :: visited) (rest @ next) (a :: acc)
+(* Each step of the plan joins the next node in, with the conjunction of
+   its edges to the nodes already present. *)
+let fold_plan ?root ~join ~rel_of ~scheme g =
+  match Qgraph.join_plan ?root g with
+  | [] -> invalid_arg "Join_eval.fold_plan: empty graph"
+  | (first, _) :: rest ->
+      let joined =
+        List.fold_left
+          (fun acc (alias, preds) -> join (Predicate.conj preds) acc (rel_of alias))
+          (rel_of first) rest
       in
-      bfs [] [ start ] []
+      reorder joined scheme
 
 (* Canonical tuple order for F(J) results.  A from-scratch join emits
    tuples in join order; an incrementally repaired F(J) emits the old
@@ -52,23 +45,7 @@ let join_base_with ~rel_of ~scheme g =
   if Qgraph.node_count g = 0 then invalid_arg "Join_eval.full_associations: empty graph";
   if not (Qgraph.is_connected g) then
     invalid_arg "Join_eval.full_associations: graph not connected";
-  match join_order g with
-  | [] -> assert false
-  | first :: rest ->
-      let acc = ref (rel_of first) in
-      let present = ref [ first ] in
-      List.iter
-        (fun alias ->
-          let next_rel = rel_of alias in
-          let preds =
-            List.filter_map
-              (fun p -> Qgraph.find_edge g alias p |> Option.map (fun e -> e.Qgraph.pred))
-              !present
-          in
-          acc := Algebra.join (Predicate.conj preds) !acc next_rel;
-          present := alias :: !present)
-        rest;
-      canonical (reorder !acc scheme)
+  canonical (fold_plan ~join:Algebra.join ~rel_of ~scheme g)
 
 let join_base ~lookup g =
   join_base_with
@@ -83,8 +60,8 @@ let join_base ~lookup g =
    of new F(J) tuples.  A tuple combining inserted rows at several aliases
    shows up in several contributions — the set-semantic union absorbs the
    overlap.  The source's [lookup] must already resolve to the post-update
-   relations; the fj_hook is deliberately ignored (this is the computation
-   the cache itself calls). *)
+   relations; the fj_hook is deliberately ignored (the memo holds whole
+   F(J)s, not deltas). *)
 let full_associations_delta src g ~changed =
   let lookup = Source.lookup src in
   let scheme = Qgraph.scheme ~lookup g in

@@ -1,9 +1,10 @@
 (** Evaluation of full data associations F(J) (Definition 3.5).
 
     F(J) = σ_P(R1 × ... × Rn) with P the conjunction of edge predicates —
-    computed here as a sequence of (hash) joins along a traversal of the
-    graph, applying each edge predicate as soon as both endpoints are
-    present.  Works for cyclic graphs too (extra edges become filters). *)
+    computed here as a sequence of (hash) joins along
+    {!Querygraph.Qgraph.join_plan}, applying each edge predicate as soon as
+    both endpoints are present.  Works for cyclic graphs too (extra edges
+    become filters). *)
 
 open Relational
 
@@ -23,18 +24,29 @@ val full_associations : Source.t -> Querygraph.Qgraph.t -> Relation.t
     the inserted tuples and all other aliases at their full post-update
     instances; the union over touched aliases is returned (the old F(J)
     plus this result equals the post-update F(J), up to duplicates the
-    caller removes).  The F(J) hook is ignored: this is the repair step
-    the memo cache itself invokes.  Empty when no alias touches a changed
-    base. *)
+    caller removes).  The F(J) hook is ignored: this is the per-category
+    step of {!Full_disjunction.delta}, which a promoted D(G) entry is
+    repaired by.  Empty when no alias touches a changed base. *)
 val full_associations_delta :
   Source.t ->
   Querygraph.Qgraph.t ->
   changed:(string * Tuple.t list) list ->
   Relation.t
 
-(** The order {!full_associations} joins a connected graph's nodes in:
-    breadth-first from the lexicographically first alias. *)
-val join_order : Querygraph.Qgraph.t -> string list
+(** [fold_plan ?root ~join ~rel_of ~scheme g] — the one join cascade:
+    starting from [rel_of root], each later alias of
+    {!Querygraph.Qgraph.join_plan}[ ?root g] is joined in as
+    [join (Predicate.conj preds) acc (rel_of alias)], and the result's
+    columns are put in [scheme]'s order.  F(J) and its delta cascade inner
+    joins from the first alias; {!Outerjoin_plan} cascades full and left
+    outer joins.  Raises [Invalid_argument] on the empty graph. *)
+val fold_plan :
+  ?root:string ->
+  join:(Predicate.t -> Relation.t -> Relation.t -> Relation.t) ->
+  rel_of:(string -> Relation.t) ->
+  scheme:Schema.t ->
+  Querygraph.Qgraph.t ->
+  Relation.t
 
 (** Reorder a relation's columns to match a target schema containing
     exactly the same attributes. *)

@@ -6,46 +6,20 @@ let is_tree g =
   && Qgraph.is_connected g
   && Qgraph.edge_count g = Qgraph.node_count g - 1
 
-(* BFS order rooted at [root]; each node after the root is joined through
-   its unique tree edge to the already-present part. *)
-let bfs_order g root =
-  let rec bfs visited queue acc =
-    match queue with
-    | [] -> List.rev acc
-    | a :: rest ->
-        if List.mem a visited then bfs visited rest acc
-        else
-          let next =
-            Qgraph.neighbours g a |> List.filter (fun n -> not (List.mem n visited))
-          in
-          bfs (a :: visited) (rest @ next) (a :: acc)
+(* On a tree each node after the root joins through its one edge to the
+   part already present.  [node_relation] names each relation by its
+   alias, which is what the per-step span reports. *)
+let cascade ?root ~lookup ~join g =
+  let join p acc next =
+    if not (Obs.enabled ()) then join p acc next
+    else
+      Obs.with_span
+        ~attrs:[ ("alias", Relation.name next) ]
+        Obs.Names.sp_oj_join
+        (fun () -> join p acc next)
   in
-  bfs [] [ root ] []
-
-let cascade ~lookup ~join g root =
-  let order = bfs_order g root in
-  match order with
-  | [] -> invalid_arg "Outerjoin_plan: empty graph"
-  | first :: rest ->
-      let acc = ref (Qgraph.node_relation ~lookup g first) in
-      let present = ref [ first ] in
-      List.iter
-        (fun alias ->
-          let next_rel = Qgraph.node_relation ~lookup g alias in
-          let preds =
-            List.filter_map
-              (fun p -> Qgraph.find_edge g alias p |> Option.map (fun e -> e.Qgraph.pred))
-              !present
-          in
-          (if Obs.enabled () then
-             Obs.with_span
-               ~attrs:[ ("alias", alias) ]
-               Obs.Names.sp_oj_join
-               (fun () -> acc := join (Predicate.conj preds) !acc next_rel)
-           else acc := join (Predicate.conj preds) !acc next_rel);
-          present := alias :: !present)
-        rest;
-      Join_eval.reorder !acc (Qgraph.scheme ~lookup g)
+  Join_eval.fold_plan ?root ~join ~rel_of:(Qgraph.node_relation ~lookup g)
+    ~scheme:(Qgraph.scheme ~lookup g) g
 
 let tag_result g rel = Full_disjunction.of_rows g (Join_eval.canonical rel)
 
@@ -56,8 +30,7 @@ let full_disjunction src g =
   if not (is_tree g) then invalid_arg "Outerjoin_plan.full_disjunction: not a tree";
   Obs.with_span ~attrs:[ ("algorithm", "outerjoin") ] Obs.Names.sp_oj_plan
     (fun () ->
-      let root = List.hd (Qgraph.aliases g) in
-      let fused = cascade ~lookup ~join:Algebra.full_outer_join g root in
+      let fused = cascade ~lookup ~join:Algebra.full_outer_join g in
       (* Safety net: the cascade can only miss subsumption across branches. *)
       let minimal =
         Obs.with_span Obs.Names.sp_oj_sweep (fun () ->
@@ -70,5 +43,5 @@ let rooted src ~root g =
   let lookup = Source.lookup src in
   if not (is_tree g) then invalid_arg "Outerjoin_plan.rooted: not a tree";
   if not (Qgraph.mem_node g root) then invalid_arg ("Outerjoin_plan.rooted: " ^ root);
-  let rel = cascade ~lookup ~join:Algebra.left_outer_join g root in
+  let rel = cascade ~root ~lookup ~join:Algebra.left_outer_join g in
   tag_result g rel

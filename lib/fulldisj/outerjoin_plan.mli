@@ -2,9 +2,10 @@
 
     Galindo-Legaria showed that full disjunctions of γ-acyclic join queries
     can be computed by sequences of outer joins; binary-edge tree graphs
-    qualify.  We cascade full outer joins in BFS order (each new node
-    attaches to an already-present node) and finish with an indexed
-    subsumption sweep as a safety net — property tests check equality with
+    qualify.  We cascade full outer joins along
+    {!Querygraph.Qgraph.join_plan} through {!Join_eval.fold_plan} (each
+    new node attaches to an already-present node, the same order F(J)
+    joins in) and finish with an indexed subsumption sweep as a safety net — property tests check equality with
     the naive algorithm on random trees.
 
     Also provides the {e left}-outer-join plan rooted at a required
@@ -20,7 +21,8 @@ val is_tree : Qgraph.t -> bool
     not a tree. *)
 val full_disjunction : Source.t -> Qgraph.t -> Full_disjunction.result
 
-(** Associations covering [root], by left-outer-join cascade from [root].
-    Equals the subset of D(G) whose coverage contains [root] (tested).
+(** Associations covering [root], by left-outer-join cascade along
+    [Qgraph.join_plan ~root].  Equals the subset of D(G) whose coverage
+    contains [root], for every root (a property test).
     Raises [Invalid_argument] if [g] is not a tree. *)
 val rooted : Source.t -> root:string -> Qgraph.t -> Full_disjunction.result

@@ -15,7 +15,7 @@ let analyze ~lookup g =
     nodes = Qgraph.node_count g;
     edges = Qgraph.edge_count g;
     categories = Subgraphs.count g;
-    join_order = Join_eval.join_order g;
+    join_order = List.map fst (Qgraph.join_plan g);
     estimated_base_rows =
       List.map
         (fun n ->

@@ -13,7 +13,7 @@ type t = {
   nodes : int;
   edges : int;
   categories : int;  (** number of induced connected subgraphs *)
-  join_order : string list;  (** BFS order of the F(G) joins *)
+  join_order : string list;  (** the F(J) joins' order, {!Qgraph.join_plan} *)
   estimated_base_rows : (string * int) list;  (** alias → instance cardinality *)
 }
 

@@ -10,7 +10,6 @@ type t = {
 let of_fn lookup = { lookup; fj_hook = None; pool = None }
 let of_db db = of_fn (Database.find db)
 let with_fj hook t = { t with fj_hook = Some hook }
-let without_fj t = { t with fj_hook = None }
 let with_pool pool t = { t with pool }
 let lookup t = t.lookup
 let fj_hook t = t.fj_hook

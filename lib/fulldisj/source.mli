@@ -28,13 +28,9 @@ val of_db : Database.t -> t
 
 (** [with_fj hook src] — a source that answers whole-subgraph F(J) requests
     through [hook] (e.g. a memo cache) instead of joining base relations.
-    [hook j] must return exactly
-    [Join_eval.full_associations (without_fj src) j]. *)
+    [hook j] must return exactly the F(J) that
+    {!Join_eval.full_associations} joins from [src]'s relations. *)
 val with_fj : (Querygraph.Qgraph.t -> Relation.t) -> t -> t
-
-(** Drop the F(J) hook — what a cache calls on a miss to compute the real
-    value without re-entering itself. *)
-val without_fj : t -> t
 
 (** [with_pool pool src] — carry a [Par] pool for the fan-out points of
     this library (per-subgraph F(J) materialization, subsumption sweeps).

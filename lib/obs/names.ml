@@ -69,17 +69,15 @@ let delta_records = Counter.make "delta.records"
    longer recorded ancestors, so promotion from them falls back to a
    from-scratch evaluation instead of silently repairing a stale entry. *)
 let delta_history_evicted = Counter.make "delta.history_evicted"
-let cache_promote_fj_free = Counter.make "cache.promote.fj.free"
-let cache_promote_fj_repaired = Counter.make "cache.promote.fj.repaired"
 let cache_promote_dg_free = Counter.make "cache.promote.dg.free"
 let cache_promote_dg_repaired = Counter.make "cache.promote.dg.repaired"
 
 (* --- counters: branching version store (lib/version) --- *)
 
-(* Promotions whose source entry was cached at or below the session's
-   branch-fork version — warm state inherited from the common ancestor of
-   another branch rather than from this branch's own history. *)
-let cache_promote_fj_cross_branch = Counter.make "cache.promote.cross_branch.fj"
+(* D(G) promotions whose source entry was cached at or below the
+   session's branch-fork version — warm state inherited from the common
+   ancestor of another branch rather than from this branch's own
+   history. *)
 let cache_promote_dg_cross_branch = Counter.make "cache.promote.cross_branch.dg"
 let version_branches = Counter.make "version.branches"
 let version_merges = Counter.make "version.merges"
@@ -102,7 +100,14 @@ let sp_examples = "mapping_eval.examples"
 let sp_eval = "mapping_eval.eval"
 let sp_fulldisj = "fulldisj.compute"
 let sp_categories = "fulldisj.categories"
+
+(* [naive]'s hash dedup of the padded categories' tuples *)
 let sp_dedup = "fulldisj.dedup"
+
+(* [compute_relation]'s column concat of the padded categories, a set
+   without a dedup pass unless a base relation holds an all-null row *)
+let sp_concat = "fulldisj.concat"
+
 let sp_min_union = "fulldisj.min_union"
 let sp_full_associations = "fulldisj.full_associations"
 let sp_oj_plan = "outerjoin.plan"

@@ -126,11 +126,6 @@ let get_pool ~jobs =
 
 (* --- combinators --- *)
 
-let map_array ?pool f xs =
-  match pool with
-  | None -> Array.map f xs
-  | Some p -> if Array.length xs <= 1 then Array.map f xs else run_batch p xs f
-
 let map ?pool f xs =
   match (pool, xs) with
   | None, _ | _, ([] | [ _ ]) -> List.map f xs

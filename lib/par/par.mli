@@ -48,9 +48,6 @@ val mapi : ?pool:Pool.t -> (int -> 'a -> 'b) -> 'a list -> 'b list
     but exceptions still deterministic (lowest index wins). *)
 val iter : ?pool:Pool.t -> ('a -> unit) -> 'a list -> unit
 
-(** [map_array ?pool f xs] — [Array.map f xs] with the same guarantees. *)
-val map_array : ?pool:Pool.t -> ('a -> 'b) -> 'a array -> 'b array
-
 (** [init ?pool n f] — [Array.init n f], evaluated in index chunks so each
     batch item amortizes bookkeeping over many cheap [f] calls.  [f] must
     be safe to call in any order from any domain. *)

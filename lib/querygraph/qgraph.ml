@@ -53,7 +53,6 @@ let edges g =
 let node_count g = Smap.cardinal g.node_map
 let edge_count g = Pmap.cardinal g.edge_map
 let mem_node g a = Smap.mem a g.node_map
-let find_node g a = Smap.find_opt a g.node_map
 let base_of g a = (Smap.find a g.node_map).base
 
 let find_edge g a b =
@@ -68,6 +67,27 @@ let neighbours g a =
       if String.equal x a then y :: acc else if String.equal y a then x :: acc else acc)
     g.edge_map []
   |> List.sort String.compare
+
+(* Breadth-first from [root], neighbours in alias order; a node is placed
+   when first reached. *)
+let join_plan ?root g =
+  match aliases g with
+  | [] -> []
+  | first :: _ ->
+      let root = Option.value root ~default:first in
+      if not (mem_node g root) then invalid_arg ("Qgraph.join_plan: unknown root " ^ root);
+      let rec bfs seen order = function
+        | [] -> List.rev order
+        | a :: queue ->
+            let next = List.filter (fun n -> not (Smap.mem n seen)) (neighbours g a) in
+            let seen = List.fold_left (fun s n -> Smap.add n () s) seen next in
+            bfs seen (a :: order) (queue @ next)
+      in
+      let step (placed, plan) a =
+        let preds = List.filter_map (fun p -> Pmap.find_opt (key a p) g.edge_map) placed in
+        (a :: placed, (a, preds) :: plan)
+      in
+      List.rev (snd (List.fold_left step ([], []) (bfs (Smap.singleton root ()) [] [ root ])))
 
 let is_connected g =
   match aliases g with

@@ -43,7 +43,6 @@ val edges : t -> edge list
 val node_count : t -> int
 val edge_count : t -> int
 val mem_node : t -> string -> bool
-val find_node : t -> string -> node option
 val base_of : t -> string -> string  (** Raises [Not_found]. *)
 
 (** Edge between two aliases, if any (orientation-insensitive). *)
@@ -53,6 +52,16 @@ val find_edge : t -> string -> string -> edge option
 val neighbours : t -> string -> string list
 
 val is_connected : t -> bool
+
+(** The one order every join over the graph follows: F(J), the outer-join
+    plans of D(G), the Section 2 SQL and [Fulldisj.Plan]'s EXPLAIN.
+    Breadth-first from [root] (default: the first alias), visiting
+    neighbours in alias order; each alias comes with the predicates of its
+    edges to the aliases placed before it, most recently placed first
+    ([[]] for the root, exactly one predicate per later alias on a tree).
+    Covers the aliases reachable from [root].  [[]] for the empty graph;
+    raises [Invalid_argument] when [root] is not a node. *)
+val join_plan : ?root:string -> t -> (string * Predicate.t list) list
 
 (** Subgraph induced by a set of aliases (keeps edges with both endpoints
     inside). *)

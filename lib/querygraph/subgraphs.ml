@@ -36,7 +36,6 @@ let fold_connected_node_sets g f init =
 let connected_node_sets g =
   fold_connected_node_sets g (fun acc s -> s :: acc) [] |> List.rev
 
-let connected_subgraphs g = List.map (Qgraph.induced g) (connected_node_sets g)
 let count g = fold_connected_node_sets g (fun acc _ -> acc + 1) 0
 
 let is_induced_connected g keep =

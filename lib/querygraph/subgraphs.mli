@@ -9,9 +9,6 @@
     Includes all singletons; excludes the empty set. *)
 val connected_node_sets : Qgraph.t -> string list list
 
-(** As query graphs. *)
-val connected_subgraphs : Qgraph.t -> Qgraph.t list
-
 (** Number of induced connected subgraphs (without materializing them
     beyond the enumeration itself). *)
 val count : Qgraph.t -> int

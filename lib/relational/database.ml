@@ -152,9 +152,6 @@ let relations t = List.map snd t.rels
 let relation_names t = List.map fst t.rels
 let constraints t = t.constraints
 
-let foreign_keys t =
-  List.filter (function Integrity.Foreign_key _ -> true | _ -> false) t.constraints
-
 let check t =
   List.concat_map (Integrity.check ~lookup:(find t)) t.constraints
 

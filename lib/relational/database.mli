@@ -55,7 +55,6 @@ val mem : t -> string -> bool
 val relations : t -> Relation.t list
 val relation_names : t -> string list
 val constraints : t -> Integrity.t list
-val foreign_keys : t -> Integrity.t list
 
 (** All violations of all declared constraints. *)
 val check : t -> Integrity.violation list

@@ -13,11 +13,12 @@
     Cache economics: {!Relational.Database} versions are process-global
     and immutable, so a branch's recorded history runs back {e through}
     its fork point into versions shared with sibling branches.  The
-    engine's promotion walk ({!Engine.Eval_ctx}) therefore reuses warm
-    F(J)/D(G) entries across branches with a common ancestor without any
-    store-specific machinery; the store tags each branch's context with
-    its fork version ({!Clio.Workspace.with_branch_root}) so those
-    cross-branch promotions are counted ([cache.promote.cross_branch.*]).
+    engine's D(G) promotion walk ({!Engine.Eval_ctx}) therefore reuses
+    warm D(G) entries across branches with a common ancestor without any
+    store-specific machinery (F(J) entries are memoized per version and
+    never promoted); the store tags each branch's context with its fork
+    version ({!Clio.Workspace.with_branch_root}) so those cross-branch
+    promotions are counted ([cache.promote.cross_branch.dg]).
 
     The store is not domain-safe; the server serializes access through its
     single-threaded loop, and the CLI is single-shot. *)

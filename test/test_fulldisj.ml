@@ -758,6 +758,30 @@ let test_compute_equals_naive_at_size () =
            (Full_disjunction.naive src g)))
     [ (11, 0, 3, 300); (12, 1, 3, 320); (13, 2, 4, 300); (14, 0, 2, 400) ]
 
+(* The left-outer cascade along [join_plan ~root] keeps exactly the D(G)
+   rows whose coverage holds the root, for every root of chains, stars and
+   trees with null and orphan foreign keys: same rows, rendering and
+   coverage tags, in the same order. *)
+let prop_rooted_is_root_covering_dg =
+  QCheck2.Test.make ~name:"rooted = D(G) rows covering the root, every root" ~count:100
+    ~print:(fun (seed, shape, size, rows) ->
+      Printf.sprintf "seed %d shape %d size %d rows %d" seed shape size rows)
+    QCheck2.Gen.(
+      quad (int_range 0 100_000) (int_range 0 2) (int_range 1 4) (int_range 0 12))
+    (fun params ->
+      let db, g = synth_instance params in
+      let src = Source.of_db db in
+      let fd = Full_disjunction.compute src g in
+      List.for_all
+        (fun root ->
+          let rooted = Outerjoin_plan.rooted src ~root g in
+          let expected = Full_disjunction.restrict (Coverage.mem root) fd in
+          same_associations rooted expected
+          && String.equal
+               (Render.relation rooted.Full_disjunction.rows)
+               (Render.relation expected.Full_disjunction.rows))
+        (Qgraph.aliases g))
+
 (* A stored relation may hold an all-null row (a relation built with
    [~allow_all_null:true]); padded, it lands in another category's null
    pattern.  Here B's only row is all-null and the edge admits it, so
@@ -842,5 +866,6 @@ let () =
           prop_compute_equals_naive;
           prop_padded_union_is_set;
           prop_delta_equals_compute;
+          prop_rooted_is_root_covering_dg;
         ];
     ]

@@ -205,6 +205,101 @@ let test_paths_are_simple () =
       Alcotest.(check int) "no repeats" (Qgraph.node_count p - 1) (Qgraph.edge_count p))
     (walks ~max_len:3)
 
+(* --- join plan --- *)
+
+let test_join_plan_path () =
+  let plan = Qgraph.join_plan path3 in
+  Alcotest.(check (list string)) "order" [ "A"; "B"; "C" ] (List.map fst plan);
+  Alcotest.(check bool) "edge predicates" true
+    (List.map snd plan = [ []; [ eq "A" "x" "B" "x" ]; [ eq "B" "y" "C" "y" ] ]);
+  Alcotest.(check (list string)) "rooted at C" [ "C"; "B"; "A" ]
+    (List.map fst (Qgraph.join_plan ~root:"C" path3));
+  (* C closes the triangle: both its edges, the most recent (B) first. *)
+  Alcotest.(check bool) "cycle edge becomes a second predicate" true
+    (List.assoc "C" (Qgraph.join_plan triangle)
+    = [ eq "B" "y" "C" "y"; eq "A" "z" "C" "z" ]);
+  Alcotest.(check bool) "empty graph" true (Qgraph.join_plan Qgraph.empty = []);
+  Alcotest.check_raises "unknown root"
+    (Invalid_argument "Qgraph.join_plan: unknown root Z") (fun () ->
+      ignore (Qgraph.join_plan ~root:"Z" path3))
+
+(* Breadth-first with the visited check at dequeue, neighbours in alias
+   order: the order every stored result, digest and SQL golden was
+   produced in, which [join_plan] must keep. *)
+let bfs_oracle g root =
+  let rec bfs visited queue acc =
+    match queue with
+    | [] -> List.rev acc
+    | a :: rest ->
+        if List.mem a visited then bfs visited rest acc
+        else
+          let next =
+            Qgraph.neighbours g a |> List.filter (fun n -> not (List.mem n visited))
+          in
+          bfs (a :: visited) (rest @ next) (a :: acc)
+  in
+  bfs [] [ root ] []
+
+(* Chains, stars and random trees from [Synth.Gen_graph], and random
+   connected graphs with cycles: a random tree over N1..Nn plus extra
+   edges between random pairs. *)
+let plan_graph_gen =
+  QCheck2.Gen.(
+    let* seed = int_range 0 100_000 in
+    let* shape = int_range 0 3 in
+    let* size = int_range 1 7 in
+    let st = Random.State.make [| seed |] in
+    let g =
+      match shape with
+      | 0 -> (Synth.Gen_graph.chain st ~n:size ~rows:1 ()).Synth.Gen_graph.graph
+      | 1 -> (Synth.Gen_graph.star st ~leaves:size ~rows:1 ()).Synth.Gen_graph.graph
+      | 2 -> (Synth.Gen_graph.random_tree st ~n:size ~rows:1 ()).Synth.Gen_graph.graph
+      | _ ->
+          let name i = Printf.sprintf "N%d" i in
+          let edge i j = (name i, name j, eq (name i) "k" (name j) "k") in
+          let tree = List.init (size - 1) (fun i -> edge (i + 1) (Random.State.int st (i + 1))) in
+          let extra =
+            List.init size (fun _ -> (Random.State.int st size, Random.State.int st size))
+            |> List.filter (fun (i, j) -> i <> j)
+            |> List.map (fun (i, j) -> edge i j)
+          in
+          Qgraph.make (List.init size (fun i -> (name i, "B"))) (tree @ extra)
+    in
+    let aliases = Qgraph.aliases g in
+    let* root = oneofl (None :: List.map Option.some aliases) in
+    return (g, root))
+
+let prop_join_plan =
+  QCheck2.Test.make ~name:"join plan: each alias once, root first, every edge once"
+    ~count:300
+    ~print:(fun (g, root) ->
+      Printf.sprintf "%s rooted at %s" (Qgraph.to_string g)
+        (Option.value root ~default:"(default)"))
+    plan_graph_gen
+    (fun (g, root) ->
+      let plan = Qgraph.join_plan ?root g in
+      let root = Option.value root ~default:(List.hd (Qgraph.aliases g)) in
+      let is_tree = Qgraph.edge_count g = Qgraph.node_count g - 1 in
+      let rec steps placed = function
+        | [] -> true
+        | (alias, preds) :: rest ->
+            let edges_back =
+              List.filter_map
+                (fun p -> Option.map (fun e -> e.Qgraph.pred) (Qgraph.find_edge g alias p))
+                placed
+            in
+            preds = edges_back
+            && List.length preds >= 1
+            && ((not is_tree) || List.length preds = 1)
+            && steps (alias :: placed) rest
+      in
+      List.sort String.compare (List.map fst plan) = Qgraph.aliases g
+      && List.map fst plan = bfs_oracle g root
+      && (match plan with
+         | (first, []) :: rest -> String.equal first root && steps [ first ] rest
+         | _ -> false)
+      && List.length (List.concat_map snd plan) = Qgraph.edge_count g)
+
 (* --- dot --- *)
 
 let test_dot_output () =
@@ -246,6 +341,11 @@ let () =
           tc "simple paths" `Quick test_simple_paths;
           tc "max len" `Quick test_simple_paths_max_len;
           tc "simple" `Quick test_paths_are_simple;
+        ] );
+      ( "join plan",
+        [
+          tc "path, root, cycle" `Quick test_join_plan_path;
+          QCheck_alcotest.to_alcotest ~long:false prop_join_plan;
         ] );
       ("dot", [ tc "output" `Quick test_dot_output ]);
     ]
